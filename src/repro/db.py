@@ -319,7 +319,6 @@ class Database:
         max_batch: int = 32,
         max_delay: float = 0.005,
         max_pending: int = 256,
-        quorum_seal: bool = True,
     ):
         """Route transaction commits through a group-commit coordinator.
 
@@ -339,7 +338,6 @@ class Database:
             max_batch=max_batch,
             max_delay=max_delay,
             max_pending=max_pending,
-            quorum_seal=quorum_seal,
         )
         store.commit_sink = coordinator.commit
         self._group_commit = coordinator

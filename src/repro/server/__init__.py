@@ -5,8 +5,16 @@ serves one process; this package turns it into a small multi-client
 service:
 
 * :mod:`repro.server.protocol` — length-prefixed JSON frame protocol,
-* :mod:`repro.server.server` — threaded socket server; one
-  :class:`Session` per connection, scoping one open transaction,
+* :mod:`repro.server.verbs` — the JSON data model, the data-verb
+  executor and the typed request-parameter helper,
+* :mod:`repro.server.session` — the session core: the one definition
+  of the wire contract (auth gates, begin/commit/abort, commit tokens
+  over :mod:`repro.server.commitcache`, request replay, park/resume,
+  tenant verbs, ``hello``) against a backend interface both transports
+  implement,
+* :mod:`repro.server.server` — the threaded transport: one
+  :class:`Session` thread per connection over an in-process backend,
+  plus the per-store ``repl.*`` / ``proof.*`` / ``log.*`` verbs,
 * :mod:`repro.server.groupcommit` — batches concurrent commits into a
   single chunk-store commit (one log append + sync + counter advance),
 * :mod:`repro.server.backpressure` — bounded sessions, bounded commit
@@ -14,10 +22,9 @@ service:
 * :mod:`repro.server.client` — context-managed remote transactions
   with bounded reconnect/retry on transient errors,
 * :mod:`repro.server.sharded` / :mod:`repro.server.shardworker` /
-  :mod:`repro.server.sharding` — the multi-process sharded service: an
-  asyncio front door routing the same wire protocol over N shard worker
-  processes, with ordered cross-shard two-phase commit
-  (:mod:`repro.server.coordinator`).
+  :mod:`repro.server.sharding` — the sharded transport: an asyncio
+  front door awaiting the same core over N shard worker processes, with
+  ordered cross-shard two-phase commit (:mod:`repro.server.coordinator`).
 """
 
 from repro.server.backpressure import AdmissionControl, BackpressureConfig

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
+
+from repro.errors import ServerBusyError
+from repro.server import protocol
 
 __all__ = ["BackpressureConfig", "AdmissionControl"]
 
@@ -93,6 +96,13 @@ class AdmissionControl:
             self._active += 1
             self.admitted_total += 1
             return True
+
+    def refusal(self) -> Dict[str, Any]:
+        """The frame a connection refused by :meth:`try_admit` is sent
+        (it precedes any request, so it cannot echo an id)."""
+        return protocol.error_payload(
+            None, ServerBusyError(f"server full ({self.max_sessions} sessions)")
+        )
 
     def release(self) -> None:
         """Return a previously claimed slot."""

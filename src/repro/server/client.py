@@ -515,13 +515,7 @@ class TdbClient:
                 return {"durable": payload.get("durable", True), "resolved": True}
             if status == "failed":
                 self.counters["indoubt_failed"] += 1
-                raise protocol.exception_from_payload(
-                    {
-                        "error": payload.get("error", "ServerError"),
-                        "message": payload.get("message", "commit failed"),
-                        "transient": bool(payload.get("transient")),
-                    }
-                )
+                raise protocol.exception_from_payload(payload)
             if status == "unknown":
                 if epoch is not None and payload.get("epoch") != epoch:
                     raise CommitInDoubtError(
@@ -553,24 +547,9 @@ class TdbClient:
         return self.call("stats")
 
     def hello(self) -> Dict[str, Any]:
-        """Negotiate protocol version and capabilities (cached).
-
-        Version-1 servers predate the ``hello`` verb and answer it with
-        a :class:`~repro.errors.ProtocolError`; that is mapped to a
-        synthetic ``{"protocol": 1}`` payload so new clients work
-        against old servers without special-casing.
-        """
+        """Negotiate protocol version and capabilities (cached)."""
         if self._server_info is None:
-            try:
-                self._server_info = self.call("hello")
-            except ProtocolError:
-                self._server_info = {
-                    "protocol": 1,
-                    "server": "tdb",
-                    "sharded": False,
-                    "shards": 1,
-                    "features": [],
-                }
+            self._server_info = self.call("hello")
         return self._server_info
 
 

@@ -124,7 +124,6 @@ class GroupCommitCoordinator:
         max_batch: int = 32,
         max_delay: float = 0.005,
         max_pending: int = 256,
-        quorum_seal: bool = True,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -136,16 +135,15 @@ class GroupCommitCoordinator:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_pending = max_pending
-        #: Seal a batch as soon as every live session has joined it
-        #: instead of waiting out ``max_delay``.  With N active sessions
-        #: and N < ``max_batch`` the batch can never grow past N, so
-        #: once all N are aboard further waiting is pure latency — at
-        #: 8 clients that dead wait cost ~40% of throughput.
-        self.quorum_seal = quorum_seal
         #: How many potential committers exist right now (the server
         #: keeps this at its active-session count).  Below 2 the leader
         #: skips the batching window — group commit never taxes a lone
-        #: client with ``max_delay`` of pure latency.
+        #: client with ``max_delay`` of pure latency.  From 2 up, a
+        #: batch seals as soon as every live session has joined it
+        #: instead of waiting out ``max_delay``: with N active sessions
+        #: and N < ``max_batch`` the batch can never grow past N, so
+        #: once all N are aboard further waiting is pure latency — at
+        #: 8 clients that dead wait cost ~40% of throughput.
         self.concurrency_hint = 0
         self.stats = GroupCommitStats()
         self._mutex = threading.Lock()
@@ -209,14 +207,14 @@ class GroupCommitCoordinator:
     def _seal_threshold(self) -> int:
         """Batch size that seals immediately (caller holds ``_mutex``).
 
-        Without quorum sealing a leader whose batch never reaches
-        ``max_batch`` waits out the whole ``max_delay`` window — exactly
-        what happened at 8 clients against the default ``max_batch=32``:
-        every batch of 8 still slept the full 5 ms.  The session count
+        A leader whose batch never reaches ``max_batch`` would
+        otherwise wait out the whole ``max_delay`` window — at 8
+        clients against the default ``max_batch=32`` every batch of 8
+        slept the full 5 ms.  The session count
         bounds how many committers *can* join, so once that many are in
         the batch there is nobody left to wait for.
         """
-        if not self.quorum_seal or self.concurrency_hint < 2:
+        if self.concurrency_hint < 2:
             return self.max_batch
         return min(self.max_batch, self.concurrency_hint)
 

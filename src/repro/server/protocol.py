@@ -102,9 +102,12 @@ from repro import errors as _errors
 from repro.errors import ProtocolError, ServerBusyError, TransientStoreError
 
 __all__ = [
+    "HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "encode_frame",
+    "frame_length",
+    "decode_body",
     "read_frame",
     "write_frame",
     "recv_exact",
@@ -115,13 +118,16 @@ __all__ = [
 
 _LENGTH = struct.Struct(">I")
 
+#: Size of the length prefix in front of every frame body.
+HEADER_BYTES = _LENGTH.size
+
 #: Upper bound on one frame's body; a peer announcing more is treated as
 #: a protocol violation, not an allocation request.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Wire protocol version announced by the ``hello`` verb.  Version 1
-#: servers predate ``hello`` and answer it with a ProtocolError; clients
-#: treat that as ``{"protocol": 1}`` so both directions interoperate.
+#: clients predate ``hello`` and never send it; their frames are served
+#: unchanged.  No version 1 server exists, so clients carry no fallback.
 PROTOCOL_VERSION = 2
 
 VERBS = (
@@ -167,6 +173,27 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} limit"
         )
     return _LENGTH.pack(len(body)) + body
+
+
+def frame_length(header: bytes) -> int:
+    """Body length announced by a frame header, checked against the cap."""
+    (length,) = _LENGTH.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
+        )
+    return length
+
+
+def decode_body(body: bytes) -> Dict[str, Any]:
+    """Parse one frame body: UTF-8 JSON holding an object."""
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError("frame body must be a JSON object")
+    return message
 
 
 def recv_exact(
@@ -231,24 +258,13 @@ def read_frame(
     deadline = None
     if body_timeout is not None:
         deadline = time.monotonic() + body_timeout
-    rest = recv_exact(sock, _LENGTH.size - 1, deadline)
+    rest = recv_exact(sock, HEADER_BYTES - 1, deadline)
     if rest is None:
         raise ProtocolError("connection closed inside frame header")
-    (length,) = _LENGTH.unpack(first + rest)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
-        )
-    body = recv_exact(sock, length, deadline)
+    body = recv_exact(sock, frame_length(first + rest), deadline)
     if body is None:
         raise ProtocolError("connection closed between frame header and body")
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return message
+    return decode_body(body)
 
 
 def write_frame(sock: socket.socket, message: Dict[str, Any]) -> None:

@@ -3,9 +3,14 @@
 Turns the embedded stack into a service (the step GlassDB takes in
 front of its verifiable ledger store): a listener thread accepts
 connections under admission control, and each connection gets a
-:class:`Session` — a thread that reads protocol frames, maps verbs onto
+:class:`Session` — a thread that reads protocol frames and hands them
+to the shared :class:`~repro.server.session.SessionCore`, which owns
+the session contract (one open transaction, exactly-once commits,
+request replay, park/resume, hub auth).  :class:`TdbServer` is the
+core's in-process backend: verbs map straight onto
 ``Database.transaction()`` / ``ctransaction()`` under the existing
-strict-2PL locks, and scopes **exactly one** open transaction.
+strict-2PL locks, and nothing in it ever suspends, so the session
+thread runs every handler to completion itself.
 
 Concurrency model:
 
@@ -20,17 +25,11 @@ Concurrency model:
   dead client — and its connection closed
   (:mod:`repro.server.backpressure`),
 * a session whose connection *drops* (rather than timing out or closing
-  cleanly) is **parked** for a bounded grace window: its transaction and
-  locks survive, and a reconnecting client presents its resume token via
-  ``session.resume`` to adopt them and continue.  Strict 2PL locks are
-  keyed by transaction id, not thread, so the adoption is safe.
+  cleanly) is parked by the core for a bounded grace window.
 
-Exactly-once commits ride on two caches: each session keeps its last
-response (re-sending the in-flight request id after a resume replays it
-without re-execution), and tokened commits record their authoritative
-outcome in the server-wide :class:`~repro.server.commitcache.
-CommitResultCache`, queryable via ``commit.result`` even from a brand
-new connection.
+Besides sockets and threads this module keeps the verbs that exist only
+on a single store: the ``repl.*`` replication stream and the
+``proof.*`` / ``log.*`` transparency verbs.
 
 The remote data model is JSON: values live in :class:`RemoteRecord`
 persistent objects and collections are indexed by record fields, so a
@@ -41,154 +40,55 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import secrets
 import socket
 import threading
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import (
-    AuthFailedError,
-    AuthRequiredError,
     ConfigError,
-    FeatureUnavailableError,
     ProtocolError,
     ReadOnlyReplicaError,
     ReplicationError,
-    ServerBusyError,
-    SessionStateError,
     TDBError,
-    TransientStoreError,
 )
 from repro.server.backpressure import AdmissionControl, BackpressureConfig
-from repro.server.commitcache import CommitResultCache
 from repro.server.groupcommit import GroupCommitCoordinator
 from repro.server import protocol
+from repro.server.session import (
+    SessionBackend,
+    SessionCore,
+    SessionState,
+    run_to_completion,
+)
 from repro.server.verbs import (
-    DATA_VERBS,
     MUTATING_DATA_VERBS,
     RemoteRecord,
     VerbExecutor,
     field_indexer,
+    param,
 )
-from repro.tenancy import value_bytes as _tenant_value_bytes
 
 __all__ = ["RemoteRecord", "TdbServer", "field_indexer"]
 
-#: Verbs refused outright on a read-only replica server.  ``begin`` /
-#: ``commit`` / ``abort`` stay allowed: a read-only transaction's commit
-#: carries no writes, so it never reaches the chunk store's commit path.
-_MUTATING_VERBS = MUTATING_DATA_VERBS
 
-#: Verbs a multi-tenant hub answers before ``auth`` binds an identity.
-#: Everything else on a hub requires an authenticated session.
-_PREAUTH_VERBS = ("hello", "auth", "stats", "commit.result", "session.resume")
-
-#: Verbs that are inherently per-database and therefore absent on a
-#: multi-tenant hub: there is no single replication stream or
-#: transparency head to serve across tenants (per-tenant heads are a
-#: roadmap item).  Advertised as ``absent_verbs`` in ``hello``.
-_PER_STORE_VERBS = (
-    "repl.subscribe",
-    "repl.segments",
-    "repl.master",
-    "proof.read",
-    "proof.absent",
-    "log.head",
-    "log.consistency",
-)
-
-
-class _SessionTimeout(Exception):
-    """Internal: the idle/request timeout fired for this session."""
-
-
-class _ParkedSession:
-    """Transaction state preserved across a dropped connection."""
-
-    __slots__ = (
-        "token",
-        "txn",
-        "mode",
-        "gate_held",
-        "last_request",
-        "last_response",
-        "requests_served",
-        "deadline",
-        "identity",
-        "tenant_db",
-        "txn_bytes",
-    )
-
-    def __init__(
-        self,
-        token: str,
-        txn,
-        mode: Optional[str],
-        gate_held: bool,
-        last_request: Optional[Dict[str, Any]],
-        last_response: Optional[Dict[str, Any]],
-        requests_served: int,
-        deadline: float,
-        identity=None,
-        tenant_db=None,
-        txn_bytes: int = 0,
-    ) -> None:
-        self.token = token
-        self.txn = txn
-        self.mode = mode
-        self.gate_held = gate_held
-        self.last_request = last_request
-        self.last_response = last_response
-        self.requests_served = requests_served
-        self.deadline = deadline
-        self.identity = identity
-        self.tenant_db = tenant_db
-        self.txn_bytes = txn_bytes
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
 
 
 class Session:
-    """One connection: a protocol loop scoping one open transaction."""
+    """One connection: a thread feeding request frames to the session core."""
 
     def __init__(
-        self,
-        server: "TdbServer",
-        sock: socket.socket,
-        address,
-        session_id: int,
+        self, server: "TdbServer", sock: socket.socket, session_id: int
     ) -> None:
         self.server = server
         self.sock = sock
-        self.address = address
         self.session_id = session_id
-        self.txn = None
-        self.mode: Optional[str] = None
-        self._gate_held = False
-        self.requests_served = 0
+        self.state = SessionState(session_id)
         self._stop = False
-        #: Tenancy: the bound (tenant, principal), the tenant's database,
-        #: the pending auth challenge, and the accounting bytes of the
-        #: open transaction's mutating verbs.
-        self.identity = None
-        self.tenant_db = None
-        self._pending_auth: Optional[Dict[str, Any]] = None
-        self.txn_bytes = 0
-        #: Token a disconnected client presents to ``session.resume``.
-        self.resume_token = secrets.token_hex(16)
-        # One-slot response cache: a re-delivered request (chaos
-        # duplicate, or the in-flight request re-sent after a resume)
-        # replays the stored response instead of executing twice.  The
-        # whole request is matched, not just its id: a *new* client
-        # adopting a parked session starts its own id sequence, and a
-        # colliding id on a different request must execute, not replay.
-        self.last_request: Optional[Dict[str, Any]] = None
-        self.last_response: Optional[Dict[str, Any]] = None
         self.thread = threading.Thread(
             target=self._run, name=f"tdb-session-{session_id}", daemon=True
         )
-
-    def start(self) -> None:
-        self.thread.start()
 
     def stop(self) -> None:
         """Ask the session to exit; unblocks its pending recv."""
@@ -198,12 +98,9 @@ class Session:
         except OSError:
             pass
 
-    # ------------------------------------------------------------------
-    # Protocol loop
-    # ------------------------------------------------------------------
-
     def _run(self) -> None:
         config = self.server.backpressure
+        core = self.server.core
         parked = False
         try:
             while not self._stop:
@@ -214,487 +111,44 @@ class Session:
                         body_timeout=config.request_timeout,
                     )
                 except socket.timeout:
-                    raise _SessionTimeout() from None
+                    # Idle or mid-request timeout: the session ends and
+                    # its transaction is aborted below.
+                    if self.state.txn is not None:
+                        self.server.admission.record_timeout_abort()
+                    break
                 if request is None:
                     break  # clean EOF
-                self._serve_one(request)
-        except _SessionTimeout:
-            if self.txn is not None:
-                self.server.admission.record_timeout_abort()
+                response, state = run_to_completion(
+                    core.serve(self.state, request)
+                )
+                if state is not self.state:
+                    # session.resume adopted a parked session; the
+                    # shipper's pins stay keyed by this connection.
+                    state.id = self.session_id
+                    self.state = state
+                protocol.write_frame(self.sock, response)
         except (OSError, ProtocolError):
             # The peer vanished mid-conversation (or a frame was cut
             # short).  Instead of instantly aborting the transaction,
             # park the session state for the resume grace window so the
-            # client can reconnect with its token and carry on.
-            parked = self.server._try_park(self)
+            # client can reconnect with its token and carry on — unless
+            # the session was stopped deliberately.
+            parked = (
+                not self._stop
+                and not self.server._stopping
+                and core.park(self.state)
+            )
         finally:
             if not parked:
-                self._abort_open_txn()
+                run_to_completion(core.end(self.state))
             try:
                 self.sock.close()
             except OSError:
                 pass
             self.server._session_finished(self)
 
-    def _serve_one(self, request: Dict[str, Any]) -> None:
-        request_id = request.get("id")
-        if (
-            request_id is not None
-            and self.last_response is not None
-            and request == self.last_request
-        ):
-            self.server._count("srv_request_replays")
-            protocol.write_frame(self.sock, self.last_response)
-            return
-        try:
-            result = self._dispatch(request)
-            response = {"id": request_id, "ok": True, "result": result}
-        except TDBError as exc:
-            response = protocol.error_payload(request_id, exc)
-        self.requests_served += 1
-        # Cache before writing: if the write dies the session parks with
-        # the response, and the resumed client's re-send replays it.  A
-        # resume response must not clobber the slot it just adopted —
-        # the slot still holds the dropped connection's in-flight
-        # response, which the client is about to ask for.
-        if request.get("op") != "session.resume":
-            self.last_request = dict(request)
-            self.last_response = response
-        protocol.write_frame(self.sock, response)
 
-    def _abort_open_txn(self) -> None:
-        if self.txn is None:
-            self._release_gate()
-            return
-        txn, self.txn, self.mode = self.txn, None, None
-        try:
-            txn.abort()
-        except TDBError:
-            pass
-        finally:
-            self._release_gate()
-
-    def _release_gate(self) -> None:
-        if self._gate_held:
-            self._gate_held = False
-            self.server.txn_gate.release_shared()
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op")
-        if not isinstance(op, str):
-            raise ProtocolError("request needs a string 'op' field")
-        if self.server.read_only and op in _MUTATING_VERBS:
-            raise ReadOnlyReplicaError(
-                f"verb {op!r} refused: this server is a read-only replica; "
-                "write to the primary or promote this node"
-            )
-        tenancy = self.server.tenancy
-        if tenancy is not None:
-            if self.identity is None and op not in _PREAUTH_VERBS:
-                raise AuthRequiredError(
-                    "this server is a multi-tenant hub; bind an identity "
-                    "with the auth challenge-response first"
-                )
-            if op in _PER_STORE_VERBS:
-                raise FeatureUnavailableError(
-                    f"verb {op!r} is unavailable on a multi-tenant hub: it "
-                    "is per-database (no single replication stream or "
-                    "transparency head spans tenants; per-tenant heads are "
-                    "a roadmap item)"
-                )
-            if op in DATA_VERBS:
-                tenancy.check(self.identity, op, request)
-                result = self.server.executor.execute(
-                    self.tenant_db, request, self.txn, self.mode
-                )
-                if op in MUTATING_DATA_VERBS:
-                    self.txn_bytes += _tenant_value_bytes(request)
-                return result
-        if op in DATA_VERBS:
-            return self.server.executor.execute(
-                self.server.db, request, self.txn, self.mode
-            )
-        handler = getattr(self, "_op_" + op.replace(".", "_"), None)
-        if handler is None or op not in protocol.VERBS:
-            raise ProtocolError(f"unknown verb {op!r}")
-        return handler(request)
-
-    @staticmethod
-    def _param(request: Dict[str, Any], name: str, required: bool = True, default=None):
-        if name not in request:
-            if required:
-                raise ProtocolError(f"missing parameter {name!r}")
-            return default
-        return request[name]
-
-    def _require_txn(self, mode: str):
-        if self.txn is None:
-            raise SessionStateError(
-                f"no open transaction; send begin(mode={mode!r}) first"
-            )
-        if self.mode != mode:
-            raise SessionStateError(
-                f"verb needs a {mode} transaction, session has {self.mode}"
-            )
-        return self.txn
-
-    # -- transaction lifecycle --------------------------------------------
-
-    def _op_begin(self, request) -> Dict[str, Any]:
-        mode = self._param(request, "mode", required=False, default="object")
-        if mode not in ("object", "collection"):
-            raise ProtocolError(f"unknown transaction mode {mode!r}")
-        if self.txn is not None:
-            raise SessionStateError(
-                "a transaction is already open in this session"
-            )
-        if self.server.tenancy is not None:
-            # Tenancy: charge the tenant's txn/s token bucket first; a
-            # refused begin opens nothing.
-            self.server.tenancy.on_begin(self.identity)
-        if self.server.txn_gate is not None:
-            # Replica mode: the transaction pins the current image so the
-            # applier cannot swap it mid-transaction.
-            self.server.txn_gate.acquire_shared()
-            self._gate_held = True
-        try:
-            db = (
-                self.tenant_db
-                if self.server.tenancy is not None
-                else self.server.db
-            )
-            self.txn = db.transaction() if mode == "object" else db.ctransaction()
-        except BaseException:
-            self._release_gate()
-            raise
-        self.mode = mode
-        self.txn_bytes = 0
-        return {
-            "mode": mode,
-            "session": self.resume_token,
-            "epoch": self.server.epoch,
-        }
-
-    def _op_commit(self, request) -> Dict[str, Any]:
-        token = self._param(request, "token", required=False)
-        if token is not None and not isinstance(token, str):
-            raise ProtocolError("commit token must be a string")
-        durable = bool(self._param(request, "durable", required=False, default=True))
-        cache = self.server.commit_results
-        if token is not None:
-            prior = cache.begin(token)
-            if prior is not None:
-                return self._replay_commit_outcome(token, prior)
-        if self.txn is None:
-            if token is not None:
-                cache.cancel(token)
-            raise SessionStateError("no open transaction to commit")
-        txn, self.txn, self.mode = self.txn, None, None
-        tenancy = self.server.tenancy
-        txn_bytes, self.txn_bytes = self.txn_bytes, 0
-        quota_held = False
-        committed = False
-        try:
-            if tenancy is not None:
-                # Tenancy: the pending-commit and stored-bytes budgets
-                # gate the commit; a QuotaExceededError lands in the
-                # except branch below, which aborts the transaction
-                # (releasing its locks) and resolves the token as a
-                # transient failure.
-                tenancy.on_commit_start(self.identity, txn_bytes)
-                quota_held = True
-            txn.commit(durable=durable)
-            committed = True
-        except TDBError as exc:
-            # The commit failed (queue full, store fault, deferred index
-            # violation...).  Release the locks so the failed session
-            # cannot wedge its neighbours, then report the error.
-            try:
-                if getattr(txn, "active", False):
-                    txn.abort()
-            except TDBError:
-                pass
-            if token is not None:
-                cache.resolve(
-                    token,
-                    {
-                        "status": "failed",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                        "transient": protocol.error_payload(None, exc)["transient"],
-                    },
-                )
-            raise
-        except BaseException:
-            # Crash injection or interpreter-level failure mid-commit:
-            # the outcome is genuinely unknown, so the token stays
-            # pending and commit.result answers honestly.
-            raise
-        finally:
-            self._release_gate()
-            if quota_held:
-                tenancy.on_commit_end(self.identity, txn_bytes, committed)
-        if token is not None:
-            cache.resolve(token, {"status": "committed", "durable": durable})
-        return {"durable": durable}
-
-    def _replay_commit_outcome(self, token: str, prior: Dict[str, Any]) -> Dict[str, Any]:
-        """A commit re-sent with an already-seen token: replay, never re-run."""
-        status = prior.get("status")
-        if status == "pending":
-            # Another session (or a crashed one) holds this token's
-            # commit in flight; the client should poll commit.result.
-            raise TransientStoreError(
-                "a commit with this token is already in flight; "
-                "query commit.result for the outcome"
-            )
-        self.server._count("srv_commit_replays")
-        if status == "failed":
-            raise protocol.exception_from_payload(
-                {
-                    "error": prior.get("error", "ServerError"),
-                    "message": prior.get("message", "commit failed"),
-                    "transient": bool(prior.get("transient")),
-                }
-            )
-        return {"durable": prior.get("durable", True), "replayed": True}
-
-    def _op_commit_result(self, request) -> Dict[str, Any]:
-        token = self._param(request, "token")
-        if not isinstance(token, str):
-            raise ProtocolError("commit token must be a string")
-        payload = self.server.commit_results.lookup(token)
-        self.server._count(
-            "srv_indoubt_misses" if payload["status"] == "unknown"
-            else "srv_indoubt_hits"
-        )
-        payload["epoch"] = self.server.epoch
-        return payload
-
-    def _op_session_resume(self, request) -> Dict[str, Any]:
-        token = self._param(request, "session")
-        if not isinstance(token, str):
-            raise ProtocolError("session token must be a string")
-        if self.txn is not None:
-            raise SessionStateError(
-                "cannot resume into a session with an open transaction"
-            )
-        parked = self.server._take_parked(token)
-        if parked is None:
-            raise SessionStateError(
-                "unknown, expired, or already-resumed session token"
-            )
-        self.resume_token = token
-        self.txn = parked.txn
-        self.mode = parked.mode
-        self._gate_held = parked.gate_held
-        self.last_request = parked.last_request
-        self.last_response = parked.last_response
-        self.requests_served = parked.requests_served
-        if self.server.tenancy is not None:
-            # Adopt the parked identity (and its lease) wholesale; the
-            # resume token is the bearer credential.  An identity this
-            # session authenticated before resuming is released first.
-            if self.identity is not None:
-                self.server.tenancy.release(self.identity)
-            self.identity = parked.identity
-            self.tenant_db = parked.tenant_db
-            self.txn_bytes = parked.txn_bytes
-        return {
-            "resumed": True,
-            "txn_open": self.txn is not None,
-            "mode": self.mode,
-            "epoch": self.server.epoch,
-        }
-
-    def _op_abort(self, request) -> Dict[str, Any]:
-        if self.txn is None:
-            raise SessionStateError("no open transaction to abort")
-        txn, self.txn, self.mode = self.txn, None, None
-        self.txn_bytes = 0
-        try:
-            txn.abort()
-        finally:
-            self._release_gate()
-        return {}
-
-    # -- data verbs (obj.* / name.* / col.*) are routed to the shared
-    # -- VerbExecutor by _dispatch; see repro.server.verbs.
-
-    # -- tenancy -----------------------------------------------------------
-
-    def _require_hub(self):
-        hub = self.server.tenancy
-        if hub is None:
-            raise FeatureUnavailableError(
-                "this server is not a multi-tenant hub; it serves one "
-                "anonymous database (start it with a TenancyHub / "
-                "serve --tenants for per-principal auth)"
-            )
-        return hub
-
-    def _op_auth(self, request) -> Dict[str, Any]:
-        hub = self._require_hub()
-        if self.txn is not None:
-            raise SessionStateError(
-                "authenticate before opening a transaction"
-            )
-        tenant = str(self._param(request, "tenant"))
-        principal = str(self._param(request, "principal"))
-        proof = self._param(request, "proof", required=False)
-        if proof is None:
-            self._pending_auth = hub.begin_auth(tenant, principal)
-            return {"challenge": self._pending_auth["challenge"]}
-        # The pending challenge is consumed by the attempt, success or
-        # not: replaying an observed proof finds no challenge and fails.
-        pending, self._pending_auth = self._pending_auth, None
-        if (
-            pending is None
-            or pending["tenant"] != tenant
-            or pending["principal"] != principal
-        ):
-            raise AuthFailedError("authentication failed")
-        identity = hub.finish_auth(pending, proof)
-        if self.identity is not None:
-            hub.release(self.identity)
-        self.identity = identity
-        self.tenant_db = hub.session_db(identity)
-        return {
-            "authenticated": True,
-            "tenant": identity.tenant,
-            "principal": identity.principal,
-        }
-
-    def _op_tenant_grant(self, request) -> Dict[str, Any]:
-        return self._require_hub().grant(
-            self.identity,
-            str(self._param(request, "principal")),
-            str(self._param(request, "scope")),
-            str(self._param(request, "right")),
-        )
-
-    def _op_tenant_revoke(self, request) -> Dict[str, Any]:
-        return self._require_hub().revoke(
-            self.identity,
-            str(self._param(request, "principal")),
-            str(self._param(request, "scope")),
-            str(self._param(request, "right")),
-        )
-
-    def _op_tenant_meter(self, request) -> Dict[str, Any]:
-        return self._require_hub().meter(self.identity.tenant)
-
-    # -- replication -------------------------------------------------------
-
-    def _require_shipper(self):
-        shipper = self.server.shipper
-        if shipper is None:
-            raise ReplicationError(
-                "this server does not ship: it is itself a read-only replica"
-            )
-        return shipper
-
-    def _op_repl_subscribe(self, request) -> Dict[str, Any]:
-        shipper = self._require_shipper()
-        last_generation = self._param(request, "last_generation", required=False)
-        last_seqno = self._param(request, "last_seqno", required=False)
-        return shipper.subscribe(
-            self.session_id,
-            None if last_generation is None else int(last_generation),
-            None if last_seqno is None else int(last_seqno),
-        )
-
-    def _op_repl_segments(self, request) -> Dict[str, Any]:
-        shipper = self._require_shipper()
-        segment = int(self._param(request, "segment"))
-        offset = int(self._param(request, "offset"))
-        length = int(self._param(request, "length"))
-        data = shipper.read_segment(self.session_id, segment, offset, length)
-        return {
-            "segment": segment,
-            "offset": offset,
-            "data": base64.b64encode(data).decode("ascii"),
-        }
-
-    def _op_repl_master(self, request) -> Dict[str, Any]:
-        shipper = self._require_shipper()
-        payload = shipper.master_blob(self.session_id)
-        return {
-            "name": payload["name"],
-            "data": base64.b64encode(payload["blob"]).decode("ascii"),
-        }
-
-    # -- proofs / transparency log ----------------------------------------
-
-    def _proof_response(self, head, proof) -> Dict[str, Any]:
-        return {
-            "uuid": base64.b64encode(
-                self.server.db.chunk_store.db_uuid
-            ).decode("ascii"),
-            "head": base64.b64encode(head.raw).decode("ascii"),
-            "chunk_id": proof.chunk_id,
-            "depth": proof.depth,
-            "present": proof.present,
-            "nodes": [
-                base64.b64encode(node).decode("ascii") for node in proof.nodes
-            ],
-            "payload": (
-                base64.b64encode(proof.payload).decode("ascii")
-                if proof.payload is not None
-                else None
-            ),
-        }
-
-    def _op_proof_read(self, request) -> Dict[str, Any]:
-        service = self.server.proof_service()
-        head, proof = service.prove(int(self._param(request, "chunk_id")))
-        return self._proof_response(head, proof)
-
-    def _op_proof_absent(self, request) -> Dict[str, Any]:
-        # Same walk as proof.read; kept as its own verb so audits can
-        # ask "prove you do NOT have this" without ambiguity.
-        return self._op_proof_read(request)
-
-    def _op_log_head(self, request) -> Dict[str, Any]:
-        service = self.server.proof_service()
-        head, length = service.head()
-        return {
-            "uuid": base64.b64encode(
-                self.server.db.chunk_store.db_uuid
-            ).decode("ascii"),
-            "head": base64.b64encode(head.raw).decode("ascii"),
-            "length": length,
-        }
-
-    def _op_log_consistency(self, request) -> Dict[str, Any]:
-        service = self.server.proof_service()
-        entries = service.consistency(
-            int(self._param(request, "from_index")),
-            int(self._param(request, "to_index")),
-        )
-        return {
-            "uuid": base64.b64encode(
-                self.server.db.chunk_store.db_uuid
-            ).decode("ascii"),
-            "entries": [
-                base64.b64encode(entry).decode("ascii") for entry in entries
-            ],
-        }
-
-    # -- admin -------------------------------------------------------------
-
-    def _op_hello(self, request) -> Dict[str, Any]:
-        return self.server.hello_payload()
-
-    def _op_stats(self, request) -> Dict[str, Any]:
-        return self.server.stats_payload()
-
-
-class TdbServer:
+class TdbServer(SessionBackend):
     """Threaded socket server over one :class:`~repro.db.Database`."""
 
     def __init__(
@@ -706,7 +160,6 @@ class TdbServer:
         max_batch: int = 32,
         max_delay: float = 0.005,
         max_results: int = 1000,
-        quorum_seal: bool = True,
         read_only: bool = False,
         txn_gate=None,
         replication_stats=None,
@@ -725,6 +178,8 @@ class TdbServer:
                 )
         elif db is None:
             raise ConfigError("a server needs a database (or a TenancyHub)")
+        #: Swapped wholesale by a replica applier installing a shipped
+        #: image, so every use reads it afresh.
         self.db = db
         self.tenancy = tenancy
         self.host = host
@@ -736,6 +191,7 @@ class TdbServer:
         self.replication_stats = replication_stats
         self.admission = AdmissionControl(self.backpressure.max_sessions)
         self.executor = VerbExecutor(max_results=max_results)
+        self.core = SessionCore(self, self.backpressure, tenancy)
         if read_only or tenancy is not None:
             # A replica commits nothing, so there is nothing to batch —
             # and its store would refuse the coordinator's commits anyway.
@@ -748,7 +204,6 @@ class TdbServer:
                 max_batch=max_batch,
                 max_delay=max_delay,
                 max_pending=self.backpressure.max_pending_commits,
-                quorum_seal=quorum_seal,
             )
             from repro.replication.shipper import ReplicationShipper
 
@@ -765,26 +220,13 @@ class TdbServer:
         self._next_session_id = 1
         self._stopping = False
         self._started = False
-        #: Boot nonce: lets a client distinguish "this server never saw
-        #: your commit token" from "the server restarted and lost its
-        #: token cache" — the latter makes an unknown token *in doubt*.
-        self.epoch = secrets.token_hex(8)
-        self.commit_results = CommitResultCache()
-        self._parked: Dict[str, _ParkedSession] = {}
-        self._parked_lock = threading.Lock()
         self._reaper_thread: Optional[threading.Thread] = None
         self._reaper_wake = threading.Event()
-        self._resilience_lock = threading.Lock()
-        self._resilience: Dict[str, int] = {
-            "sessions_parked": 0,
-            "sessions_resumed": 0,
-            "resume_failures": 0,
-            "grace_expired": 0,
-            "request_replays": 0,
-            "commit_replays": 0,
-            "indoubt_hits": 0,
-            "indoubt_misses": 0,
-        }
+
+    @property
+    def epoch(self) -> str:
+        """The session core's boot nonce (see ``SessionCore.epoch``)."""
+        return self.core.epoch
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -840,11 +282,7 @@ class TdbServer:
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
             self._reaper_thread = None
-        with self._parked_lock:
-            parked = list(self._parked.values())
-            self._parked.clear()
-        for entry in parked:
-            self._discard_parked(entry, expired=False)
+        run_to_completion(self.core.close())
         if self.shipper is not None:
             self.shipper.close()
         with self._proof_lock:
@@ -868,7 +306,7 @@ class TdbServer:
     def _accept_loop(self) -> None:
         while not self._stopping:
             try:
-                sock, address = self._listener.accept()
+                sock, _address = self._listener.accept()
             except socket.timeout:
                 continue
             except OSError:
@@ -879,23 +317,15 @@ class TdbServer:
             with self._sessions_lock:
                 session_id = self._next_session_id
                 self._next_session_id += 1
-                session = Session(self, sock, address, session_id)
+                session = Session(self, sock, session_id)
                 self._sessions[session_id] = session
             if self.coordinator is not None:
                 self.coordinator.concurrency_hint = self.admission.active
-            session.start()
+            session.thread.start()
 
     def _reject(self, sock: socket.socket) -> None:
         try:
-            protocol.write_frame(
-                sock,
-                protocol.error_payload(
-                    None,
-                    ServerBusyError(
-                        f"server full ({self.admission.max_sessions} sessions)"
-                    ),
-                ),
-            )
+            protocol.write_frame(sock, self.admission.refusal())
         except OSError:
             pass
         finally:
@@ -907,115 +337,186 @@ class TdbServer:
     def _session_finished(self, session: Session) -> None:
         with self._sessions_lock:
             self._sessions.pop(session.session_id, None)
-        if self.tenancy is not None and session.identity is not None:
-            # A parked session transferred its identity to the parked
-            # entry (session.identity is None then); only a session that
-            # truly ends releases the tenant lease and quota slot.
-            self.tenancy.release(session.identity)
-            session.identity = None
-            session.tenant_db = None
         if self.shipper is not None:
             self.shipper.release(session.session_id)
         self.admission.release()
         if self.coordinator is not None:
             self.coordinator.concurrency_hint = self.admission.active
 
-    # ------------------------------------------------------------------
-    # Session parking (resume grace window)
-    # ------------------------------------------------------------------
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Bump a resilience counter, mirrored into PerfStats so it also
-        shows up under the io/perf section of the stats verb."""
-        key = name[4:] if name.startswith("srv_") else name
-        with self._resilience_lock:
-            self._resilience[key] = self._resilience.get(key, 0) + amount
-        if self.db is not None:
-            self.db.perf_stats().incr(name, amount)
-
-    def _try_park(self, session: Session) -> bool:
-        """Preserve a dropped session's state for the grace window.
-
-        Returns ``False`` (caller aborts as before) when parking is
-        disabled, the server is stopping, the session was stopped
-        deliberately, there is nothing worth preserving, or the parked
-        registry is full.  The admission slot is *released* either way —
-        a parked session must not starve live connections.
-        """
-        grace = self.backpressure.effective_resume_grace
-        if grace <= 0 or self._stopping or session._stop:
-            return False
-        if session.txn is None and session.last_response is None:
-            return False
-        entry = _ParkedSession(
-            token=session.resume_token,
-            txn=session.txn,
-            mode=session.mode,
-            gate_held=session._gate_held,
-            last_request=session.last_request,
-            last_response=session.last_response,
-            requests_served=session.requests_served,
-            deadline=time.monotonic() + grace,
-            identity=session.identity,
-            tenant_db=session.tenant_db,
-            txn_bytes=session.txn_bytes,
-        )
-        with self._parked_lock:
-            if self._stopping or len(self._parked) >= self.backpressure.max_sessions:
-                return False
-            self._parked[session.resume_token] = entry
-        # Ownership moved to the parked entry: the session's normal
-        # cleanup must not abort the transaction or release the gate —
-        # and in tenancy mode the identity's lease rides along too.
-        session.txn = None
-        session.mode = None
-        session._gate_held = False
-        session.identity = None
-        session.tenant_db = None
-        session.txn_bytes = 0
-        self._count("srv_sessions_parked")
-        self._reaper_wake.set()
-        return True
-
-    def _take_parked(self, token: str) -> Optional[_ParkedSession]:
-        with self._parked_lock:
-            entry = self._parked.pop(token, None)
-        if entry is None:
-            self._count("srv_resume_failures")
-            return None
-        self._count("srv_sessions_resumed")
-        return entry
-
-    def _discard_parked(self, entry: _ParkedSession, expired: bool) -> None:
-        if entry.txn is not None:
-            try:
-                entry.txn.abort()
-            except TDBError:
-                pass
-        if entry.gate_held and self.txn_gate is not None:
-            self.txn_gate.release_shared()
-        if self.tenancy is not None and entry.identity is not None:
-            self.tenancy.release(entry.identity)
-            entry.identity = None
-        if expired:
-            self._count("srv_grace_expired")
-
     def _reaper_loop(self) -> None:
-        grace = self.backpressure.effective_resume_grace
-        interval = max(0.02, min(grace / 4.0, 0.25))
+        """The timer behind the core's parked-session expiry sweep."""
         while not self._stopping:
-            self._reaper_wake.wait(interval)
-            self._reaper_wake.clear()
+            self._reaper_wake.wait(self.core.sweep_interval)
             if self._stopping:
                 break
-            now = time.monotonic()
-            expired: List[_ParkedSession] = []
-            with self._parked_lock:
-                for token, entry in list(self._parked.items()):
-                    if entry.deadline <= now:
-                        expired.append(self._parked.pop(token))
-            for entry in expired:
-                self._discard_parked(entry, expired=True)
+            run_to_completion(self.core.expire_parked())
+
+    # ------------------------------------------------------------------
+    # The session core's in-process backend
+    # ------------------------------------------------------------------
+
+    def _session_db(self, state: SessionState):
+        """The database a session's verbs run against, read per call."""
+        if self.tenancy is not None:
+            return self.tenancy.session_db(state.identity)
+        return self.db
+
+    def _release_gate(self) -> None:
+        if self.txn_gate is not None:
+            self.txn_gate.release_shared()
+
+    async def begin_txn(self, state: SessionState, mode: str):
+        if self.txn_gate is not None:
+            # Replica mode: the transaction pins the current image so the
+            # applier cannot swap it mid-transaction.  The gate is held
+            # exactly as long as the transaction is open.
+            self.txn_gate.acquire_shared()
+        try:
+            db = self._session_db(state)
+            return db.transaction() if mode == "object" else db.ctransaction()
+        except BaseException:
+            self._release_gate()
+            raise
+
+    async def execute(self, state: SessionState, request) -> Dict[str, Any]:
+        if self.read_only and request["op"] in MUTATING_DATA_VERBS:
+            # ``begin`` / ``commit`` / ``abort`` stay allowed: a
+            # read-only transaction's commit carries no writes, so it
+            # never reaches the chunk store's commit path.
+            raise ReadOnlyReplicaError(
+                f"verb {request['op']!r} refused: this server is a "
+                "read-only replica; write to the primary or promote this node"
+            )
+        return self.executor.execute(
+            self._session_db(state), request, state.txn, state.mode
+        )
+
+    async def commit_txn(
+        self, state: SessionState, txn, durable: bool, token: Optional[str]
+    ) -> Dict[str, Any]:
+        try:
+            txn.commit(durable=durable)
+        except TDBError:
+            # Release the locks so the failed session cannot wedge its
+            # neighbours.
+            try:
+                if getattr(txn, "active", False):
+                    txn.abort()
+            except TDBError:
+                pass
+            raise
+        finally:
+            self._release_gate()
+        return {"durable": durable}
+
+    async def abort_txn(self, state: SessionState, txn) -> None:
+        try:
+            txn.abort()
+        finally:
+            self._release_gate()
+
+    async def hub_call(self, fn, *args):
+        return fn(*args)
+
+    def internal_fault(self, exc: Exception) -> TDBError:
+        # Crash injection or an interpreter-level failure: the session
+        # ends, and the outcome of a commit it interrupted is genuinely
+        # unknown — its token stays pending.
+        raise exc
+
+    def count(self, name: str) -> None:
+        """Mirror the core's counters into PerfStats so they also show
+        up under the io/perf section of the stats verb."""
+        if self.db is not None:
+            self.db.perf_stats().incr("srv_" + name, 1)
+
+    def describe(self) -> Dict[str, Any]:
+        features = []
+        if self.tenancy is None:
+            features.append("proofs")
+            if self.shipper is not None:
+                features.append("replication")
+        return {
+            "mode": "replica" if self.read_only else "primary",
+            "sharded": False,
+            "shards": 1,
+            "features": features,
+        }
+
+    async def serve_verb(self, state: SessionState, request) -> Dict[str, Any]:
+        # The core has checked the verb against protocol.VERBS and kept
+        # its own, so what arrives here is stats or a per-store verb.
+        handler = getattr(self, "_op_" + request["op"].replace(".", "_"))
+        return handler(state, request)
+
+    def _op_stats(self, state: SessionState, request) -> Dict[str, Any]:
+        return self.stats_payload()
+
+    # -- replication -------------------------------------------------------
+
+    def _require_shipper(self):
+        if self.shipper is None:
+            raise ReplicationError(
+                "this server does not ship: it is itself a read-only replica"
+            )
+        return self.shipper
+
+    def _op_repl_subscribe(self, state: SessionState, request) -> Dict[str, Any]:
+        return self._require_shipper().subscribe(
+            state.id,
+            param(request, "last_generation", int, None),
+            param(request, "last_seqno", int, None),
+        )
+
+    def _op_repl_segments(self, state: SessionState, request) -> Dict[str, Any]:
+        shipper = self._require_shipper()
+        segment = param(request, "segment", int)
+        offset = param(request, "offset", int)
+        length = param(request, "length", int)
+        data = shipper.read_segment(state.id, segment, offset, length)
+        return {"segment": segment, "offset": offset, "data": _b64(data)}
+
+    def _op_repl_master(self, state: SessionState, request) -> Dict[str, Any]:
+        payload = self._require_shipper().master_blob(state.id)
+        return {"name": payload["name"], "data": _b64(payload["blob"])}
+
+    # -- proofs / transparency log ----------------------------------------
+
+    def _op_proof_read(self, state: SessionState, request) -> Dict[str, Any]:
+        chunk_id = param(request, "chunk_id", int)
+        head, proof = self.proof_service().prove(chunk_id)
+        return {
+            "uuid": _b64(self.db.chunk_store.db_uuid),
+            "head": _b64(head.raw),
+            "chunk_id": proof.chunk_id,
+            "depth": proof.depth,
+            "present": proof.present,
+            "nodes": [_b64(node) for node in proof.nodes],
+            "payload": (
+                _b64(proof.payload) if proof.payload is not None else None
+            ),
+        }
+
+    # Same walk as proof.read; kept as its own verb so audits can ask
+    # "prove you do NOT have this" without ambiguity.
+    _op_proof_absent = _op_proof_read
+
+    def _op_log_head(self, state: SessionState, request) -> Dict[str, Any]:
+        head, length = self.proof_service().head()
+        return {
+            "uuid": _b64(self.db.chunk_store.db_uuid),
+            "head": _b64(head.raw),
+            "length": length,
+        }
+
+    def _op_log_consistency(self, state: SessionState, request) -> Dict[str, Any]:
+        from_index = param(request, "from_index", int)
+        to_index = param(request, "to_index", int)
+        entries = self.proof_service().consistency(from_index, to_index)
+        return {
+            "uuid": _b64(self.db.chunk_store.db_uuid),
+            "entries": [_b64(entry) for entry in entries],
+        }
 
     # ------------------------------------------------------------------
     # Stats
@@ -1050,32 +551,6 @@ class TdbServer:
                 self._proof_service = service
             return service
 
-    def hello_payload(self) -> Dict[str, Any]:
-        """The ``hello`` verb: protocol version + capability negotiation.
-
-        ``absent_verbs`` names protocol verbs this frontend cannot serve
-        (they fail with ``FeatureUnavailableError``) so a new client can
-        route around a capability gap before tripping over it.
-        """
-        if self.tenancy is not None:
-            features = ["resume", "commit-tokens", "tenancy"]
-            absent = list(_PER_STORE_VERBS)
-        else:
-            features = ["resume", "commit-tokens", "proofs"]
-            if self.shipper is not None:
-                features.append("replication")
-            absent = []
-        return {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "server": "tdb",
-            "mode": "replica" if self.read_only else "primary",
-            "sharded": False,
-            "shards": 1,
-            "epoch": self.epoch,
-            "features": features,
-            "absent_verbs": absent,
-        }
-
     def stats_payload(self) -> Dict[str, Any]:
         """The admin ``stats`` verb: one JSON-able view of the stack."""
         if self.tenancy is not None:
@@ -1100,14 +575,7 @@ class TdbServer:
                 "sessions": self.admission.as_dict(),
                 "read_only": self.read_only,
             }
-        with self._resilience_lock:
-            resilience: Dict[str, Any] = dict(self._resilience)
-        with self._parked_lock:
-            resilience["parked_sessions"] = len(self._parked)
-        resilience["resume_grace"] = self.backpressure.effective_resume_grace
-        resilience["epoch"] = self.epoch
-        resilience["commit_tokens"] = self.commit_results.stats_snapshot()
-        payload["resilience"] = resilience
+        payload["resilience"] = self.core.resilience_snapshot()
         if self.tenancy is not None:
             payload["replication"] = None
             payload["head"] = None

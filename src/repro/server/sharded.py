@@ -8,10 +8,11 @@ into N :mod:`repro.server.shardworker` processes (layout and routing in
 background thread so ``start()``/``stop()`` match the threaded server's
 API) owns:
 
-* the **client listener** — per-connection coroutines that read frames,
-  route data verbs, and keep the threaded server's resilience contract:
-  one-slot response replay, parked sessions with resume tokens, and the
-  server-wide commit-token cache;
+* the **client listener** — per-connection coroutines that read frames
+  and await the shared :class:`~repro.server.session.SessionCore`, which
+  owns the session contract (one open transaction, exactly-once commits,
+  request replay, park/resume, hub auth); this class is the core's
+  shard-routing backend;
 * the **worker supervisor** — spawns workers via ``subprocess``, each
   of which connects back to a private loopback listener and
   authenticates with the boot nonce; a worker crash fails in-flight
@@ -30,10 +31,10 @@ API) owns:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 import secrets
-import struct
 import subprocess
 import sys
 import threading
@@ -41,21 +42,16 @@ import time
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import (
-    AuthFailedError,
-    AuthRequiredError,
     CommitInDoubtError,
     FeatureUnavailableError,
     ObjectNotFoundError,
     ProtocolError,
-    ServerBusyError,
     ServerError,
-    SessionStateError,
     TDBError,
     TransientStoreError,
 )
 from repro.server import protocol
 from repro.server.backpressure import AdmissionControl, BackpressureConfig
-from repro.server.commitcache import CommitResultCache
 from repro.server.coordinator import (
     CrossShardCoordinator,
     DecisionLog,
@@ -68,27 +64,18 @@ from repro.server.sharding import (
     ShardRouter,
     config_to_dict,
 )
-from repro.server.verbs import DATA_VERBS, MUTATING_DATA_VERBS
-from repro.tenancy import value_bytes as _tenant_value_bytes
+from repro.server.session import (
+    SessionBackend,
+    SessionCore,
+    SessionState,
+    failed_outcome,
+)
+from repro.server.verbs import param, require_txn
 
 __all__ = ["ShardedTdbServer"]
 
-_LENGTH = struct.Struct(">I")
-
 #: Required transaction mode per data-verb prefix.
 _VERB_MODE = {"obj": "object", "name": "object", "col": "collection"}
-
-#: Verbs the sharded frontend does not serve (replication and proofs
-#: are per-store features; shard them in a later iteration).  They are
-#: advertised in ``hello.absent_verbs`` and refused with
-#: :class:`~repro.errors.FeatureUnavailableError`.
-_UNSUPPORTED = (
-    "repl.subscribe", "repl.segments", "repl.master",
-    "proof.read", "proof.absent", "log.head", "log.consistency",
-)
-
-#: Verbs a hub session may send before binding an identity.
-_PREAUTH_VERBS = ("hello", "auth", "stats", "commit.result", "session.resume")
 
 #: Key under which the owning tenant is recorded inside every object
 #: value a hub session stores on the shared shards.  The front door
@@ -106,37 +93,32 @@ def _tenant_prefix(tenant: str, name: str) -> str:
     return f"t!{tenant}!{name}"
 
 
-def _param(request: Dict[str, Any], field: str):
-    if field not in request or request[field] is None:
-        raise ProtocolError(f"missing parameter {field!r}")
-    return request[field]
+async def _read_wire_frame(
+    reader: asyncio.StreamReader,
+    idle_timeout: Optional[float] = None,
+    body_timeout: Optional[float] = None,
+) -> Optional[Dict[str, Any]]:
+    """One frame off an asyncio stream; ``None`` on clean EOF.
 
-
-async def _read_wire_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """One frame off an asyncio stream; ``None`` on clean EOF."""
+    ``idle_timeout`` bounds the wait for the header and ``body_timeout``
+    the arrival of the body; ``asyncio.TimeoutError`` propagates.
+    """
     try:
-        header = await reader.readexactly(_LENGTH.size)
+        header = await asyncio.wait_for(
+            reader.readexactly(protocol.HEADER_BYTES), timeout=idle_timeout
+        )
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise ProtocolError("connection closed inside frame header") from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > protocol.MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame "
-            f"(limit {protocol.MAX_FRAME_BYTES})"
-        )
     try:
-        body = await reader.readexactly(length)
+        body = await asyncio.wait_for(
+            reader.readexactly(protocol.frame_length(header)),
+            timeout=body_timeout,
+        )
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed inside frame body") from exc
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return message
+    return protocol.decode_body(body)
 
 
 class ShardLink:
@@ -219,46 +201,28 @@ class ShardLink:
             await self.server._worker_died(self)
 
 
-class FrontSession:
-    """Per-client-connection state at the front door.
+class ShardTxn:
+    """The front door's handle on one open transaction.
 
-    The transaction itself lives on the workers; the front door tracks
-    which shards it touched (`begun`), the mode, and the resilience
-    state (resume token, one-slot replay cache)."""
+    The transaction itself lives on the workers, keyed by the session's
+    id; the front door tracks which shards it touched (``begun``),
+    whether a worker died under it, and where its next keyless insert
+    goes."""
 
-    __slots__ = (
-        "id", "resume_token", "mode", "begun", "insert_counter",
-        "poisoned", "last_request", "last_response", "requests_served",
-        "deadline", "identity", "pending_auth", "txn_bytes",
-    )
+    __slots__ = ("begun", "poisoned", "insert_counter")
 
-    def __init__(self, session_id: int, shards: int) -> None:
-        self.id = session_id
-        self.resume_token = secrets.token_hex(16)
-        self.mode: Optional[str] = None
+    def __init__(self, insert_counter: int) -> None:
         self.begun: Set[int] = set()
-        self.insert_counter = session_id % max(1, shards)
         self.poisoned = False
-        self.last_request: Optional[Dict[str, Any]] = None
-        self.last_response: Optional[Dict[str, Any]] = None
-        self.requests_served = 0
-        self.deadline = 0.0  # parked-until, set when parked
-        self.identity = None  # tenancy.Identity once authenticated
-        self.pending_auth: Optional[Dict[str, Any]] = None
-        self.txn_bytes = 0  # accounted value bytes in the open txn
+        self.insert_counter = insert_counter
 
     def next_insert_shard(self, shards: int) -> int:
         shard = self.insert_counter % shards
         self.insert_counter += 1
         return shard
 
-    def clear_txn(self) -> None:
-        self.mode = None
-        self.begun = set()
-        self.poisoned = False
 
-
-class ShardedTdbServer:
+class ShardedTdbServer(SessionBackend):
     """Asyncio front door over N shard worker processes."""
 
     def __init__(
@@ -271,18 +235,16 @@ class ShardedTdbServer:
         max_batch: int = 32,
         max_delay: float = 0.005,
         max_results: int = 1000,
-        quorum_seal: bool = True,
         chunk_config=None,
         worker_spawn_timeout: float = 30.0,
         tenancy=None,
     ) -> None:
         self.root = os.path.abspath(root)
-        #: Optional :class:`repro.tenancy.TenancyHub`.  When set, every
-        #: session must bind a ``(tenant, principal)`` identity via the
-        #: auth challenge-response before touching data; names and
-        #: collections are namespaced per tenant on the shared shards,
-        #: and quotas/audit run against the hub's control plane.  The
-        #: hub's lifecycle belongs to the caller (close it after stop()).
+        #: Optional :class:`repro.tenancy.TenancyHub`.  When set, names
+        #: and collections are namespaced per tenant on the shared
+        #: shards, and quotas/audit run against the hub's control plane.
+        #: The hub's lifecycle belongs to the caller (close it after
+        #: stop()).
         self.tenancy = tenancy
         self._requested_shards = shards
         self.host = host
@@ -291,12 +253,10 @@ class ShardedTdbServer:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_results = max_results
-        self.quorum_seal = quorum_seal
         self.chunk_config = chunk_config
         self.worker_spawn_timeout = worker_spawn_timeout
         self.admission = AdmissionControl(self.backpressure.max_sessions)
-        self.commit_results = CommitResultCache()
-        self.epoch = secrets.token_hex(8)
+        self.core = SessionCore(self, self.backpressure, tenancy)
         self.layout: Optional[ShardLayout] = None
         self.router: Optional[ShardRouter] = None
         self.decision_log: Optional[DecisionLog] = None
@@ -312,23 +272,21 @@ class ShardedTdbServer:
         self._links: Dict[int, ShardLink] = {}
         self._link_generation = 0
         self._pending_handshakes: Dict[int, asyncio.Future] = {}
-        self._sessions: Dict[int, FrontSession] = {}
+        self._sessions: Dict[int, SessionState] = {}
         self._next_session_id = 1
-        self._parked: Dict[str, FrontSession] = {}
+        #: Seeds each transaction's keyless-insert placement, so
+        #: consecutive transactions start on consecutive shards.
+        self._placement = itertools.count()
         self._reaper_task: Optional[asyncio.Task] = None
         self._started = False
         self._stopping = False
+        #: Counters of this backend; the session-level ones are the
+        #: core's, and ``stats`` reports both under ``resilience``.
         self._counters: Dict[str, int] = {
             "single_shard_commits": 0,
             "cross_shard_commits": 0,
             "empty_commits": 0,
             "worker_restarts": 0,
-            "sessions_parked": 0,
-            "sessions_resumed": 0,
-            "resume_failures": 0,
-            "grace_expired": 0,
-            "request_replays": 0,
-            "commit_replays": 0,
             "commit_settlements": 0,
             "timeout_aborts": 0,
             "poisoned_sessions": 0,
@@ -436,6 +394,12 @@ class ShardedTdbServer:
                 self._reaper_loop()
             )
 
+    async def _reaper_loop(self) -> None:
+        """The timer behind the core's parked-session expiry sweep."""
+        while not self._stopping:
+            await asyncio.sleep(self.core.sweep_interval)
+            await self.core.expire_parked()
+
     def _worker_env(self, shard: int) -> Dict[str, str]:
         import repro
 
@@ -456,7 +420,6 @@ class ShardedTdbServer:
                     "max_batch": self.max_batch,
                     "max_delay": self.max_delay,
                     "max_pending": self.backpressure.max_pending_commits,
-                    "quorum_seal": self.quorum_seal,
                 },
                 "max_results": self.max_results,
             }
@@ -549,11 +512,12 @@ class ShardedTdbServer:
         # Sessions that touched the dead shard lost their transaction:
         # poison them (their next verb fails transient) and release the
         # locks they still hold on the surviving shards.
-        for session in list(self._sessions.values()) + list(self._parked.values()):
-            if link.shard in session.begun:
-                others = [s for s in session.begun if s != link.shard]
-                session.begun = set()
-                session.poisoned = True
+        for session in list(self._sessions.values()) + self.core.parked_states():
+            txn = session.txn
+            if txn is not None and link.shard in txn.begun:
+                others = [s for s in txn.begun if s != link.shard]
+                txn.begun = set()
+                txn.poisoned = True
                 self._count("poisoned_sessions")
                 for shard in others:
                     other = self._links.get(shard)
@@ -628,18 +592,13 @@ class ShardedTdbServer:
     async def _on_client_connect(self, reader, writer) -> None:
         if not self.admission.try_admit():
             try:
-                writer.write(protocol.encode_frame(protocol.error_payload(
-                    None,
-                    ServerBusyError(
-                        f"server full ({self.admission.max_sessions} sessions)"
-                    ),
-                )))
+                writer.write(protocol.encode_frame(self.admission.refusal()))
                 await writer.drain()
             except (OSError, ConnectionError):
                 pass
             writer.close()
             return
-        session = FrontSession(self._next_session_id, self.layout.shards)
+        session = SessionState(self._next_session_id)
         self._next_session_id += 1
         self._sessions[session.id] = session
         config = self.backpressure
@@ -647,368 +606,119 @@ class ShardedTdbServer:
         try:
             while not self._stopping:
                 try:
-                    request = await self._read_request(reader, config)
+                    request = await _read_wire_frame(
+                        reader, config.idle_timeout, config.request_timeout
+                    )
                 except asyncio.TimeoutError:
-                    if session.mode is not None:
+                    if session.txn is not None:
                         self.admission.record_timeout_abort()
                         self._count("timeout_aborts")
-                    await self._abort_worker_txns(session)
                     break
                 except (ProtocolError, OSError, ConnectionError):
-                    parked = self._try_park(session)
+                    parked = not self._stopping and self.core.park(session)
                     break
                 if request is None:
                     break  # clean EOF
-                response, session = await self._serve_one(session, request)
+                response, adopted = await self.core.serve(session, request)
+                if adopted is not session:
+                    # session.resume: worker transactions are keyed by
+                    # the parked session's id, which now lives here.
+                    self._sessions.pop(session.id, None)
+                    self._sessions[adopted.id] = session = adopted
                 try:
                     writer.write(protocol.encode_frame(response))
                     await writer.drain()
                 except (OSError, ConnectionError):
-                    parked = self._try_park(session)
+                    parked = not self._stopping and self.core.park(session)
                     break
         finally:
+            self._sessions.pop(session.id, None)
             if not parked:
-                await self._abort_worker_txns(session)
-                self._sessions.pop(session.id, None)
-                self._release_identity(session)
+                await self.core.end(session)
             try:
                 writer.close()
             except Exception:
                 pass
             self.admission.release()
 
-    def _release_identity(self, session: FrontSession) -> None:
-        """Drop a session's hub identity (memory-only; safe on the loop)."""
-        if self.tenancy is not None and session.identity is not None:
-            self.tenancy.release(session.identity)
-            session.identity = None
+    # ------------------------------------------------------------------
+    # The session core's shard-routing backend
+    # ------------------------------------------------------------------
 
-    async def _read_request(self, reader, config) -> Optional[Dict[str, Any]]:
-        try:
-            header = await asyncio.wait_for(
-                reader.readexactly(_LENGTH.size), timeout=config.idle_timeout
-            )
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise ProtocolError("connection closed inside frame header") from exc
-        (length,) = _LENGTH.unpack(header)
-        if length > protocol.MAX_FRAME_BYTES:
-            raise ProtocolError(f"oversized frame announced ({length} bytes)")
-        try:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=config.request_timeout
-            )
-        except asyncio.IncompleteReadError as exc:
-            raise ProtocolError("connection closed inside frame body") from exc
-        try:
-            message = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-        if not isinstance(message, dict):
-            raise ProtocolError("frame body must be a JSON object")
-        return message
+    async def hub_call(self, fn, *args):
+        return await asyncio.to_thread(fn, *args)
 
-    async def _serve_one(self, session: FrontSession, request: Dict[str, Any]):
-        request_id = request.get("id")
-        if (
-            request_id is not None
-            and session.last_response is not None
-            and request == session.last_request
-        ):
-            self._count("request_replays")
-            return session.last_response, session
-        try:
-            result, session = await self._dispatch(session, request)
-            response = {"id": request_id, "ok": True, "result": result}
-        except TDBError as exc:
-            response = protocol.error_payload(request_id, exc)
-        except Exception as exc:  # noqa: BLE001 — connection must survive
-            # A non-TDB fault (disk-full in the decision log, a bug) must
-            # not kill the connection coroutine mid-commit: prepared
-            # participants would hold their ledger locks forever.  The
-            # commit path has already aborted/resolved what it could;
-            # report the fault and keep serving.
-            response = protocol.error_payload(
-                request_id, ServerError(f"internal server fault: {exc}")
-            )
-        session.requests_served += 1
-        if request.get("op") != "session.resume":
-            session.last_request = dict(request)
-            session.last_response = response
-        return response, session
+    def internal_fault(self, exc: Exception) -> TDBError:
+        # A non-TDB fault (disk-full in the decision log, a bug) must
+        # not kill the connection coroutine mid-commit: prepared
+        # participants would hold their ledger locks forever.  The
+        # commit path has already aborted what it could (the
+        # coordinator aborts prepared participants before re-raising);
+        # report the fault and keep serving.
+        return ServerError(f"internal server fault: {exc}")
 
-    async def _dispatch(self, session: FrontSession, request: Dict[str, Any]):
-        op = request.get("op")
-        if not isinstance(op, str):
-            raise ProtocolError("request needs a string 'op' field")
-        if (
-            self.tenancy is not None
-            and session.identity is None
-            and op not in _PREAUTH_VERBS
-        ):
-            raise AuthRequiredError(
-                "this server is a multi-tenant hub; bind an identity "
-                "with the auth challenge-response first"
-            )
-        if op in DATA_VERBS:
-            return await self._data_verb(session, request), session
-        if op == "hello":
-            return self.hello_payload(), session
-        if op == "auth":
-            return await self._op_auth(session, request), session
-        if op == "begin":
-            return await self._op_begin(session, request), session
-        if op == "commit":
-            return await self._op_commit(session, request), session
-        if op == "abort":
-            return await self._op_abort(session), session
-        if op == "commit.result":
-            return await self._op_commit_result(request), session
-        if op == "session.resume":
-            return self._op_session_resume(session, request)
-        if op == "stats":
-            return await self.stats_payload(), session
-        if op == "tenant.grant":
-            return await self._op_tenant_grant(session, request), session
-        if op == "tenant.revoke":
-            return await self._op_tenant_revoke(session, request), session
-        if op == "tenant.meter":
-            return await self._op_tenant_meter(session), session
-        if op in _UNSUPPORTED:
-            raise FeatureUnavailableError(
-                f"verb {op!r} is unavailable on a sharded layout: "
-                "replication streams and transparency heads are per-store "
-                "features and a sharded root has no single store to serve "
-                "them from (hello lists them under absent_verbs)"
-            )
-        if op in protocol.VERBS:
-            raise ServerError(f"verb {op!r} not implemented by this frontend")
-        raise ProtocolError(f"unknown verb {op!r}")
-
-    # -- tenancy ---------------------------------------------------------
-
-    def _require_hub(self):
-        if self.tenancy is None:
-            raise FeatureUnavailableError(
-                "this server is not a multi-tenant hub (start it with "
-                "serve --tenants for per-principal auth)"
-            )
-        return self.tenancy
-
-    async def _op_auth(self, session: FrontSession, request) -> Dict[str, Any]:
-        hub = self._require_hub()
-        if session.mode is not None:
-            raise SessionStateError("authenticate before opening a transaction")
-        tenant = str(_param(request, "tenant"))
-        principal = str(_param(request, "principal"))
-        proof = request.get("proof")
-        if proof is None:
-            session.pending_auth = await asyncio.to_thread(
-                hub.begin_auth, tenant, principal
-            )
-            return {"challenge": session.pending_auth["challenge"]}
-        # The pending challenge is consumed by the attempt, success or
-        # not: replaying an observed proof finds no challenge and fails.
-        pending, session.pending_auth = session.pending_auth, None
-        if (
-            pending is None
-            or pending["tenant"] != tenant
-            or pending["principal"] != principal
-        ):
-            raise AuthFailedError("authentication failed")
-        identity = await asyncio.to_thread(hub.finish_auth, pending, proof)
-        self._release_identity(session)
-        session.identity = identity
+    def describe(self) -> Dict[str, Any]:
         return {
-            "authenticated": True,
-            "tenant": identity.tenant,
-            "principal": identity.principal,
+            "mode": "primary",
+            "sharded": True,
+            "shards": self.layout.shards,
+            "features": ["sharding", "cross-shard-commit"],
         }
 
-    async def _op_tenant_grant(self, session: FrontSession, request):
-        hub = self._require_hub()
-        return await asyncio.to_thread(
-            hub.grant,
-            session.identity,
-            str(_param(request, "principal")),
-            str(_param(request, "scope")),
-            str(_param(request, "right")),
+    async def serve_verb(self, state: SessionState, request) -> Dict[str, Any]:
+        if request["op"] == "stats":
+            return await self.stats_payload()
+        raise FeatureUnavailableError(
+            f"verb {request['op']!r} is unavailable on a sharded layout: "
+            "replication streams and transparency heads are per-store "
+            "features and a sharded root has no single store to serve "
+            "them from (hello lists them under absent_verbs)"
         )
-
-    async def _op_tenant_revoke(self, session: FrontSession, request):
-        hub = self._require_hub()
-        return await asyncio.to_thread(
-            hub.revoke,
-            session.identity,
-            str(_param(request, "principal")),
-            str(_param(request, "scope")),
-            str(_param(request, "right")),
-        )
-
-    async def _op_tenant_meter(self, session: FrontSession):
-        hub = self._require_hub()
-        return await asyncio.to_thread(hub.meter, session.identity.tenant)
 
     # -- transaction lifecycle ------------------------------------------
 
-    async def _op_begin(self, session: FrontSession, request) -> Dict[str, Any]:
-        mode = request.get("mode", "object")
-        if mode not in ("object", "collection"):
-            raise ProtocolError(f"unknown transaction mode {mode!r}")
-        if session.mode is not None:
-            raise SessionStateError(
-                "a transaction is already open in this session"
-            )
-        if self.tenancy is not None:
-            # Per-tenant txn/s token bucket; refusal is transient.
-            await asyncio.to_thread(self.tenancy.on_begin, session.identity)
-        session.mode = mode
-        session.begun = set()
-        session.poisoned = False
-        session.txn_bytes = 0
-        return {
-            "mode": mode,
-            "session": session.resume_token,
-            "epoch": self.epoch,
-        }
+    async def begin_txn(self, state: SessionState, mode: str) -> ShardTxn:
+        # Nothing reaches a worker yet: each shard's transaction is
+        # begun on first touch (see ``_route_exec``).
+        return ShardTxn(next(self._placement))
 
-    async def _op_abort(self, session: FrontSession) -> Dict[str, Any]:
-        if session.mode is None:
-            raise SessionStateError("no open transaction to abort")
-        await self._abort_worker_txns(session)
-        session.clear_txn()
-        return {}
-
-    async def _abort_worker_txns(self, session: FrontSession) -> None:
-        begun, session.begun = session.begun, set()
-        session.mode = None
-        session.txn_bytes = 0
+    async def abort_txn(self, state: SessionState, txn: ShardTxn) -> None:
+        begun, txn.begun = txn.begun, set()
         for shard in sorted(begun):
             link = self._links.get(shard)
             if link is None or not link.alive:
                 continue
             try:
-                await link.call("s.abort", sid=session.id)
+                await link.call("s.abort", sid=state.id)
             except TDBError:
                 pass
 
-    async def _op_commit(self, session: FrontSession, request) -> Dict[str, Any]:
-        token = request.get("token")
-        if token is not None and not isinstance(token, str):
-            raise ProtocolError("commit token must be a string")
-        durable = bool(request.get("durable", True))
-        cache = self.commit_results
-        if token is not None:
-            prior = cache.begin(token)
-            if prior is not None:
-                return self._replay_commit_outcome(prior)
-        if session.mode is None:
-            if token is not None:
-                cache.cancel(token)
-            raise SessionStateError("no open transaction to commit")
-        if session.poisoned:
-            if token is not None:
-                cache.cancel(token)
-            session.clear_txn()
+    async def commit_txn(
+        self, state: SessionState, txn: ShardTxn, durable: bool,
+        token: Optional[str],
+    ) -> Dict[str, Any]:
+        if txn.poisoned:
             raise TransientStoreError(
                 "a shard worker restarted under this transaction; retry"
             )
-        txn_bytes, session.txn_bytes = session.txn_bytes, 0
-        quota_held = False
-        identity = session.identity
-        if self.tenancy is not None and identity is not None:
-            # Reserve the tenant's pending-commit slot and stored-bytes
-            # budget before anything reaches the workers; a refusal
-            # aborts the worker transactions so no shard keeps locks.
-            try:
-                await asyncio.to_thread(
-                    self.tenancy.on_commit_start, identity, txn_bytes
-                )
-                quota_held = True
-            except TDBError as exc:
-                await self._abort_worker_txns(session)
-                session.clear_txn()
-                if token is not None:
-                    cache.resolve(
-                        token,
-                        {
-                            "status": "failed",
-                            "error": type(exc).__name__,
-                            "message": str(exc),
-                            "transient": protocol.error_payload(
-                                None, exc
-                            )["transient"],
-                        },
-                    )
-                raise
-        participants = sorted(session.begun)
-        session.clear_txn()
-        committed = False
-        try:
-            if not participants:
-                self._count("empty_commits")
-                result = {"durable": durable}
-            elif len(participants) == 1:
-                result = await self._single_shard_commit(
-                    session, participants[0], durable, token
-                )
-            else:
-                result = await self._cross_shard_commit(
-                    session, participants, token
-                )
-            committed = True
-        except TDBError as exc:
-            if token is not None and not isinstance(exc, CommitInDoubtError):
-                cache.resolve(
-                    token,
-                    {
-                        "status": "failed",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                        "transient": protocol.error_payload(None, exc)["transient"],
-                    },
-                )
-            raise
-        except Exception as exc:
-            # Never leave the token pending forever on an unexpected
-            # fault; the commit did not happen (the coordinator aborts
-            # prepared participants before re-raising).
-            if token is not None:
-                cache.resolve(
-                    token,
-                    {
-                        "status": "failed",
-                        "error": "ServerError",
-                        "message": f"internal server fault: {exc}",
-                        "transient": False,
-                    },
-                )
-            raise
-        finally:
-            if quota_held:
-                # Releases the pending-commit slot; on success it also
-                # settles the stored-bytes meter and the audit trail.
-                # (An in-doubt outcome releases without recording —
-                # metering is accounting, not a ledger.)
-                await asyncio.to_thread(
-                    self.tenancy.on_commit_end, identity, txn_bytes, committed
-                )
-        if token is not None:
-            cache.resolve(
-                token, {"status": "committed", "durable": result["durable"]}
+        participants = sorted(txn.begun)
+        txn.begun = set()
+        if not participants:
+            self._count("empty_commits")
+            return {"durable": durable}
+        if len(participants) == 1:
+            return await self._single_shard_commit(
+                state, participants[0], durable, token
             )
-        return result
+        return await self._cross_shard_commit(state, participants, token)
 
     async def _single_shard_commit(
-        self, session: FrontSession, shard: int, durable: bool,
+        self, session: SessionState, shard: int, durable: bool,
         token: Optional[str],
     ) -> Dict[str, Any]:
         link = self._links.get(shard)
         if link is None or not link.alive:
             # Nothing was sent: the commit definitely did not happen.
-            if token is not None:
-                self.commit_results.cancel(token)
             raise TransientStoreError(
                 f"shard {shard} worker is unavailable; retry the transaction"
             )
@@ -1027,52 +737,28 @@ class ShardedTdbServer:
                 if verdict is True:
                     self._count("single_shard_commits")
                     self._count("commit_settlements")
-                    self.commit_results.resolve(
-                        token,
-                        {
-                            "status": "committed",
-                            "durable": True,
-                            "settled": True,
-                        },
-                    )
                     return {"durable": True, "settled": True}
                 if verdict is False:
                     self._count("commit_settlements")
-                    retry = TransientStoreError(
-                        f"shard {shard} worker died before the commit "
-                        "became durable; retry the transaction"
-                    )
-                    self.commit_results.resolve(
-                        token,
-                        {
-                            "status": "failed",
-                            "error": "TransientStoreError",
-                            "message": str(retry),
-                            "transient": True,
-                        },
-                    )
-                    raise retry from exc
+                    raise self._died_before_durable(shard) from exc
             # No token, or the respawned worker stayed unreachable:
-            # report honestly in-doubt.  The cache entry remembers the
-            # owning shard so a later ``commit.result`` can still settle
-            # against the worker's ledger once it is back.
+            # report honestly in-doubt.  The recorded outcome remembers
+            # the owning shard so a later ``commit.result`` can still
+            # settle against the worker's ledger once it is back.
             doubt = CommitInDoubtError(
                 f"shard {shard} worker died with the commit in flight: {exc}"
             )
-            if token is not None:
-                self.commit_results.resolve(
-                    token,
-                    {
-                        "status": "failed",
-                        "error": "CommitInDoubtError",
-                        "message": str(doubt),
-                        "transient": False,
-                        "shard": shard,
-                    },
-                )
+            doubt.shard = shard
             raise doubt from exc
         self._count("single_shard_commits")
         return {"durable": result.get("durable", durable)}
+
+    @staticmethod
+    def _died_before_durable(shard: int) -> TransientStoreError:
+        return TransientStoreError(
+            f"shard {shard} worker died before the commit became durable; "
+            "retry the transaction"
+        )
 
     async def _query_token_on_worker(
         self, shard: int, token: str, deadline_s: float = 15.0
@@ -1090,7 +776,7 @@ class ShardedTdbServer:
         return None
 
     async def _cross_shard_commit(
-        self, session: FrontSession, participants: List[int],
+        self, session: SessionState, participants: List[int],
         token: Optional[str],
     ) -> Dict[str, Any]:
         # 2PC needs a durable transaction id even if the client sent no
@@ -1103,145 +789,33 @@ class ShardedTdbServer:
         self._count("cross_shard_commits")
         return {"durable": True, "shards": result["shards"]}
 
-    def _replay_commit_outcome(self, prior: Dict[str, Any]) -> Dict[str, Any]:
-        status = prior.get("status")
-        if status == "pending":
-            raise TransientStoreError(
-                "a commit with this token is already in flight; "
-                "query commit.result for the outcome"
-            )
-        self._count("commit_replays")
-        if status == "failed":
-            raise protocol.exception_from_payload(
-                {
-                    "error": prior.get("error", "ServerError"),
-                    "message": prior.get("message", "commit failed"),
-                    "transient": bool(prior.get("transient")),
-                }
-            )
-        return {"durable": prior.get("durable", True), "replayed": True}
-
-    async def _op_commit_result(self, request) -> Dict[str, Any]:
-        token = request.get("token")
-        if not isinstance(token, str):
-            raise ProtocolError("commit token must be a string")
-        payload = self.commit_results.lookup(token)
-        if payload["status"] == "unknown" and self.decision_log.committed(token):
+    async def settle_token(
+        self, token: str, payload: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        if payload["status"] == "unknown":
             # The front door restarted after logging the decision: the
             # log is the durable source of truth for cross-shard commits.
-            payload = {"token": token, "status": "committed", "durable": True}
-        elif (
-            payload.get("error") == "CommitInDoubtError"
-            and isinstance(payload.get("shard"), int)
-        ):
-            # The owning worker was unreachable when the commit went
-            # in-doubt; its durable ledger may be answerable by now.
-            verdict = await self._query_token_on_worker(
-                payload["shard"], token, deadline_s=3.0
-            )
-            if verdict is True:
-                self._count("commit_settlements")
-                self.commit_results.resolve(
-                    token,
-                    {"status": "committed", "durable": True, "settled": True},
-                )
-                payload = self.commit_results.lookup(token)
-            elif verdict is False:
-                self._count("commit_settlements")
-                self.commit_results.resolve(
-                    token,
-                    {
-                        "status": "failed",
-                        "error": "TransientStoreError",
-                        "message": (
-                            f"shard {payload['shard']} worker died before "
-                            "the commit became durable; retry the transaction"
-                        ),
-                        "transient": True,
-                    },
-                )
-                payload = self.commit_results.lookup(token)
-        payload["epoch"] = self.epoch
-        return payload
-
-    # -- session parking / resume ---------------------------------------
-
-    def _try_park(self, session: FrontSession) -> bool:
-        grace = self.backpressure.effective_resume_grace
-        if grace <= 0 or self._stopping:
-            return False
-        if session.mode is None and session.last_response is None:
-            return False
-        if len(self._parked) >= self.backpressure.max_sessions:
-            return False
-        session.deadline = time.monotonic() + grace
-        self._parked[session.resume_token] = session
-        self._sessions.pop(session.id, None)
-        self._count("sessions_parked")
-        return True
-
-    def _op_session_resume(self, session: FrontSession, request):
-        token = request.get("session")
-        if not isinstance(token, str):
-            raise ProtocolError("session token must be a string")
-        if session.mode is not None or session.begun:
-            raise SessionStateError(
-                "cannot resume into a session with an open transaction"
-            )
-        parked = self._parked.pop(token, None)
-        if parked is None:
-            self._count("resume_failures")
-            raise SessionStateError(
-                "unknown, expired, or already-resumed session token"
-            )
-        self._count("sessions_resumed")
-        # The parked object *is* the session (worker transactions are
-        # keyed by its id); the fresh connection adopts it wholesale —
-        # identity and quota lease ride along, and any identity the
-        # fresh connection bound itself is dropped.
-        self._release_identity(session)
-        self._sessions.pop(session.id, None)
-        self._sessions[parked.id] = parked
-        result = {
-            "resumed": True,
-            "txn_open": parked.mode is not None,
-            "mode": parked.mode,
-            "epoch": self.epoch,
-        }
-        return result, parked
-
-    async def _reaper_loop(self) -> None:
-        grace = self.backpressure.effective_resume_grace
-        interval = max(0.02, min(grace / 4.0, 0.25))
-        while not self._stopping:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            expired = [
-                token for token, entry in self._parked.items()
-                if entry.deadline <= now
-            ]
-            for token in expired:
-                entry = self._parked.pop(token, None)
-                if entry is None:
-                    continue
-                self._count("grace_expired")
-                await self._abort_worker_txns(entry)
-                self._release_identity(entry)
+            if self.decision_log.committed(token):
+                return {"status": "committed", "durable": True}
+            return None
+        shard = payload.get("shard")
+        if not isinstance(shard, int):
+            return None
+        # The owning worker was unreachable when the commit went
+        # in-doubt; its durable ledger may be answerable by now.
+        verdict = await self._query_token_on_worker(shard, token, deadline_s=3.0)
+        if verdict is None:
+            return None
+        self._count("commit_settlements")
+        if verdict:
+            return {"status": "committed", "durable": True, "settled": True}
+        return failed_outcome(self._died_before_durable(shard))
 
     # -- data verbs ------------------------------------------------------
 
-    async def _data_verb(self, session: FrontSession, request) -> Dict[str, Any]:
-        op = request["op"]
-        needed = _VERB_MODE[op.split(".", 1)[0]]
-        if session.mode is None:
-            raise SessionStateError(
-                f"no open transaction; send begin(mode={needed!r}) first"
-            )
-        if session.mode != needed:
-            raise SessionStateError(
-                f"verb needs a {needed} transaction, session has {session.mode}"
-            )
-        if session.poisoned:
+    async def execute(self, session: SessionState, request) -> Dict[str, Any]:
+        needed = _VERB_MODE[request["op"].split(".", 1)[0]]
+        if require_txn(session.txn, session.mode, needed).poisoned:
             raise TransientStoreError(
                 "a shard worker restarted under this transaction; "
                 "abort and retry"
@@ -1250,15 +824,16 @@ class ShardedTdbServer:
             return await self._tenant_data_verb(session, request)
         return await self._route_exec(session, request)
 
-    async def _route_exec(self, session: FrontSession, request) -> Dict[str, Any]:
+    async def _route_exec(self, session: SessionState, request) -> Dict[str, Any]:
         """Route one (already-authorised) data verb to its shard."""
+        txn = session.txn
         shard, wreq = self.router.route(
-            request, session.next_insert_shard(self.layout.shards)
+            request, txn.next_insert_shard(self.layout.shards)
         )
         link = await self._link_for(shard)
-        if shard not in session.begun:
+        if shard not in txn.begun:
             await link.call("s.begin", sid=session.id, mode=session.mode)
-            session.begun.add(shard)
+            txn.begun.add(shard)
         wreq.pop("id", None)
         result = await link.call("s.exec", sid=session.id, req=wreq)
         return self.router.translate_response(
@@ -1266,9 +841,9 @@ class ShardedTdbServer:
         )
 
     async def _tenant_data_verb(
-        self, session: FrontSession, request
+        self, session: SessionState, request
     ) -> Dict[str, Any]:
-        """Policy-check then namespace one data verb for the hub.
+        """Namespace one (already policy-checked) data verb for the hub.
 
         Tenant data shares the shards: names and collections are
         rewritten to ``t!{tenant}!{name}`` (stable-hash routing still
@@ -1281,7 +856,6 @@ class ShardedTdbServer:
         """
         op = request["op"]
         identity = session.identity
-        await asyncio.to_thread(self.tenancy.check, identity, op, request)
         name = request.get("name")
         if (
             op in ("col.get", "col.iterate")
@@ -1293,19 +867,20 @@ class ShardedTdbServer:
             )
         wreq = dict(request)
         if op.startswith(("col.", "name.")):
-            wreq["name"] = _tenant_prefix(identity.tenant, str(_param(request, "name")))
+            wreq["name"] = _tenant_prefix(
+                identity.tenant, param(request, "name", str)
+            )
         elif op == "obj.put":
-            if wreq.get("oid") is not None:
-                await self._assert_owned(
-                    session, int(wreq["oid"]), identity.tenant
-                )
+            oid = param(request, "oid", int, None)
+            if oid is not None:
+                await self._assert_owned(session, oid, identity.tenant)
             wreq["value"] = {
                 _TENANT_WRAP_KEY: identity.tenant,
                 "v": request.get("value"),
             }
         elif op == "obj.remove":
             await self._assert_owned(
-                session, int(_param(request, "oid")), identity.tenant
+                session, param(request, "oid", int), identity.tenant
             )
         result = await self._route_exec(session, wreq)
         if op == "obj.get":
@@ -1320,12 +895,10 @@ class ShardedTdbServer:
             result = {**result, "value": value.get("v")}
         if isinstance(name, str) and isinstance(result.get("name"), str):
             result = {**result, "name": name}
-        if op in MUTATING_DATA_VERBS:
-            session.txn_bytes += _tenant_value_bytes(request)
         return result
 
     async def _assert_owned(
-        self, session: FrontSession, oid: int, tenant: str
+        self, session: SessionState, oid: int, tenant: str
     ) -> None:
         """Refuse obj.put/obj.remove on an oid another tenant owns.
 
@@ -1345,23 +918,6 @@ class ShardedTdbServer:
 
     # -- admin -----------------------------------------------------------
 
-    def hello_payload(self) -> Dict[str, Any]:
-        features = [
-            "resume", "commit-tokens", "sharding", "cross-shard-commit",
-        ]
-        if self.tenancy is not None:
-            features.append("tenancy")
-        return {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "server": "tdb",
-            "mode": "primary",
-            "sharded": True,
-            "shards": self.layout.shards,
-            "epoch": self.epoch,
-            "features": features,
-            "absent_verbs": list(_UNSUPPORTED),
-        }
-
     async def stats_payload(self) -> Dict[str, Any]:
         per_shard: Dict[str, Any] = {}
         for shard in range(self.layout.shards):
@@ -1373,11 +929,7 @@ class ShardedTdbServer:
                 per_shard[str(shard)] = await link.call("w.stats")
             except TDBError:
                 per_shard[str(shard)] = None
-        resilience = dict(self._counters)
-        resilience["parked_sessions"] = len(self._parked)
-        resilience["resume_grace"] = self.backpressure.effective_resume_grace
-        resilience["epoch"] = self.epoch
-        resilience["commit_tokens"] = self.commit_results.stats_snapshot()
+        resilience = {**self._counters, **self.core.resilience_snapshot()}
         tenancy = None
         if self.tenancy is not None:
             tenancy = await asyncio.to_thread(self.tenancy.stats)
@@ -1402,10 +954,7 @@ class ShardedTdbServer:
             self._worker_server.close()
         if self._reaper_task is not None:
             self._reaper_task.cancel()
-        for session in list(self._parked.values()):
-            await self._abort_worker_txns(session)
-            self._release_identity(session)
-        self._parked.clear()
+        await self.core.close()
         for link in list(self._links.values()):
             link.superseded = True
             try:

@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.config import ChunkStoreConfig, SecurityProfile
 from repro.errors import ProtocolError, ServerError
+from repro.server.verbs import param
 
 __all__ = [
     "BOOTSTRAP_ENV",
@@ -200,18 +201,17 @@ class ShardRouter:
         op = request.get("op")
         shards = self.layout.shards
         if op in ("obj.get", "obj.remove"):
-            local, shard = decode_oid(int(_need(request, "oid")), shards)
+            local, shard = decode_oid(param(request, "oid", int), shards)
             return shard, {**request, "oid": local}
         if op == "obj.put":
-            oid = request.get("oid")
+            oid = param(request, "oid", int, None)
             if oid is None:
                 return insert_shard % shards, dict(request)
-            local, shard = decode_oid(int(oid), shards)
+            local, shard = decode_oid(oid, shards)
             return shard, {**request, "oid": local}
-        if op in ("name.bind", "name.lookup"):
-            return self.shard_for_name(str(_need(request, "name"))), dict(request)
-        if op in ("col.create", "col.insert", "col.get", "col.remove", "col.iterate"):
-            return self.shard_for_name(str(_need(request, "name"))), dict(request)
+        if op in ("name.bind", "name.lookup", "col.create", "col.insert",
+                  "col.get", "col.remove", "col.iterate"):
+            return self.shard_for_name(param(request, "name", str)), dict(request)
         raise ProtocolError(f"verb {op!r} is not routable")
 
     def translate_response(
@@ -227,16 +227,10 @@ class ShardRouter:
             oid = result.get("oid")
             if oid is not None:
                 if op == "obj.put" and original.get("oid") is not None:
-                    result = {**result, "oid": int(original["oid"])}
+                    result = {**result, "oid": original["oid"]}
                 else:
-                    result = {**result, "oid": encode_oid(int(oid), shard, shards)}
+                    result = {**result, "oid": encode_oid(oid, shard, shards)}
         elif op in ("obj.get", "obj.remove"):
             if "oid" in result and original.get("oid") is not None:
-                result = {**result, "oid": int(original["oid"])}
+                result = {**result, "oid": original["oid"]}
         return result
-
-
-def _need(request: Dict[str, Any], field: str):
-    if field not in request or request[field] is None:
-        raise ProtocolError(f"missing parameter {field!r}")
-    return request[field]

@@ -136,7 +136,6 @@ class ShardWorker:
         self.gc_max_batch = int(gc.get("max_batch", 32))
         self.gc_max_delay = float(gc.get("max_delay", 0.005))
         self.gc_max_pending = int(gc.get("max_pending", 256))
-        self.gc_quorum_seal = bool(gc.get("quorum_seal", True))
         self.executor = VerbExecutor(
             max_results=int(bootstrap.get("max_results", 1000))
         )
@@ -212,7 +211,6 @@ class ShardWorker:
             max_batch=self.gc_max_batch,
             max_delay=self.gc_max_delay,
             max_pending=self.gc_max_pending,
-            quorum_seal=self.gc_quorum_seal,
         )
 
     def _scan_prepared(self) -> List[str]:

@@ -118,13 +118,45 @@ MUTATING_DATA_VERBS = frozenset(
 )
 
 
-def param(request: Dict[str, Any], name: str, required: bool = True, default=None):
-    """Pull one named parameter out of a request frame."""
-    if name not in request:
-        if required:
+_REQUIRED = object()
+
+
+def param(request: Dict[str, Any], name: str, kind: Optional[type] = None,
+          default: Any = _REQUIRED) -> Any:
+    """One named parameter of a request frame, type-checked.
+
+    Missing or ``null`` yields ``default``; without one the parameter
+    is required.  ``kind`` (``int`` or ``str``) is the JSON type the
+    value must have; without it any JSON value passes.  Every violation
+    is a :class:`ProtocolError` the session answers — request frames
+    come from outside, so a mistyped value must never escape the verb.
+    """
+    value = request.get(name)
+    if value is None:
+        if default is _REQUIRED:
             raise ProtocolError(f"missing parameter {name!r}")
         return default
-    return request[name]
+    if kind is not None and (
+        not isinstance(value, kind) or isinstance(value, bool)
+    ):
+        wanted = "an integer" if kind is int else "a string"
+        raise ProtocolError(
+            f"parameter {name!r} must be {wanted}, got {value!r}"
+        )
+    return value
+
+
+def require_txn(txn, mode: Optional[str], needed: str):
+    """``txn`` if it is open in the ``needed`` mode, else SessionStateError."""
+    if txn is None:
+        raise SessionStateError(
+            f"no open transaction; send begin(mode={needed!r}) first"
+        )
+    if mode != needed:
+        raise SessionStateError(
+            f"verb needs a {needed} transaction, session has {mode}"
+        )
+    return txn
 
 
 class VerbExecutor:
@@ -151,20 +183,8 @@ class VerbExecutor:
     # Helpers
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _require_txn(txn, mode: Optional[str], needed: str):
-        if txn is None:
-            raise SessionStateError(
-                f"no open transaction; send begin(mode={needed!r}) first"
-            )
-        if mode != needed:
-            raise SessionStateError(
-                f"verb needs a {needed} transaction, session has {mode}"
-            )
-        return txn
-
     def _collection_handle(self, db, txn, mode, name: str, writable: bool):
-        ct = self._require_txn(txn, mode, "collection")
+        ct = require_txn(txn, mode, "collection")
         handle = (
             ct.write_collection(name) if writable else ct.read_collection(name)
         )
@@ -214,38 +234,38 @@ class VerbExecutor:
     # ------------------------------------------------------------------
 
     def _op_obj_put(self, db, request, txn, mode) -> Dict[str, Any]:
-        txn = self._require_txn(txn, mode, "object")
-        value = param(request, "value")
-        oid = param(request, "oid", required=False)
+        txn = require_txn(txn, mode, "object")
+        value = param(request, "value", default=None)
+        oid = param(request, "oid", int, None)
         if oid is None:
             oid = txn.insert(RemoteRecord(value))
         else:
-            ref = txn.open_writable(int(oid), RemoteRecord)
+            ref = txn.open_writable(oid, RemoteRecord)
             ref.deref().value = value
         return {"oid": oid}
 
     def _op_obj_get(self, db, request, txn, mode) -> Dict[str, Any]:
-        txn = self._require_txn(txn, mode, "object")
-        oid = int(param(request, "oid"))
+        txn = require_txn(txn, mode, "object")
+        oid = param(request, "oid", int)
         ref = txn.open_readonly(oid, RemoteRecord)
         return {"oid": oid, "value": ref.deref().value}
 
     def _op_obj_remove(self, db, request, txn, mode) -> Dict[str, Any]:
-        txn = self._require_txn(txn, mode, "object")
-        oid = int(param(request, "oid"))
+        txn = require_txn(txn, mode, "object")
+        oid = param(request, "oid", int)
         txn.remove(oid)
         return {"oid": oid}
 
     def _op_name_bind(self, db, request, txn, mode) -> Dict[str, Any]:
-        txn = self._require_txn(txn, mode, "object")
-        name = str(param(request, "name"))
-        oid = int(param(request, "oid"))
+        txn = require_txn(txn, mode, "object")
+        name = param(request, "name", str)
+        oid = param(request, "oid", int)
         txn.bind_name(name, oid)
         return {"name": name, "oid": oid}
 
     def _op_name_lookup(self, db, request, txn, mode) -> Dict[str, Any]:
-        txn = self._require_txn(txn, mode, "object")
-        name = str(param(request, "name"))
+        txn = require_txn(txn, mode, "object")
+        name = param(request, "name", str)
         return {"name": name, "oid": txn.lookup_name(name)}
 
     # ------------------------------------------------------------------
@@ -253,18 +273,18 @@ class VerbExecutor:
     # ------------------------------------------------------------------
 
     def _op_col_create(self, db, request, txn, mode) -> Dict[str, Any]:
-        ct = self._require_txn(txn, mode, "collection")
-        name = str(param(request, "name"))
-        field = str(param(request, "field"))
-        kind = str(param(request, "kind", required=False, default="btree"))
-        unique = bool(param(request, "unique", required=False, default=False))
+        ct = require_txn(txn, mode, "collection")
+        name = param(request, "name", str)
+        field = param(request, "field", str)
+        kind = param(request, "kind", str, "btree")
+        unique = bool(param(request, "unique", default=False))
         indexer = field_indexer(name, field, kind=kind, unique=unique)
         ct.create_collection(name, indexer)
         return {"name": name, "index": indexer.name}
 
     def _op_col_insert(self, db, request, txn, mode) -> Dict[str, Any]:
         handle = self._collection_handle(
-            db, txn, mode, str(param(request, "name")), writable=True
+            db, txn, mode, param(request, "name", str), writable=True
         )
         value = param(request, "value")
         oid = handle.insert(RemoteRecord(value))
@@ -272,10 +292,10 @@ class VerbExecutor:
 
     def _op_col_get(self, db, request, txn, mode) -> Dict[str, Any]:
         handle = self._collection_handle(
-            db, txn, mode, str(param(request, "name")), writable=False
+            db, txn, mode, param(request, "name", str), writable=False
         )
         key = param(request, "key")
-        field = param(request, "field", required=False)
+        field = param(request, "field", str, None)
         indexer = self._indexer_for(db, handle, field)
         iterator = handle.query_match(indexer, key)
         values = self._drain(iterator, self.max_results)
@@ -283,10 +303,10 @@ class VerbExecutor:
 
     def _op_col_remove(self, db, request, txn, mode) -> Dict[str, Any]:
         handle = self._collection_handle(
-            db, txn, mode, str(param(request, "name")), writable=True
+            db, txn, mode, param(request, "name", str), writable=True
         )
         key = param(request, "key")
-        field = param(request, "field", required=False)
+        field = param(request, "field", str, None)
         indexer = self._indexer_for(db, handle, field)
         iterator = handle.query_match(indexer, key)
         removed = 0
@@ -301,15 +321,14 @@ class VerbExecutor:
 
     def _op_col_iterate(self, db, request, txn, mode) -> Dict[str, Any]:
         handle = self._collection_handle(
-            db, txn, mode, str(param(request, "name")), writable=False
+            db, txn, mode, param(request, "name", str), writable=False
         )
-        field = param(request, "field", required=False)
-        lo = param(request, "lo", required=False)
-        hi = param(request, "hi", required=False)
-        limit = int(
-            param(request, "limit", required=False, default=self.max_results)
+        field = param(request, "field", str, None)
+        lo = param(request, "lo", default=None)
+        hi = param(request, "hi", default=None)
+        limit = min(
+            param(request, "limit", int, self.max_results), self.max_results
         )
-        limit = min(limit, self.max_results)
         indexer = self._indexer_for(db, handle, field)
         if lo is not None or hi is not None:
             iterator = handle.query_range(indexer, lo, hi)

@@ -23,7 +23,7 @@ Subcommands over a file-backed database directory (the layout
 * ``serve`` — open the database and serve it over the TCP wire
   protocol (:mod:`repro.server`) until interrupted; group-commit and
   backpressure tuning via ``--max-batch`` / ``--max-delay`` /
-  ``--max-pending`` / ``--no-quorum-seal`` / ``--max-results``.
+  ``--max-pending`` / ``--max-results``.
   ``--shards N`` serves a *sharded* layout instead: N worker processes
   behind one asyncio front door (:mod:`repro.server.sharded`), created
   on first use and reopened with the recorded shard count after that.
@@ -359,7 +359,6 @@ def serve_database(
     max_batch: int = 32,
     max_delay: float = 0.005,
     max_pending: int = 256,
-    quorum_seal: bool = True,
     max_results: int = 1000,
     tenants: bool = False,
     ready_callback=None,
@@ -403,7 +402,6 @@ def serve_database(
             backpressure=backpressure,
             max_batch=max_batch,
             max_delay=max_delay,
-            quorum_seal=quorum_seal,
             max_results=max_results,
             tenancy=hub,
         )
@@ -416,7 +414,6 @@ def serve_database(
             backpressure=backpressure,
             max_batch=max_batch,
             max_delay=max_delay,
-            quorum_seal=quorum_seal,
             max_results=max_results,
         )
     server.start()
@@ -452,7 +449,6 @@ def serve_sharded_database(
     max_batch: int = 32,
     max_delay: float = 0.005,
     max_pending: int = 256,
-    quorum_seal: bool = True,
     max_results: int = 1000,
     tenants: bool = False,
     ready_callback=None,
@@ -494,7 +490,6 @@ def serve_sharded_database(
         max_batch=max_batch,
         max_delay=max_delay,
         max_results=max_results,
-        quorum_seal=quorum_seal,
         chunk_config=config,
         tenancy=hub,
     )
@@ -957,9 +952,6 @@ def main(argv=None) -> int:
                              help="group-commit batching window in seconds")
             cmd.add_argument("--max-pending", type=int, default=256,
                              help="pending-commit admission limit")
-            cmd.add_argument("--no-quorum-seal", dest="quorum_seal",
-                             action="store_false", default=True,
-                             help="acknowledge batches before the seal sync")
             cmd.add_argument("--max-results", type=int, default=1000,
                              help="cap on rows returned per query verb")
             cmd.add_argument("--shards", type=int, default=None,
@@ -1067,7 +1059,6 @@ def main(argv=None) -> int:
                     max_batch=args.max_batch,
                     max_delay=args.max_delay,
                     max_pending=args.max_pending,
-                    quorum_seal=args.quorum_seal,
                     max_results=args.max_results,
                     tenants=args.tenants,
                 )
@@ -1082,7 +1073,6 @@ def main(argv=None) -> int:
                 max_batch=args.max_batch,
                 max_delay=args.max_delay,
                 max_pending=args.max_pending,
-                quorum_seal=args.quorum_seal,
                 max_results=args.max_results,
                 tenants=args.tenants,
             )

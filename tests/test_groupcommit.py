@@ -159,22 +159,6 @@ class TestBatching:
         assert stats.batch_sizes == {4: 1}
         store.close()
 
-    def test_quorum_seal_can_be_disabled(self):
-        untrusted, counter, store = _fresh_store()
-        ids = [store.allocate_chunk_id() for _ in range(3)]
-        coordinator = GroupCommitCoordinator(
-            store, max_batch=32, max_delay=0.3, quorum_seal=False
-        )
-        coordinator.concurrency_hint = 3
-
-        started = time.monotonic()
-        errors = _run_merged_batch(coordinator, ids)
-        elapsed = time.monotonic() - started
-        assert errors == [None] * 3
-        assert elapsed >= 0.3, "disabled quorum sealing should wait the window"
-        assert coordinator.stats_snapshot().quorum_seals == 0
-        store.close()
-
     def test_empty_commit_is_a_noop(self):
         untrusted, counter, store = _fresh_store()
         coordinator = GroupCommitCoordinator(store)

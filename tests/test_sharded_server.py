@@ -208,44 +208,6 @@ class TestShardedDataPath:
 # hello / protocol-version negotiation (both directions)
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def v1_server():
-    """A protocol-version-1 impostor: answers ``hello`` the way the old
-    threaded server did — with an unknown-verb ProtocolError."""
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(4)
-    stop = threading.Event()
-
-    def serve():
-        while not stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return
-            with conn:
-                while True:
-                    try:
-                        request = protocol.read_frame(conn, 5.0, 5.0)
-                    except (OSError, ProtocolError):
-                        break
-                    if request is None:
-                        break
-                    protocol.write_frame(conn, protocol.error_payload(
-                        request.get("id"),
-                        ProtocolError(f"unknown verb {request.get('op')!r}"),
-                    ))
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        yield listener.getsockname()
-    finally:
-        stop.set()
-        listener.close()
-        thread.join(timeout=2.0)
-
-
 class TestHello:
     def test_new_client_vs_threaded_server(self):
         from repro.db import Database
@@ -272,13 +234,6 @@ class TestHello:
                 assert info["sharded"] is True
                 assert info["shards"] == 2
                 assert "cross-shard-commit" in info["features"]
-
-    def test_new_client_vs_v1_server_falls_back(self):
-        with v1_server() as (host, port):
-            with TdbClient(host, port, timeout=5.0) as client:
-                info = client.hello()
-                assert info["protocol"] == 1
-                assert info["features"] == []
 
     def test_old_client_needs_no_hello(self, tmp_path):
         """A v1 client never sends ``hello``; raw v1 frames must work

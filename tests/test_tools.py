@@ -420,7 +420,7 @@ class TestReplicationCommands:
             tools_main(["serve", "--help"])
         out = capsys.readouterr().out
         assert "--max-pending" in out
-        assert "--no-quorum-seal" in out
+        assert "--no-quorum-seal" not in out
         assert "--max-results" in out
         with pytest.raises(SystemExit):
             tools_main(["replicate", "--help"])
