@@ -74,7 +74,6 @@ def bench_point(chunks: int, proofs: int = PROOFS_PER_POINT) -> dict:
     cipher = create_payload_cipher(
         profile.cipher_name,
         secret.derive_key("tdb-chunk-encryption", 32),
-        kernel=profile.resolved_kernel,
     )
     service = ProofService(store)
     targets = [ids[i * len(ids) // proofs] for i in range(proofs)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from hmac import compare_digest as hmac_compare
 from typing import Dict, List, Optional
 
 from repro.backupstore.stream import (
@@ -31,7 +30,6 @@ from repro.backupstore.stream import (
 from repro.chunkstore import ChunkStore
 from repro.config import ChunkStoreConfig
 from repro.crypto.mac import create_mac
-from repro.crypto.pool import DigestPool
 from repro.errors import BackupError, RestoreSequenceError
 from repro.platform.archival import ArchivalStore
 from repro.platform.counter import OneWayCounter
@@ -69,8 +67,9 @@ class BackupStore:
         self.archival = archival
         self.secret_store = secret_store
         self._encryption_key = secret_store.derive_key("tdb-backup-encryption", 16)
-        self._mac_key = secret_store.derive_key("tdb-backup-mac", 32)
-        self._mac = create_mac(self._mac_key, "sha256")
+        self._mac = create_mac(
+            secret_store.derive_key("tdb-backup-mac", 32), "sha256"
+        )
         self._retained_snapshot = None
         self._last_backup_uuid: Optional[bytes] = None
         self._next_sequence = 1
@@ -199,42 +198,6 @@ class BackupStore:
         with self.archival.open_stream(name) as stream:
             blob = stream.read()
         return decode_backup(blob, self._encryption_key, self._mac)
-
-    def verify_streams(
-        self, names: List[str], pool: Optional["DigestPool"] = None
-    ) -> Dict[str, Optional[str]]:
-        """Authenticate many backup streams, fanning the MACs over a pool.
-
-        Returns ``{name: None}`` for every stream whose HMAC tag
-        verifies and ``{name: reason}`` otherwise.  The backup MAC is
-        standard HMAC-SHA256, so a :class:`~repro.crypto.pool.DigestPool`
-        can recompute the tags in worker processes; with no pool (or a
-        serial one) everything runs in-process.  Streams too short to
-        even carry a tag are reported without being dispatched.
-        """
-        if pool is None:
-            pool = DigestPool(max_workers=1)
-        results: Dict[str, Optional[str]] = {}
-        jobs: List[tuple] = []  # (name, authenticated_region, claimed_tag)
-        tag_size = self._mac.tag_size
-        for name in names:
-            try:
-                with self.archival.open_stream(name) as stream:
-                    blob = stream.read()
-            except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-                results[name] = f"{type(exc).__name__}: {exc}"
-                continue
-            if len(blob) < BackupHeader.size() + tag_size:
-                results[name] = "backup stream is too short"
-                continue
-            jobs.append((name, blob[:-tag_size], blob[-tag_size:]))
-        tags = pool.hmac_sha256_many(self._mac_key, [body for _, body, _ in jobs])
-        for (name, _, claimed), computed in zip(jobs, tags):
-            if hmac_compare(computed, claimed):
-                results[name] = None
-            else:
-                results[name] = "backup stream failed authentication"
-        return results
 
     # ------------------------------------------------------------------
     # Restore

@@ -134,7 +134,7 @@ def scrub_store(
     payload whose current locator matches its last-verified version is
     accepted without re-reading media (map nodes additionally need a
     live cache copy to keep walking their children).  ``collect=True``
-    and stores without a memo (salvage, memo disabled) always scrub
+    and stores without a memo (salvage stores) always scrub
     deep.  Every payload a deep pass does verify is noted in the memo,
     so deep-then-incremental is the cheap steady-state pattern.
     """
@@ -144,22 +144,6 @@ def scrub_store(
     effective_deep = deep or collect or memo is None
     report = DamageReport()
     payloads: Dict[int, bytes] = {}
-
-    # Leaf-chunk verification is embarrassingly parallel (digest + trial
-    # decryption per payload, no shared state), so when the store's
-    # digest pool has workers, raw payloads are read here in-process and
-    # verified in batches across the pool.  collect=True stays serial —
-    # it needs every plaintext back, which would negate the win.  The
-    # pool itself falls back to in-process verification if its workers
-    # die, so a crashed worker costs time, never a missed damage report.
-    pool = getattr(store, "digest_pool", None)
-    use_pool = (
-        pool is not None and pool.parallel and store.secure and not collect
-    )
-    pending: List[Tuple[int, Locator, bytes]] = []
-    flush_threshold = (
-        pool.batch_size * pool.max_workers if use_pool else 0
-    )
 
     def record_damaged_chunk(chunk_id: int, locator: Locator, error: str):
         report.damaged_chunks.append(
@@ -171,24 +155,6 @@ def scrub_store(
                 error=error,
             )
         )
-
-    def flush_pending() -> None:
-        if not pending:
-            return
-        jobs = [(raw, locator.hash_value) for _, locator, raw in pending]
-        verdicts = pool.verify_payloads(store.verify_spec, jobs)
-        for (chunk_id, locator, _), verdict in zip(pending, verdicts):
-            # Each pooled verification re-hashed the payload, exactly
-            # like read_payload would have; keep the counter honest so
-            # "scrub re-hashed nothing" stays directly observable.
-            store.perf.incr("payload_digests")
-            if verdict is None:
-                report.verified_chunks += 1
-                if memo is not None:
-                    memo.note_chunk(chunk_id, locator)
-            else:
-                record_damaged_chunk(chunk_id, locator, verdict)
-        pending.clear()
 
     def cached_clean_node(level: int, index: int) -> Optional[MapNode]:
         """In-memory copy of node ``(level, index)`` if one exists."""
@@ -243,20 +209,6 @@ def scrub_store(
                 if not effective_deep and memo.chunk_verified(chunk_id, locator):
                     report.memo_skipped_chunks += 1
                     continue
-                if use_pool:
-                    try:
-                        raw = store.segments.read(
-                            locator.segment, locator.offset, locator.length
-                        )
-                    except TDBError as exc:
-                        record_damaged_chunk(
-                            chunk_id, locator, f"{type(exc).__name__}: {exc}"
-                        )
-                    else:
-                        pending.append((chunk_id, locator, raw))
-                        if len(pending) >= flush_threshold:
-                            flush_pending()
-                    continue
                 try:
                     data = store.read_payload(locator)
                 except TDBError as exc:
@@ -300,5 +252,4 @@ def scrub_store(
     elif in_memory_root is not None:
         visit(in_memory_root)
     # else: empty store, trivially clean
-    flush_pending()
     return report, payloads

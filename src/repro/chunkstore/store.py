@@ -50,7 +50,6 @@ from repro.chunkstore.digestmemo import DigestMemo
 from repro.chunkstore.snapshot import Snapshot
 from repro.config import ChunkStoreConfig
 from repro.crypto import (
-    DigestPool,
     InstrumentedHashEngine,
     InstrumentedPayloadCipher,
     create_hash_engine,
@@ -230,13 +229,10 @@ class ChunkStore:
                 create_hash_engine(config.security.hash_name), self.perf
             )
             self.hash_size = self.hash_engine.digest_size
-            self._cipher_key = secret_store.derive_key("tdb-chunk-encryption", 32)
-            self._cipher_kernel = config.security.resolved_kernel
             self.cipher = InstrumentedPayloadCipher(
                 create_payload_cipher(
                     config.security.cipher_name,
-                    self._cipher_key,
-                    kernel=self._cipher_kernel,
+                    secret_store.derive_key("tdb-chunk-encryption", 32),
                 ),
                 self.perf,
             )
@@ -250,18 +246,11 @@ class ChunkStore:
         else:
             self.hash_engine = None
             self.hash_size = 0
-            self._cipher_key = b""
-            self._cipher_kernel = config.security.resolved_kernel
             self.cipher = create_payload_cipher("null", b"")
             self._record_mac = None
             self._master_mac = None
-        self.digest_pool = DigestPool(
-            max_workers=config.security.pool_workers, perf=self.perf
-        )
         self.digest_memo: Optional[DigestMemo] = (
-            DigestMemo(self.perf)
-            if self.secure and config.security.digest_memo
-            else None
+            DigestMemo(self.perf) if self.secure else None
         )
         untrusted.stats.attach_section("perf", self.perf.as_dict)
         self.cache = cache or SharedLruCache(config.map_cache_entries * 4096)
@@ -1074,21 +1063,6 @@ class ChunkStore:
     # Reads (shared with snapshots and the map)
     # ------------------------------------------------------------------
 
-    @property
-    def verify_spec(self):
-        """Picklable recipe for pool workers to rebuild this store's crypto.
-
-        Matches the arguments of :func:`create_payload_cipher` and
-        :func:`create_hash_engine`, so a worker's digest-then-decrypt
-        verification is exactly :meth:`read_payload` minus the metering.
-        """
-        return (
-            self.config.security.cipher_name,
-            self._cipher_key,
-            self._cipher_kernel,
-            self.config.security.hash_name,
-        )
-
     def read_payload(self, locator: Locator) -> bytes:
         """Fetch, validate, and decrypt the payload a locator points at.
 
@@ -1476,7 +1450,6 @@ class ChunkStore:
             if not self._salvage and not self._read_only:
                 self.checkpoint()
                 self.segments.sync_dirty()
-            self.digest_pool.close()
             self._closed = True
 
     def __enter__(self) -> "ChunkStore":

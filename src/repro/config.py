@@ -11,10 +11,10 @@ profile (the paper used 3DES; see ``DESIGN.md`` for the substitution notes).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
-from repro.crypto.cipher import CIPHER_KEY_SIZES, ENGINE_NAMES
+from repro.crypto.cipher import CIPHER_KEY_SIZES
+from repro.crypto.native import HAVE_NATIVE_BACKEND
 from repro.errors import ConfigError
 
 __all__ = [
@@ -40,46 +40,20 @@ class SecurityProfile:
         When false the store runs in the paper's plain **TDB** mode: no
         hashing, no encryption, no one-way-counter bump per commit.  When
         true it runs as **TDB-S**.
-    ``kernel``
-        Selects the crypto *engine* behind the AES profiles.
-        ``"native"`` uses the platform's crypto (OpenSSL via the
-        ``cryptography`` package when importable, with a pure-python
-        fallback) — the analogue of the native crypto TDB-S measured
-        with; ``"fast"`` selects the precomputed-table AES and the
-        batched whole-payload CBC/CTR kernels; ``"reference"`` keeps
-        the per-block byte-wise path as a correctness oracle.  The
-        default ``"auto"`` resolves at store-construction time via the
-        ``REPRO_CRYPTO_ENGINE`` environment variable (falling back to
-        ``"native"``), so a whole test suite or deployment can be
-        switched without touching profile objects.  All engines produce
-        identical on-disk images and interoperate freely.
-    ``digest_memo``
-        Whether the chunk store remembers which payload versions already
-        verified so incremental scrubs skip clean subtrees.  Costs a
-        dict entry per chunk; disable for minimal-footprint embeddings.
-    ``pool_workers``
-        Worker processes of the chunk store's digest pool, used to fan
-        whole-segment verification (scrub, backup streams, replication
-        shipments) across cores.  ``1`` (default) keeps everything
-        serial in-process; ``0`` means one worker per CPU.
+
+    The AES implementation is not a setting: the platform picks it
+    (:func:`~repro.crypto.native.best_aes`), and every choice writes
+    the same bytes.
     """
 
     enabled: bool = True
     hash_name: str = "sha1"
     cipher_name: str = "aes-128"
-    kernel: str = "auto"
-    digest_memo: bool = True
-    pool_workers: int = 1
 
     #: Hash engine names accepted by ``hash_name``.
     HASH_NAMES = ("sha1", "sha1-pure", "sha256")
 
     def __post_init__(self) -> None:
-        if self.kernel != "auto" and self.kernel not in ENGINE_NAMES:
-            raise ConfigError(
-                f"unknown crypto engine: {self.kernel!r} "
-                f"(valid: auto, {', '.join(ENGINE_NAMES)})"
-            )
         if self.cipher_name != "null" and self.cipher_name not in CIPHER_KEY_SIZES:
             raise ConfigError(
                 f"unknown cipher: {self.cipher_name!r} "
@@ -90,27 +64,11 @@ class SecurityProfile:
                 f"unknown hash engine: {self.hash_name!r} "
                 f"(valid: {', '.join(self.HASH_NAMES)})"
             )
-        if self.pool_workers < 0:
-            raise ConfigError("pool_workers must be >= 0 (0 = one per CPU)")
 
     @property
     def resolved_kernel(self) -> str:
-        """The concrete engine name, with ``"auto"`` resolved.
-
-        ``"auto"`` reads ``REPRO_CRYPTO_ENGINE`` (default ``"native"``)
-        *at call time*, so configs baked at import time still honour an
-        engine override set later (the engine-parametrized test fixtures
-        rely on this).
-        """
-        if self.kernel != "auto":
-            return self.kernel
-        engine = os.environ.get("REPRO_CRYPTO_ENGINE", "native")
-        if engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"REPRO_CRYPTO_ENGINE={engine!r} is not a crypto engine "
-                f"(valid: {', '.join(ENGINE_NAMES)})"
-            )
-        return engine
+        """Which AES runs: ``"native"`` (OpenSSL) or ``"fast"`` (tables)."""
+        return "native" if HAVE_NATIVE_BACKEND else "fast"
 
     def with_cipher(self, cipher_name: str) -> "SecurityProfile":
         """Return a copy of this profile using a different cipher."""
@@ -119,10 +77,6 @@ class SecurityProfile:
     def with_hash(self, hash_name: str) -> "SecurityProfile":
         """Return a copy of this profile using a different hash."""
         return replace(self, hash_name=hash_name)
-
-    def with_kernel(self, kernel: str) -> "SecurityProfile":
-        """Return a copy of this profile using a different crypto kernel."""
-        return replace(self, kernel=kernel)
 
     @classmethod
     def insecure(cls) -> "SecurityProfile":
@@ -134,15 +88,9 @@ class SecurityProfile:
         """The paper's TDB-S configuration: SHA-1 hashing + block cipher.
 
         TDB-S ran on native crypto (the paper calls its crypto cost
-        *minor*), so the default ``"auto"`` engine — which resolves to
-        ``"native"`` — is the faithful choice here.
+        *minor*); so does this profile wherever OpenSSL is importable.
         """
         return cls(enabled=True, hash_name="sha1", cipher_name="aes-128")
-
-    @classmethod
-    def reference_kernels(cls) -> "SecurityProfile":
-        """TDB-S semantics on the per-block reference crypto path."""
-        return cls(enabled=True, kernel="reference")
 
 
 @dataclass(frozen=True)

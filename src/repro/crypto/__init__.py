@@ -1,10 +1,12 @@
 """Cryptographic substrate of the chunk store.
 
 The paper's TDB-S configuration hashes with SHA-1 and encrypts with 3DES.
-Nothing here depends on third-party packages: SHA-1, DES/3DES and AES are
-implemented from scratch (``hashlib`` remains available as an accelerated
-hash engine, and the pure implementations are verified against it and
-against the FIPS test vectors in the test suite).
+SHA-1, DES/3DES and AES are implemented from scratch and verified against
+``hashlib`` and the FIPS test vectors in the test suite.  The one optional
+third-party package is ``cryptography``: when it is importable, AES runs
+on OpenSSL (:class:`~repro.crypto.native.NativeAes`); otherwise on the
+table kernels (:class:`~repro.crypto.aesfast.AesFast`).  The platform
+picks (:func:`~repro.crypto.native.best_aes`); there is no setting.
 
 The chunk store consumes three small interfaces:
 
@@ -24,7 +26,6 @@ from repro.crypto.hashes import (
 )
 from repro.crypto.cipher import (
     CIPHER_KEY_SIZES,
-    ENGINE_NAMES,
     BlockCipher,
     PayloadCipher,
     NullPayloadCipher,
@@ -37,7 +38,6 @@ from repro.crypto.des import Des, TripleDes
 from repro.crypto.aes import Aes
 from repro.crypto.aesfast import AesFast
 from repro.crypto.native import HAVE_NATIVE_BACKEND, NativeAes, best_aes
-from repro.crypto.pool import DigestPool
 from repro.crypto.instrument import (
     InstrumentedHashEngine,
     InstrumentedPayloadCipher,
@@ -64,9 +64,7 @@ __all__ = [
     "NativeAes",
     "HAVE_NATIVE_BACKEND",
     "best_aes",
-    "DigestPool",
     "CIPHER_KEY_SIZES",
-    "ENGINE_NAMES",
     "InstrumentedHashEngine",
     "InstrumentedPayloadCipher",
     "modes",

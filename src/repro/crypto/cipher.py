@@ -13,10 +13,8 @@ from abc import ABC, abstractmethod
 from typing import Protocol
 
 from repro.crypto import modes
-from repro.crypto.aes import Aes
-from repro.crypto.aesfast import AesFast
 from repro.crypto.des import Des, TripleDes
-from repro.crypto.native import NativeAes
+from repro.crypto.native import best_aes
 from repro.errors import ConfigError, CryptoError
 
 __all__ = [
@@ -25,13 +23,8 @@ __all__ = [
     "NullPayloadCipher",
     "CbcPayloadCipher",
     "CIPHER_KEY_SIZES",
-    "ENGINE_NAMES",
     "create_payload_cipher",
 ]
-
-#: Engine (kernel) names accepted by :func:`create_payload_cipher` and
-#: :class:`~repro.config.SecurityProfile`.
-ENGINE_NAMES = ("native", "fast", "reference")
 
 #: Cipher profile names and the key bytes each consumes.
 CIPHER_KEY_SIZES = {
@@ -41,8 +34,6 @@ CIPHER_KEY_SIZES = {
     "des": 8,
     "3des": 24,
 }
-
-_AES_BY_ENGINE = {"native": NativeAes, "fast": AesFast, "reference": Aes}
 
 
 class BlockCipher(Protocol):
@@ -107,29 +98,16 @@ class CbcPayloadCipher(PayloadCipher):
         return block + padding  # IV + PKCS#7
 
 
-def create_payload_cipher(
-    name: str, key: bytes, kernel: str = "fast"
-) -> PayloadCipher:
+def create_payload_cipher(name: str, key: bytes) -> PayloadCipher:
     """Build a payload cipher from a profile name and raw key material.
 
     ``key`` may be longer than needed; the required prefix is used.  Names:
     ``"null"``, ``"aes-128"``, ``"aes-192"``, ``"aes-256"``, ``"des"``,
-    ``"3des"``.
-
-    ``kernel`` selects the engine behind the AES profiles: ``"native"``
-    uses the platform's crypto (:class:`~repro.crypto.native.NativeAes`,
-    falling back to the table kernels when no native backend is
-    importable); ``"fast"`` uses the precomputed-table
-    :class:`~repro.crypto.aesfast.AesFast` and the batched CBC kernels;
-    ``"reference"`` keeps the per-block byte-wise path.  All three
-    produce identical ciphertext for the same key and IV, so stores
-    written under one engine open under any other.  DES/3DES have no
-    accelerated engine and ignore the selector.
+    ``"3des"``.  The AES profiles run on the platform's AES
+    (:func:`~repro.crypto.native.best_aes`); every AES implementation
+    here produces identical ciphertext for the same key and IV, so the
+    choice never shows on disk.
     """
-    if kernel not in ENGINE_NAMES:
-        raise ConfigError(
-            f"unknown crypto engine: {kernel!r} (valid: {', '.join(ENGINE_NAMES)})"
-        )
     if name == "null":
         return NullPayloadCipher()
     if name not in CIPHER_KEY_SIZES:
@@ -144,7 +122,7 @@ def create_payload_cipher(
         )
     key = key[:needed]
     if name.startswith("aes"):
-        return CbcPayloadCipher(_AES_BY_ENGINE[kernel](key), name)
+        return CbcPayloadCipher(best_aes(key), name)
     if name == "des":
         return CbcPayloadCipher(Des(key), name)
     return CbcPayloadCipher(TripleDes(key), name)

@@ -5,8 +5,8 @@ decorators so every whole-payload operation lands in a
 :class:`~repro.perf.PerfStats` — calls, plaintext bytes, and wall
 nanoseconds per kernel.  The wrappers preserve the wrapped interface
 exactly (they *are* a :class:`PayloadCipher` / :class:`HashEngine`), so
-every existing call site works unchanged and the fast/reference kernel
-choice stays invisible above the crypto package.
+every existing call site works unchanged and the AES implementation
+stays invisible above the crypto package.
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ Three code paths coexist:
   generates its keystream in one batch and applies it with a single
   big-int XOR;
 * the **native payload path** engages for ciphers exposing the
-  whole-payload interface (:class:`~repro.crypto.native.NativeAes` with
-  a live OpenSSL backend): one C call transforms the entire payload.
-  IV generation, PKCS#7 framing, and validation stay here in one place,
-  so all engines share the exact record layout.
+  whole-payload interface (:class:`~repro.crypto.native.NativeAes`):
+  one C call transforms the entire payload.  IV generation, PKCS#7
+  framing, and validation stay here in one place, so every AES shares
+  the exact record layout.
 
-All paths produce byte-identical output for the same key and IV, so
-native, fast, and reference profiles interoperate on disk.
+All paths produce byte-identical output for the same key and IV, so a
+store image does not depend on which AES wrote it.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _has_word_kernel(cipher) -> bool:
 
 
 def _has_native_kernel(cipher) -> bool:
-    return getattr(cipher, "backend", None) == "openssl"
+    return hasattr(cipher, "cbc_encrypt_payload")
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,26 @@
-"""Native AES: the ``"native"`` crypto engine.
+"""Native AES: the platform's AES, when the platform has one.
 
 Pure-python crypto is the wall of every GB-scale scenario: the table
 kernels (:class:`~repro.crypto.aesfast.AesFast`) top out around 1 MB/s
 while the disk underneath moves hundreds.  This module puts the
-platform's real crypto behind the same :class:`BlockCipher` shape — the
 `cryptography <https://cryptography.io>`_ package's OpenSSL-backed AES
-when importable, and a transparent fallback onto the table kernels when
-it is not (no new hard dependency; the engine name stays valid either
-way, only the speed changes).
+behind the same :class:`BlockCipher` shape, and :func:`best_aes` is the
+one place that decides which AES encrypts a chunk: :class:`NativeAes`
+when the package is importable, :class:`AesFast` otherwise.  There is
+no setting; the package is an optional dependency, not a requirement.
 
-Three properties keep the engine swappable:
+The choice never shows on disk.  CBC and CTR are deterministic given
+key and IV, so OpenSSL produces byte-for-byte the ciphertext of the
+table and reference kernels, and a store written on one platform opens
+on the other.  The reference :class:`~repro.crypto.aes.Aes` stays as the
+oracle the test suite decrypts real store images with.
 
-* **Identical on-disk images.**  CBC and CTR are deterministic given key
-  and IV, so the native path produces byte-for-byte the ciphertext of
-  the reference and fast kernels; a store written under any engine opens
-  under any other.  The differential suite
-  (``tests/test_engine_differential.py``) fuzzes this invariant and the
-  reopen guard in ``tests/test_crypto_kernels.py`` pins it on real store
-  images.
-* **Same interface.**  :class:`NativeAes` exposes ``encrypt_block`` /
-  ``decrypt_block`` like every other block cipher here.  When the
-  OpenSSL backend is live it additionally exposes the *whole-payload*
-  methods (:meth:`cbc_encrypt_payload` and friends) that
-  :mod:`repro.crypto.modes` dispatches to — one C call per payload
-  instead of one Python call per 16-byte block.  In fallback mode it
-  exposes the word kernels instead, so the batched pure-python path
-  engages.
-* **Oracle guard.**  The reference and fast kernels are kept forever as
-  cross-check oracles; nothing about them changed.  ``native`` is just a
-  third point on the same interface.
-
-DES/3DES have no native path (the paper's 3DES profile exists for
-fidelity, not speed) and silently keep their reference implementation,
-exactly as they do under the ``fast`` engine.
+:class:`NativeAes` exposes ``encrypt_block`` / ``decrypt_block`` like
+every other block cipher here, plus the *whole-payload* methods
+(:meth:`cbc_encrypt_payload` and friends) that :mod:`repro.crypto.modes`
+dispatches to — one C call per payload instead of one Python call per
+16-byte block.  DES/3DES have no native path (the paper's 3DES profile
+exists for fidelity, not speed) and keep their reference implementation.
 """
 
 from __future__ import annotations
@@ -56,14 +44,7 @@ except ImportError:  # pragma: no cover - container without cryptography
 
 
 class NativeAes:
-    """AES-128/192/256 over the platform's native crypto, if present.
-
-    With the OpenSSL backend the instance carries the whole-payload
-    methods the mode layer fast-paths on; without it the instance
-    borrows :class:`AesFast`'s word kernels, so it degrades to exactly
-    the ``fast`` engine (correct, just slower).  ``backend`` tells an
-    operator (and the benches) which one is live.
-    """
+    """AES-128/192/256 over OpenSSL; needs :data:`HAVE_NATIVE_BACKEND`."""
 
     block_size = 16
 
@@ -72,42 +53,25 @@ class NativeAes:
             raise CryptoError(
                 f"AES key must be 16, 24, or 32 bytes, got {len(key)}"
             )
-        if HAVE_NATIVE_BACKEND:
-            self.backend = "openssl"
-            self._algorithm = _algorithms.AES(key)
-            self._fallback = None
-        else:
-            self.backend = "fallback"
-            self._fallback = AesFast(key)
-            # Exposing the word kernels as instance attributes makes
-            # modes._has_word_kernel() true, engaging the batched
-            # pure-python path for whole payloads.
-            self.encrypt_words = self._fallback.encrypt_words
-            self.decrypt_words = self._fallback.decrypt_words
+        if not HAVE_NATIVE_BACKEND:
+            raise CryptoError("native AES needs the 'cryptography' package")
+        self._algorithm = _algorithms.AES(key)
 
-    # -- per-block interface (shared by all engines) ---------------------
+    # -- per-block interface (shared by every AES here) ------------------
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        if self._fallback is not None:
-            return self._fallback.encrypt_block(block)
         ctx = _Cipher(self._algorithm, _cmodes.ECB()).encryptor()
         return ctx.update(block) + ctx.finalize()
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        if self._fallback is not None:
-            return self._fallback.decrypt_block(block)
         ctx = _Cipher(self._algorithm, _cmodes.ECB()).decryptor()
         return ctx.update(block) + ctx.finalize()
 
-    # -- whole-payload interface (native backend only) -------------------
-    #
-    # Only defined meaningfully when the backend is live; the mode layer
-    # checks ``backend == "openssl"`` via modes._has_native_kernel before
-    # calling them.
+    # -- whole-payload interface (modes._has_native_kernel) ---------------
 
     def cbc_encrypt_payload(self, padded: bytes, iv: bytes) -> bytes:
         """CBC-encrypt an already-padded payload; returns body (no IV)."""
@@ -134,10 +98,10 @@ class NativeAes:
 
 
 def best_aes(key: bytes):
-    """The fastest AES available for *internal* keystreams.
+    """The platform's AES: OpenSSL when importable, the table kernels if not.
 
-    Used where the cipher choice is an implementation detail with a
-    stable wire format (the backup store's CTR keystream): all engines
-    produce identical bytes, so picking the fastest is free.
+    Every AES in this package produces identical bytes, so the choice
+    is free: chunk payloads (:func:`~repro.crypto.cipher.create_payload_cipher`)
+    and the backup store's CTR keystream both take whatever this returns.
     """
     return NativeAes(key) if HAVE_NATIVE_BACKEND else AesFast(key)

@@ -73,7 +73,6 @@ class VerifyingClient:
         self._cipher = create_payload_cipher(
             profile.cipher_name,
             secret_store.derive_key("tdb-chunk-encryption", 32),
-            kernel=profile.resolved_kernel,
         )
         self.db_uuid: Optional[bytes] = None  # trust-on-first-use identity
         self._verifier: Optional[HeadVerifier] = None

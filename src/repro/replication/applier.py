@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import hashlib
 import os
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.chunkstore import ChunkStore
 from repro.chunkstore.master import MASTER_FILES
@@ -46,7 +47,6 @@ from repro.config import (
     ObjectStoreConfig,
 )
 from repro.crypto import create_hash_engine
-from repro.crypto.pool import DigestPool
 from repro.db import Database
 from repro.errors import (
     ForkDetectedError,
@@ -265,7 +265,6 @@ class ReplicaApplier:
         object_config: Optional[ObjectStoreConfig] = None,
         collection_config: Optional[CollectionStoreConfig] = None,
         poll_interval: float = 0.2,
-        digest_workers: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.directory = os.path.abspath(directory)
@@ -288,9 +287,6 @@ class ReplicaApplier:
             max_delay=max(poll_interval * 16.0, 2.0),
             jitter=0.25,
         )
-        # Transport-digest verification of fetched/reused segments fans
-        # across worker processes when digest_workers > 1 (0 = per CPU).
-        self.digest_pool = DigestPool(max_workers=digest_workers)
         self.gate = TransactionGate()
         self.db: Optional[Database] = None
         self._host = host
@@ -443,10 +439,10 @@ class ReplicaApplier:
         candidate = MemoryUntrustedStore()
         reused = 0
         entries = manifest["segments"]
-        # Pass 1: assemble a local candidate per segment (a full local
-        # copy, or a local prefix grown by fetching only the tail delta)
-        # and digest all candidates in one batch across the pool.
-        locals_: Dict[int, bytes] = {}
+        # Pass 1: reuse a local candidate per segment (a full local copy,
+        # or a local prefix grown by fetching only the tail delta) whose
+        # digest matches the manifest.
+        chosen: Dict[int, bytes] = {}
         for position, entry in enumerate(entries):
             number, want = entry["number"], entry["file_bytes"]
             name = segment_file_name(number)
@@ -454,36 +450,20 @@ class ReplicaApplier:
                 continue
             have = min(self.untrusted.size(name), want)
             local = self.untrusted.read(name, 0, have) if have else b""
-            if len(local) == want:
-                locals_[position] = local
-            elif len(local) < want:
-                tail = self._fetch_range(number, len(local), want - len(local))
-                locals_[position] = local + tail
-        ordered = sorted(locals_)
-        local_digests = dict(
-            zip(
-                ordered,
-                self.digest_pool.sha256_many([locals_[i] for i in ordered]),
-            )
-        )
-        chosen: Dict[int, bytes] = {}
-        for position, digest in local_digests.items():
-            if digest == entries[position]["digest"]:
-                chosen[position] = locals_[position]
+            if len(local) < want:
+                local += self._fetch_range(number, len(local), want - len(local))
+            if hashlib.sha256(local).hexdigest() == entry["digest"]:
+                chosen[position] = local
                 reused += 1
-        # Pass 2: everything not reusable is fully fetched, then the
-        # fetched batch is digest-verified the same way.
-        fetched_positions = [i for i in range(len(entries)) if i not in chosen]
-        fetched: List[bytes] = [
-            self._fetch_range(entries[i]["number"], 0, entries[i]["file_bytes"])
-            for i in fetched_positions
-        ]
-        for position, data, digest in zip(
-            fetched_positions, fetched, self.digest_pool.sha256_many(fetched)
-        ):
-            if digest != entries[position]["digest"]:
+        # Pass 2: everything not reusable is fully fetched and verified
+        # the same way.
+        for position, entry in enumerate(entries):
+            if position in chosen:
+                continue
+            data = self._fetch_range(entry["number"], 0, entry["file_bytes"])
+            if hashlib.sha256(data).hexdigest() != entry["digest"]:
                 raise TamperDetectedError(
-                    f"segment {entries[position]['number']} bytes do not "
+                    f"segment {entry['number']} bytes do not "
                     "match the manifest digest after a full fetch"
                 )
             chosen[position] = data
@@ -809,7 +789,6 @@ class ReplicaApplier:
 
     def close(self) -> None:
         self.stop()
-        self.digest_pool.close()
         if self._server is not None:
             self._server.stop()
             self._server = None

@@ -20,6 +20,7 @@ released) and either anchors a fresh one or — when the subscriber's
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Any, Dict, Optional
 
@@ -96,7 +97,7 @@ class ReplicationShipper:
         return manifest
 
     def _build_manifest(self, anchor: ShipmentAnchor) -> Dict[str, Any]:
-        blobs = []
+        segments = []
         for info in anchor.segments:
             # Hashing happens outside the store lock: the range below
             # the recorded size is immutable (see module docstring).
@@ -105,19 +106,14 @@ class ReplicationShipper:
                 raise ReplicationError(
                     f"segment {info.number} shrank below its anchored size"
                 )
-            blobs.append(data)
-        # Whole-segment digests fan across the store's digest pool when
-        # it has workers; serial (and allocation-free) otherwise.
-        digests = self.store.digest_pool.sha256_many(blobs)
-        segments = [
-            {
-                "number": info.number,
-                "file_bytes": info.file_bytes,
-                "is_tail": info.is_tail,
-                "digest": digest,
-            }
-            for info, digest in zip(anchor.segments, digests)
-        ]
+            segments.append(
+                {
+                    "number": info.number,
+                    "file_bytes": info.file_bytes,
+                    "is_tail": info.is_tail,
+                    "digest": hashlib.sha256(data).hexdigest(),
+                }
+            )
         return {
             "up_to_date": False,
             "db_uuid": anchor.db_uuid.hex(),

@@ -45,6 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from itertools import islice
 from typing import Any, Callable, Dict, Optional
 
 __all__ = ["CommitResultCache"]
@@ -181,17 +182,20 @@ class CommitResultCache:
             return
         # Capacity pressure: oldest resolved entries go first; a pending
         # entry (a commit literally in flight) is only sacrificed when
-        # nothing resolved remains to evict.
+        # nothing resolved remains to evict.  The walk stops at the
+        # ``overflow``-th resolved entry, so a full cache costs only the
+        # pending entries in front of it, not a pass over every token.
         overflow = len(self._entries) - self.max_entries
-        resolved = [t for t, e in self._entries.items() if e.status != PENDING]
-        for token in resolved[:overflow]:
+        victims = []
+        for token, entry in self._entries.items():
+            if entry.status != PENDING:
+                victims.append(token)
+                if len(victims) == overflow:
+                    break
+        victims.extend(islice(self._entries, overflow - len(victims)))
+        for token in victims:
             del self._entries[token]
-            self.evicted_capacity += 1
-            overflow -= 1
-        if overflow > 0:
-            for token in list(self._entries)[:overflow]:
-                del self._entries[token]
-                self.evicted_capacity += 1
+        self.evicted_capacity += len(victims)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -30,7 +30,6 @@ from repro.testing.faults import (
     Fault,
     FaultSchedule,
     FaultyArchivalStore,
-    FaultyDigestPool,
     FaultyUntrustedStore,
     InjectedCrash,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Fault",
     "FaultSchedule",
     "FaultyArchivalStore",
-    "FaultyDigestPool",
     "FaultyUntrustedStore",
     "InjectedCrash",
     "ChaosProxy",

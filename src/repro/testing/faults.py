@@ -18,12 +18,7 @@ and repeatable:
   :class:`~repro.errors.TransientStoreError` ``times`` attempts in a
   row, then recovers — the schedule the resilient retry layer exists
   for),
-* :class:`FaultyArchivalStore` gives backup streams the same treatment,
-* :class:`FaultyDigestPool` injects dispatch-level failures into a
-  :class:`~repro.crypto.pool.DigestPool` — a worker-process crash
-  (:class:`BrokenProcessPool`) or a transient error — to prove the
-  pool's users (scrub above all) fall back to the serial path without
-  ever under-reporting damage.
+* :class:`FaultyArchivalStore` gives backup streams the same treatment.
 
 A fired crash raises :class:`InjectedCrash` — deliberately *not* a
 :class:`~repro.errors.TDBError`, so no library error handler can mistake
@@ -39,9 +34,6 @@ import io
 from dataclasses import dataclass, field
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
-from concurrent.futures.process import BrokenProcessPool
-
-from repro.crypto.pool import DigestPool
 from repro.errors import StoreError, TransientStoreError
 from repro.platform.archival import ArchivalStore
 from repro.platform.untrusted import MemoryUntrustedStore, UntrustedStore
@@ -52,7 +44,6 @@ __all__ = [
     "FaultSchedule",
     "FaultyUntrustedStore",
     "FaultyArchivalStore",
-    "FaultyDigestPool",
 ]
 
 
@@ -378,46 +369,6 @@ class FaultyUntrustedStore(UntrustedStore):
         length = min(length, size - offset)
         if length > 0:
             self.inner.write(name, offset, b"\x00" * length)
-
-
-class FaultyDigestPool(DigestPool):
-    """A :class:`DigestPool` whose first N dispatches fail.
-
-    ``crash_dispatches`` makes that many parallel dispatches raise
-    :class:`BrokenProcessPool` (the executor's worker-death signal);
-    ``transient_error`` substitutes a different exception type to model
-    infrastructure failures that are not worker deaths (pickling I/O,
-    resource exhaustion).  Either way the real executor is never
-    touched for a failed dispatch, so tests stay fast and
-    deterministic.  ``dispatch_attempts`` counts every parallel dispatch
-    the pool *tried*, fired or clean.
-    """
-
-    def __init__(
-        self,
-        max_workers: int = 2,
-        perf=None,
-        batch_size: int = 16,
-        crash_dispatches: int = 1,
-        transient_error: Optional[Exception] = None,
-    ) -> None:
-        super().__init__(
-            max_workers=max_workers, perf=perf, batch_size=batch_size
-        )
-        self.crash_dispatches = crash_dispatches
-        self.transient_error = transient_error
-        self.dispatch_attempts = 0
-
-    def _dispatch(self, fn, batches):
-        self.dispatch_attempts += 1
-        if self.dispatch_attempts <= self.crash_dispatches:
-            if self.transient_error is not None:
-                raise self.transient_error
-            raise BrokenProcessPool(
-                "injected worker crash "
-                f"(dispatch {self.dispatch_attempts}/{self.crash_dispatches})"
-            )
-        return super()._dispatch(fn, batches)
 
 
 class _FaultyStreamWriter(io.RawIOBase):

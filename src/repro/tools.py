@@ -83,7 +83,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.backupstore import BackupStore
@@ -878,32 +877,17 @@ def tenant_admin(args) -> int:
 
 
 def _config_from_args(args) -> Optional[ChunkStoreConfig]:
-    if (
-        args.segment_kb is None
-        and args.fanout is None
-        and args.secure is None
-        and args.engine is None
-        and args.digest_workers is None
-    ):
+    if args.segment_kb is None and args.fanout is None and args.secure is None:
         return None
     base = ChunkStoreConfig()
-    if args.secure is False:
-        security = SecurityProfile.insecure()
-    else:
-        security = SecurityProfile()
-    security = replace(
-        security,
-        kernel=args.engine if args.engine is not None else security.kernel,
-        pool_workers=(
-            args.digest_workers
-            if args.digest_workers is not None
-            else security.pool_workers
-        ),
-    )
     return ChunkStoreConfig(
         segment_size=(args.segment_kb or base.segment_size // 1024) * 1024,
         map_fanout=args.fanout or base.map_fanout,
-        security=security,
+        security=(
+            SecurityProfile.insecure()
+            if args.secure is False
+            else SecurityProfile()
+        ),
     )
 
 
@@ -986,12 +970,6 @@ def main(argv=None) -> int:
                          help="segment size in KB if non-default")
         cmd.add_argument("--fanout", type=int, default=None,
                          help="map fanout if non-default")
-        cmd.add_argument("--engine", default=None,
-                         choices=["auto", "native", "fast", "reference"],
-                         help="crypto engine behind the secure profile")
-        cmd.add_argument("--digest-workers", type=int, default=None,
-                         help="digest-pool worker processes "
-                              "(1 = serial, 0 = one per CPU)")
         secure_group = cmd.add_mutually_exclusive_group()
         secure_group.add_argument("--secure", dest="secure",
                                   action="store_true", default=None)

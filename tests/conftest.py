@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.crypto.cipher
 from repro.config import ChunkStoreConfig, ObjectStoreConfig, SecurityProfile
+from repro.crypto import Aes
 from repro.platform import (
     MemoryArchivalStore,
     MemoryOneWayCounter,
@@ -12,22 +14,19 @@ from repro.platform import (
     MemoryUntrustedStore,
 )
 
-#: Engines the engine-parametrized suites run under.  ``native`` is the
-#: production default; ``reference`` is the per-block oracle.  ``fast``
-#: is covered separately by the kernel suite, so the parametrized suites
-#: stay affordable.
-PARAMETRIZED_ENGINES = ("native", "reference")
+@pytest.fixture(params=("native", "reference"))
+def store_aes(request, monkeypatch):
+    """Run a store suite on the platform's AES, then on the oracle.
 
-
-@pytest.fixture(params=PARAMETRIZED_ENGINES)
-def crypto_engine(request, monkeypatch):
-    """Pin the engine the default ``kernel="auto"`` profiles resolve to.
-
-    ``SecurityProfile.resolved_kernel`` reads ``REPRO_CRYPTO_ENGINE`` at
-    store-construction time, so this works even for config objects baked
-    into module-level constants at import.
+    ``native`` leaves :func:`~repro.crypto.native.best_aes` in charge
+    (OpenSSL where importable, the table kernels otherwise);
+    ``reference`` hands every payload cipher built during the test the
+    per-block reference :class:`~repro.crypto.aes.Aes` instead.  Every
+    AES writes the same bytes, so images cached under one verify under
+    the other.
     """
-    monkeypatch.setenv("REPRO_CRYPTO_ENGINE", request.param)
+    if request.param == "reference":
+        monkeypatch.setattr(repro.crypto.cipher, "best_aes", Aes)
     return request.param
 
 

@@ -31,14 +31,7 @@ from repro.platform import (
 SECRET = b"0123456789abcdef0123456789abcdef"
 
 
-@pytest.fixture(autouse=True)
-def _engine(crypto_engine):
-    """Run this whole suite under each crypto engine (native, reference).
-
-    The profiles below keep the default ``kernel="auto"``, which resolves
-    through the ``REPRO_CRYPTO_ENGINE`` variable the ``crypto_engine``
-    fixture pins — so every store built here uses the active engine.
-    """
+pytestmark = pytest.mark.usefixtures("store_aes")
 
 
 def small_config(secure=True, **overrides):

@@ -125,6 +125,40 @@ class TestCommitResultCache:
         assert "inflight-1" in cache._entries      # pending spared
         assert cache.evicted_capacity == 1
 
+    def test_oldest_pending_goes_when_nothing_resolved_remains(self):
+        cache = CommitResultCache(max_entries=2, ttl=100.0, clock=FakeClock())
+        for token in ("p1", "p2", "p3", "p4"):
+            cache.begin(token)
+        assert list(cache._entries) == ["p2", "p3", "p4"]
+        assert cache.evicted_capacity == 1
+
+    def test_full_cache_eviction_cost_is_independent_of_size(self):
+        # Once full, every tokened commit evicts one entry.  That must
+        # cost the same in a cache holding 50k tokens as in one holding
+        # 64, not a pass over every token held.
+        def best_churn_seconds(max_entries: int) -> float:
+            cache = CommitResultCache(
+                max_entries=max_entries, ttl=1e9, clock=FakeClock()
+            )
+            outcome = {"status": "committed", "durable": True}
+            for i in range(max_entries):
+                cache.begin(f"fill-{i}")
+                cache.resolve(f"fill-{i}", outcome)
+            timings = []
+            for round_ in range(5):
+                started = time.perf_counter()
+                for i in range(2000):
+                    token = f"churn-{round_}-{i}"
+                    cache.begin(token)
+                    cache.resolve(token, outcome)
+                timings.append(time.perf_counter() - started)
+            assert len(cache) == max_entries
+            return min(timings)
+
+        small = best_churn_seconds(64)
+        large = best_churn_seconds(50_000)
+        assert large < 10 * small, (small, large)
+
 
 @contextlib.contextmanager
 def running_server(db=None, **server_kwargs):

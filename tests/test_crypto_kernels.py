@@ -5,9 +5,9 @@ whole-payload CBC/CTR kernels in :mod:`repro.crypto.modes` exist purely
 for speed; their contract is byte-identical output to the per-block
 reference path on every input.  This suite pins that contract three
 ways: FIPS-197 vectors, hypothesis fuzzing across keys/IVs/lengths
-(including every padding boundary), and an on-disk interoperability
-guard that formats a chunk store with one kernel profile and reopens it
-with the other.
+(including every padding boundary), and an on-disk oracle check that
+writes a chunk store with the platform's AES and decrypts every live
+payload under each AES implementation the platform has.
 """
 
 from __future__ import annotations
@@ -18,13 +18,17 @@ from hypothesis import given, settings, strategies as st
 from repro.chunkstore import ChunkStore
 from repro.config import ChunkStoreConfig, SecurityProfile
 from repro.crypto import (
+    HAVE_NATIVE_BACKEND,
     Aes,
     AesFast,
+    CbcPayloadCipher,
     NativeAes,
+    best_aes,
     create_hash_engine,
     create_payload_cipher,
     modes,
 )
+from repro.crypto import cipher as cipher_mod
 from repro.errors import ConfigError, CryptoError
 from repro.platform import (
     MemoryOneWayCounter,
@@ -169,22 +173,55 @@ class TestHashEngines:
 
 
 # ---------------------------------------------------------------------------
-# Profile-level interoperability (the on-disk guard)
+# The platform's AES against the oracle, on a real store image
 # ---------------------------------------------------------------------------
 
 
-def _config(kernel: str) -> ChunkStoreConfig:
-    return ChunkStoreConfig(
-        segment_size=8192,
-        initial_segments=2,
-        map_fanout=8,
-        security=SecurityProfile(kernel=kernel),
-    )
+AES_BY_NAME = {"native": NativeAes, "fast": AesFast, "reference": Aes}
+INTEROP_CONFIG = ChunkStoreConfig(segment_size=8192, initial_segments=2, map_fanout=8)
+
+
+def _aes_classes():
+    """Every AES implementation this platform can run."""
+    return [Aes, AesFast] + ([NativeAes] if HAVE_NATIVE_BACKEND else [])
+
+
+def _write_store():
+    """Format a small store, commit twelve chunks, close it."""
+    untrusted = MemoryUntrustedStore()
+    secret = MemorySecretStore(b"interop-secret-0123456789abcdef0")
+    counter = MemoryOneWayCounter()
+    store = ChunkStore.format(untrusted, secret, counter, INTEROP_CONFIG)
+    expected = {}
+    for i in range(12):
+        cid = store.allocate_chunk_id()
+        expected[cid] = bytes((i * 13 + j) % 256 for j in range(50 + 37 * i))
+    store.commit(expected, durable=True)
+    store.close()
+    return (untrusted, secret, counter), expected
 
 
 class TestKernelInterop:
+    def test_store_image_decrypts_under_every_aes(self):
+        """The store writes with the platform's AES; every AES reads it."""
+        assert isinstance(
+            best_aes(b"k" * 16), NativeAes if HAVE_NATIVE_BACKEND else AesFast
+        )
+        platform, expected = _write_store()
+        key = platform[1].derive_key("tdb-chunk-encryption", 32)[:16]
+        ciphers = [cls(key) for cls in _aes_classes()]
+        store = ChunkStore.open(*platform, INTEROP_CONFIG)
+        live = list(store.location_map.iterate())
+        assert sorted(cid for cid, _ in live) == sorted(expected)
+        for cid, locator in live:
+            raw = store.read_payload_raw(locator)
+            plaintexts = {modes.cbc_decrypt(cipher, raw) for cipher in ciphers}
+            assert plaintexts == {expected[cid]}
+        assert store.scrub().clean
+        store.close()
+
     @pytest.mark.parametrize(
-        "write_kernel,read_kernel",
+        "write_aes,read_aes",
         [
             ("fast", "reference"),
             ("reference", "fast"),
@@ -194,70 +231,39 @@ class TestKernelInterop:
             ("fast", "native"),
         ],
     )
-    def test_cross_kernel_store_images(self, write_kernel, read_kernel):
-        """A store written by one kernel opens clean under the other."""
-        untrusted = MemoryUntrustedStore()
-        secret = MemorySecretStore(b"interop-secret-0123456789abcdef0")
-        counter = MemoryOneWayCounter()
-        store = ChunkStore.format(
-            untrusted, secret, counter, _config(write_kernel)
-        )
-        expected = {}
-        for i in range(12):
-            cid = store.allocate_chunk_id()
-            expected[cid] = bytes((i * 13 + j) % 256 for j in range(50 + 37 * i))
-        store.commit(expected, durable=True)
-        store.close()
-
-        reopened = ChunkStore.open(
-            untrusted, secret, counter, _config(read_kernel)
-        )
+    def test_cross_kernel_store_images(self, write_aes, read_aes, monkeypatch):
+        """A store written with one AES opens clean under another."""
+        if "native" in (write_aes, read_aes) and not HAVE_NATIVE_BACKEND:
+            pytest.skip("needs OpenSSL AES")
+        monkeypatch.setattr(cipher_mod, "best_aes", AES_BY_NAME[write_aes])
+        platform, expected = _write_store()
+        monkeypatch.setattr(cipher_mod, "best_aes", AES_BY_NAME[read_aes])
+        reopened = ChunkStore.open(*platform, INTEROP_CONFIG)
         for cid, payload in expected.items():
             assert reopened.read(cid) == payload
         assert reopened.scrub().clean
         reopened.close()
 
     def test_cipher_factory_kernel_selection(self):
-        fast = create_payload_cipher("aes-128", b"k" * 16, kernel="fast")
-        ref = create_payload_cipher("aes-128", b"k" * 16, kernel="reference")
-        native = create_payload_cipher("aes-128", b"k" * 16, kernel="native")
-        assert isinstance(fast._cipher, AesFast)
-        assert isinstance(ref._cipher, Aes)
-        assert isinstance(native._cipher, NativeAes)
+        key = b"k" * 16
+        platform = create_payload_cipher("aes-128", key)
+        assert type(platform._cipher) is type(best_aes(key))
         data = b"payload" * 37
-        # Each profile decrypts the others' ciphertext.
-        assert ref.decrypt(fast.encrypt(data)) == data
-        assert fast.decrypt(ref.encrypt(data)) == data
-        assert ref.decrypt(native.encrypt(data)) == data
-        assert native.decrypt(fast.encrypt(data)) == data
+        # Every AES decrypts the platform's ciphertext and vice versa.
+        for cls in _aes_classes():
+            other = CbcPayloadCipher(cls(key), "aes-128")
+            assert other.decrypt(platform.encrypt(data)) == data
+            assert platform.decrypt(other.encrypt(data)) == data
 
-    def test_profile_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            SecurityProfile(kernel="turbo")
-        with pytest.raises(ValueError):
-            create_payload_cipher("aes-128", b"k" * 16, kernel="turbo")
+    def test_resolved_kernel_names_the_platform_aes(self):
+        expected = "native" if HAVE_NATIVE_BACKEND else "fast"
+        assert SecurityProfile().resolved_kernel == expected
 
     def test_profile_rejects_unknown_names_with_config_error(self):
         """Bad knobs fail at profile construction, naming the valid set."""
-        with pytest.raises(ConfigError, match="valid: auto, native"):
-            SecurityProfile(kernel="turbo")
         with pytest.raises(ConfigError, match="unknown cipher"):
             SecurityProfile(cipher_name="rot13")
         with pytest.raises(ConfigError, match="unknown hash"):
             SecurityProfile(hash_name="md5")
-        with pytest.raises(ConfigError, match="pool_workers"):
-            SecurityProfile(pool_workers=-1)
-        with pytest.raises(ConfigError, match="unknown crypto engine"):
-            create_payload_cipher("aes-128", b"k" * 16, kernel="turbo")
-
-    def test_auto_kernel_resolves_via_environment(self, monkeypatch):
-        profile = SecurityProfile()  # kernel="auto"
-        monkeypatch.delenv("REPRO_CRYPTO_ENGINE", raising=False)
-        assert profile.resolved_kernel == "native"
-        monkeypatch.setenv("REPRO_CRYPTO_ENGINE", "reference")
-        assert profile.resolved_kernel == "reference"
-        monkeypatch.setenv("REPRO_CRYPTO_ENGINE", "turbo")
-        with pytest.raises(ConfigError, match="REPRO_CRYPTO_ENGINE"):
-            profile.resolved_kernel
-        # An explicit kernel ignores the environment entirely.
-        assert SecurityProfile(kernel="fast").resolved_kernel == "fast"
+        with pytest.raises(ConfigError, match="valid: null, aes-128"):
+            create_payload_cipher("rot13", b"k" * 16)

@@ -157,11 +157,13 @@ class TestIncrementalScrub:
         assert report2.memo_skipped_chunks == len(writes)
 
     def test_memo_disabled_profile_always_scrubs_deep(self):
+        # Plain TDB (security disabled) has nothing to memoize, so the
+        # store carries no memo and deep=False walks every chunk.
         config = ChunkStoreConfig(
             segment_size=8192,
             initial_segments=2,
             map_fanout=8,
-            security=SecurityProfile(digest_memo=False),
+            security=SecurityProfile(enabled=False),
         )
         store, _ = _store(config)
         writes = _write_chunks(store)
@@ -221,11 +223,13 @@ class TestMemoSafetyBoundary:
         b = baseline()
         store = b.open_salvage(b.image)
         assert store.digest_memo is None
-        # deep=False degrades to a full verification walk.
+        # Without a memo, deep=False degrades to a full verification
+        # walk: every chunk verified, nothing skipped.
         report = store.scrub(deep=False)
         store.close()
         assert report.clean
         assert report.memo_skipped_chunks == 0
+        assert report.memo_skipped_nodes == 0
         assert report.verified_chunks == len(b.expected)
 
     def test_perf_counters_track_memo_traffic(self):

@@ -1,24 +1,23 @@
-"""Differential oracle suite: native == fast == reference, always.
+"""Differential oracle suite: platform AES == fast == reference, always.
 
-Three crypto engines coexist behind ``create_payload_cipher`` (native /
-fast / reference), and the system's interop story — a store written
-under any engine opens under any other — rests entirely on them being
-*byte-identical functions* of (key, IV, plaintext).  This suite fuzzes
-that equivalence directly at the primitive layer, where a divergence is
-cheapest to localize:
+The payload cipher runs on whatever AES the platform has
+(:func:`~repro.crypto.native.best_aes`: OpenSSL's when ``cryptography``
+is importable, the table kernels otherwise), and the promise that a
+store image does not depend on the platform rests entirely on every AES
+here being a *byte-identical function* of (key, IV, plaintext).  This
+suite fuzzes that equivalence directly at the primitive layer, where a
+divergence is cheapest to localize:
 
 * CBC and CTR, all AES key sizes, across empty / odd-length / padding-
-  boundary payloads, with every engine decrypting every other engine's
-  output;
-* a deterministic multi-megabyte payload (the whole-segment shape the
-  digest pool ships) for the two engines fast enough to run it;
+  boundary payloads, with every AES decrypting every other AES's output;
+* a deterministic multi-megabyte payload (a whole segment) for OpenSSL
+  against the table kernels;
 * the hash/MAC side: the from-scratch SHA-1 vs hashlib, the from-scratch
-  HMAC vs :mod:`hmac`, streamed ``digest_many`` vs one-shot digests, and
-  the digest pool's batched helpers vs their serial equivalents;
-* the ``NativeAes`` fallback (no ``cryptography`` importable), pinned to
-  the fast kernels it borrows.
+  HMAC vs :mod:`hmac`, streamed ``digest_many`` vs one-shot digests;
+* the platform without ``cryptography``: the table kernels, and no
+  native AES.
 
-The store-level reopen guard lives in ``test_crypto_kernels.py``; this
+The store-level oracle check lives in ``test_crypto_kernels.py``; this
 file is the microscope, that one is the end-to-end alarm.
 """
 
@@ -31,16 +30,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import (
+    CIPHER_KEY_SIZES,
+    HAVE_NATIVE_BACKEND,
     Aes,
     AesFast,
-    DigestPool,
+    CbcPayloadCipher,
     NativeAes,
+    best_aes,
     create_hash_engine,
     create_mac,
     create_payload_cipher,
     modes,
 )
 from repro.crypto import native as native_mod
+from repro.errors import CryptoError
 
 ALL_KEY_SIZES = (16, 24, 32)
 
@@ -59,7 +62,7 @@ payloads = st.one_of(
 
 
 def _engines(key: bytes):
-    return NativeAes(key), AesFast(key), Aes(key)
+    return best_aes(key), AesFast(key), Aes(key)
 
 
 class TestCipherDifferential:
@@ -100,9 +103,10 @@ class TestCipherDifferential:
     @pytest.mark.parametrize("cipher_name", ["aes-128", "aes-192", "aes-256"])
     def test_payload_cipher_cross_engine(self, cipher_name):
         key = bytes(range(32))
-        native = create_payload_cipher(cipher_name, key, kernel="native")
-        fast = create_payload_cipher(cipher_name, key, kernel="fast")
-        ref = create_payload_cipher(cipher_name, key, kernel="reference")
+        native = create_payload_cipher(cipher_name, key)
+        key = key[:CIPHER_KEY_SIZES[cipher_name]]
+        fast = CbcPayloadCipher(AesFast(key), cipher_name)
+        ref = CbcPayloadCipher(Aes(key), cipher_name)
         for n in (0, 1, 17, 333):
             data = bytes((7 * i + n) % 256 for i in range(n))
             # encrypt() draws a random IV, so equality is asserted via
@@ -113,11 +117,11 @@ class TestCipherDifferential:
             assert native.decrypt(fast.encrypt(data)) == data
             assert native.decrypt(ref.encrypt(data)) == data
 
+    @pytest.mark.skipif(not HAVE_NATIVE_BACKEND, reason="needs OpenSSL AES")
     def test_multi_megabyte_payload(self):
-        # The whole-segment shape shipped through the digest pool.  The
-        # reference engine is orders of magnitude too slow for this
-        # size; native vs fast still pins the batched kernels against an
-        # independent implementation.
+        # A whole segment.  The reference AES is orders of magnitude too
+        # slow for this size; OpenSSL vs the table kernels still pins the
+        # batched kernels against an independent implementation.
         key = b"\x5a" * 16
         iv = b"\xa5" * 16
         data = (b"\x00\x01\x02\x03" * 1024 + b"odd") * 512  # ~2 MiB, odd
@@ -128,22 +132,17 @@ class TestCipherDifferential:
         stream = modes.ctr_transform(native, data, b"nonce-equal!")
         assert stream == modes.ctr_transform(fast, data, b"nonce-equal!")
 
-    def test_native_fallback_borrows_fast_kernels(self, monkeypatch):
-        # Without the cryptography package, NativeAes must degrade to
-        # exactly the fast engine (word kernels engaged, same bytes).
+    def test_platform_aes_without_openssl_is_aesfast(self, monkeypatch):
+        # Without the cryptography package, best_aes hands out AesFast
+        # (word kernels engaged) and there is no native AES to build.
         monkeypatch.setattr(native_mod, "HAVE_NATIVE_BACKEND", False)
-        key, iv = b"fallback-key-16b", b"\x33" * 16
-        fallback = native_mod.NativeAes(key)
-        assert fallback.backend == "fallback"
-        assert modes._has_word_kernel(fallback)
-        assert not modes._has_native_kernel(fallback)
-        data = b"degraded but correct" * 99
-        assert modes.cbc_encrypt(fallback, data, iv) == modes.cbc_encrypt(
-            AesFast(key), data, iv
-        )
-        assert modes.ctr_transform(fallback, data, b"n") == modes.ctr_transform(
-            AesFast(key), data, b"n"
-        )
+        key = b"fallback-key-16b"
+        platform = native_mod.best_aes(key)
+        assert type(platform) is AesFast
+        assert modes._has_word_kernel(platform)
+        assert not modes._has_native_kernel(platform)
+        with pytest.raises(CryptoError, match="cryptography"):
+            NativeAes(key)
 
 
 class TestHashAndMacDifferential:
@@ -177,15 +176,3 @@ class TestHashAndMacDifferential:
             ours = create_mac(key, hash_name).tag(data)
             theirs = stdlib_hmac.new(key, data, mod).digest()
             assert ours == theirs
-
-    @given(blobs=st.lists(st.binary(max_size=2048), max_size=12))
-    @settings(max_examples=50, deadline=None)
-    def test_pool_serial_helpers_match_hashlib(self, blobs):
-        pool = DigestPool(max_workers=1)
-        assert pool.sha256_many(blobs) == [
-            hashlib.sha256(b).hexdigest() for b in blobs
-        ]
-        key = b"pool-mac-key"
-        assert pool.hmac_sha256_many(key, blobs) == [
-            stdlib_hmac.new(key, b, hashlib.sha256).digest() for b in blobs
-        ]

@@ -75,7 +75,6 @@ class ProofFixture:
         self.cipher = create_payload_cipher(
             profile.cipher_name,
             self.secret.derive_key("tdb-chunk-encryption", 32),
-            kernel=profile.resolved_kernel,
         )
         self.verifier = HeadVerifier(
             self.secret, self.store.db_uuid, self.engine.digest_size

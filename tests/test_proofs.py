@@ -74,7 +74,6 @@ def client_verify_kit(secret, config=None):
     cipher = create_payload_cipher(
         profile.cipher_name,
         secret.derive_key("tdb-chunk-encryption", 32),
-        kernel=profile.resolved_kernel,
     )
     return engine, cipher
 

@@ -52,16 +52,7 @@ CONFIG = ChunkStoreConfig(
 )
 
 
-@pytest.fixture(autouse=True)
-def _engine(crypto_engine):
-    """Run this whole suite under each crypto engine (native, reference).
-
-    ``CONFIG`` above keeps ``kernel="auto"``: it resolves via the
-    ``REPRO_CRYPTO_ENGINE`` variable at store-construction time, so even
-    this import-time constant honours the fixture's engine.  Baselines
-    cached across params get *verified* under both engines — the
-    identical-image invariant in action.
-    """
+pytestmark = pytest.mark.usefixtures("store_aes")
 
 
 def _payload(tag: int, seq: int, size: int) -> bytes:

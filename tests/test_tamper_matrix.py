@@ -32,14 +32,7 @@ from repro.testing import (
 OFFSETS_PER_REGION = 4
 
 
-@pytest.fixture(autouse=True)
-def _engine(crypto_engine):
-    """Sweep the tamper matrix under each crypto engine (native, reference).
-
-    The cached baseline image is recorded under whichever engine runs
-    first and re-verified under the other — engines must agree not just
-    on clean images but on every tamper verdict.
-    """
+pytestmark = pytest.mark.usefixtures("store_aes")
 
 
 @lru_cache(maxsize=None)
