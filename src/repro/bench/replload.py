@@ -241,6 +241,7 @@ def run_replication_scaling(
                     RemoteRecord({"n": i, "pad": "x" * _VALUE_PAD})
                 )
                 txn.bind_name(f"bench-{i}", oid)
+        primary_secret = db.chunk_store.secret_store.path
         db.close()
 
         primary_port = _free_port()
@@ -258,11 +259,9 @@ def run_replication_scaling(
             while len(replica_ports) < count:
                 index = len(replica_ports)
                 rdir = os.path.join(workdir, f"replica-{index}")
-                os.makedirs(rdir, exist_ok=True)
-                shutil.copy(
-                    os.path.join(pdir, "secret.key"),
-                    os.path.join(rdir, "secret.key"),
-                )
+                # A replica shares the primary's device secret.
+                _, replica_secret, _, _ = Database._file_parts(rdir, create=True)
+                shutil.copy(primary_secret, replica_secret.path)
                 rport = _free_port()
                 procs.append(
                     _spawn(["repro.tools", "replicate", rdir,

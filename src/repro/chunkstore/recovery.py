@@ -14,8 +14,8 @@ from the master's anchor, and classifies how the log ends:
 
 The store then applies the scanned commits *up to the last durable one*;
 everything after it — nondurable commits, a half-finished checkpoint — is
-discarded and physically truncated, which is exactly the paper's
-nondurable-commit guarantee (section 3.2.2).
+discarded (and physically truncated by a writable open), which is exactly
+the paper's nondurable-commit guarantee (section 3.2.2).
 """
 
 from __future__ import annotations

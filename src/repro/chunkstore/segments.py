@@ -6,8 +6,8 @@ tail cannot hold the next record, a LINK record is written and the log
 continues in the next segment — a recycled free slot when one exists,
 a brand new one otherwise (that is how the store "grows").  Crucially, a
 segment file's length always equals the number of log bytes written to
-it, so "end of file" is "end of log" — recovery truncates any discarded
-tail so the invariant survives crashes.
+it, so "end of file" is "end of log" — a writable recovery truncates any
+discarded tail so the invariant survives crashes.
 
 Accounting: each segment tracks *accountable* bytes (live payload bytes
 appended into it) and *dead* bytes (payload bytes since obsoleted).  The
@@ -139,14 +139,17 @@ class SegmentManager:
 
     def restore(
         self,
-        infos: List[SegmentInfo],
         tail_segment: int,
         tail_offset: int,
         next_segment_number: int,
         residual_segments: Set[int],
     ) -> None:
-        """Re-adopt segment state at recovery time."""
-        self.segments = {info.number: info for info in infos}
+        """Adopt the append cursor recovery found, in memory only.
+
+        The tail file may still hold the discarded log end; a writable
+        open cuts it back before its first append (scanning guarantees
+        ``tail_offset`` <= file size, so the cut only ever shrinks).
+        """
         if tail_segment not in self.segments:
             raise ChunkStoreError(f"tail segment {tail_segment} missing from table")
         for info in self.segments.values():
@@ -158,19 +161,6 @@ class SegmentManager:
         self.next_segment_number = next_segment_number
         self.residual_segments = set(residual_segments)
         self.residual_segments.add(tail_segment)
-        # Re-establish "file length == log bytes" for the tail: recovery
-        # may have discarded a torn or nondurable tail.  Only shrink —
-        # zero-extending would fabricate log bytes that were never
-        # written (and scanning guarantees tail_offset <= file size).
-        name = segment_file_name(tail_segment)
-        actual = self.untrusted.size(name)
-        if actual < tail_offset:
-            raise ChunkStoreError(
-                f"tail segment {tail_segment} is shorter ({actual}) than the "
-                f"recovered log end ({tail_offset})"
-            )
-        if actual > tail_offset:
-            self.untrusted.truncate(name, tail_offset)
         self.segments[tail_segment].file_bytes = tail_offset
 
     # -- appends ----------------------------------------------------------------

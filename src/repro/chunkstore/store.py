@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cache import SharedLruCache
@@ -314,15 +314,7 @@ class ChunkStore:
             if self.secure
             else b""
         )
-        self.codec = RecordCodec(self.hash_engine, self._record_mac, chain=genesis)
-        self.segments = SegmentManager(untrusted, self.codec, config.segment_size)
-        self.segments.sync_enabled = config.fsync
-        self.location_map = LocationMap(
-            node_io=self.node_io,
-            fanout=config.map_fanout,
-            hash_size=self.hash_size,
-            cache=self.cache,
-        )
+        self._build_log(genesis)
         self.segments.create_first_segment()
         if config.initial_segments > 1:
             self.segments.preallocate_free_slots(config.initial_segments - 1)
@@ -346,39 +338,22 @@ class ChunkStore:
     ) -> "ChunkStore":
         """Open an existing database, recovering from the residual log.
 
-        With ``read_only=True`` (replication: serving a verified shipped
-        image) the open performs the *same* full-trust recovery and
-        counter check as a writable open — a checkpoint-anchored image
-        replays nothing and touches no media — but afterwards every
-        mutating operation raises :class:`ReadOnlyStoreError` and
-        ``close()``/``scrub()`` write no checkpoint, so the image stays
-        byte-identical to what was verified.
+        A writable open is the only open that repairs the media: it cuts
+        the discarded log tail off the files and resyncs a counter that
+        a crash left one behind (:attr:`possible_lost_commit`).
+
+        With ``read_only=True`` (a replica serving a verified shipped
+        image; ``tools`` reading a primary's live directory) the open
+        runs the same replay and the same checks but writes nothing: the
+        recovered log end is kept in memory, the head log is only
+        loaded, and a counter one behind raises
+        :class:`TamperDetectedError` instead of being advanced.
+        Afterwards every mutating operation raises
+        :class:`ReadOnlyStoreError` and ``close()``/``scrub()`` write no
+        checkpoint, so the files stay byte-identical.
         """
-        config = config or ChunkStoreConfig()
-        self = cls._new(untrusted, secret_store, counter, config, cache)
-        master = self.master_io.load_latest()
-        self._validate_master_config(master)
-        self._db_uuid = master.db_uuid
-        self._generation = master.generation
-        self.codec = RecordCodec(
-            self.hash_engine, self._record_mac, chain=master.chain_anchor
-        )
-        self.segments = SegmentManager(untrusted, self.codec, config.segment_size)
-        self.segments.sync_enabled = config.fsync
-        self.location_map = LocationMap(
-            node_io=self.node_io,
-            fanout=config.map_fanout,
-            hash_size=self.hash_size,
-            cache=self.cache,
-            depth=master.depth,
-            root_locator=master.root,
-        )
-        self._replay(master)
-        # Replay/counter checks first: a stale whole-image replay must
-        # surface as ReplayDetectedError, not as a head-log anomaly.
-        self._attach_transparency(master, read_only)
-        self._read_only = read_only
-        return self
+        return cls._open(untrusted, secret_store, counter, config, cache,
+                         read_only=read_only, salvage=False)
 
     @classmethod
     def open_salvage(
@@ -391,11 +366,12 @@ class ChunkStore:
     ) -> "ChunkStore":
         """Open a possibly damaged database read-only, best effort.
 
-        Unlike :meth:`open`, salvage never mutates the media (no tail
-        truncation, no segment reconciliation, no counter resync) and
-        never raises for damage it can route around: a bad residual-log
-        record degrades to the chain-valid prefix, a counter mismatch is
-        recorded in :attr:`salvage_info` instead of raising.  Every chunk
+        Like a read-only :meth:`open`, salvage runs the one replay and
+        writes nothing.  Unlike it, salvage never raises for damage it
+        can route around: a bad residual-log record degrades to the
+        chain-valid prefix, a record the damaged map cannot absorb ends
+        the replay there, and a counter mismatch is recorded in
+        :attr:`salvage_info` instead of raising.  Every chunk
         whose Merkle path still verifies is readable; damaged ones keep
         raising on access and are enumerated by :meth:`scrub`.
 
@@ -404,31 +380,58 @@ class ChunkStore:
         from, and :class:`RecoveryError`/:class:`TamperDetectedError`
         propagates.
         """
+        return cls._open(untrusted, secret_store, counter, config, cache,
+                         read_only=False, salvage=True)
+
+    @classmethod
+    def _open(
+        cls,
+        untrusted: UntrustedStore,
+        secret_store: SecretStore,
+        counter: OneWayCounter,
+        config: Optional[ChunkStoreConfig],
+        cache: Optional[SharedLruCache],
+        read_only: bool,
+        salvage: bool,
+    ) -> "ChunkStore":
+        """The body :meth:`open` and :meth:`open_salvage` share."""
         config = config or ChunkStoreConfig()
         self = cls._new(untrusted, secret_store, counter, config, cache)
-        self._salvage = True
-        # Salvage trusts nothing it has not just re-verified: no memo,
-        # every scrub is a deep scrub.
-        self.digest_memo = None
+        self._read_only = read_only
+        self._salvage = salvage
+        if salvage:
+            # Salvage trusts nothing it has not just re-verified: no memo,
+            # every scrub is a deep scrub.
+            self.digest_memo = None
         master = self.master_io.load_latest()
         self._validate_master_config(master)
         self._db_uuid = master.db_uuid
         self._generation = master.generation
-        self.codec = RecordCodec(
-            self.hash_engine, self._record_mac, chain=master.chain_anchor
+        self._build_log(master.chain_anchor, master.depth, master.root)
+        self._replay(master)
+        if not salvage:
+            # Replay/counter checks first: a stale whole-image replay must
+            # surface as ReplayDetectedError, not as a head-log anomaly.
+            self._attach_transparency(master)
+        return self
+
+    def _build_log(
+        self, chain: bytes, depth: int = 1, root: Optional[Locator] = None
+    ) -> None:
+        """The record codec, segment manager and location map."""
+        self.codec = RecordCodec(self.hash_engine, self._record_mac, chain=chain)
+        self.segments = SegmentManager(
+            self.untrusted, self.codec, self.config.segment_size
         )
-        self.segments = SegmentManager(untrusted, self.codec, config.segment_size)
-        self.segments.sync_enabled = False
+        self.segments.sync_enabled = self.config.fsync
         self.location_map = LocationMap(
             node_io=self.node_io,
-            fanout=config.map_fanout,
+            fanout=self.config.map_fanout,
             hash_size=self.hash_size,
             cache=self.cache,
-            depth=master.depth,
-            root_locator=master.root,
+            depth=depth,
+            root_locator=root,
         )
-        self._replay_readonly(master)
-        return self
 
     def _validate_master_config(self, master: MasterRecord) -> None:
         if master.segment_size != self.config.segment_size:
@@ -451,7 +454,7 @@ class ChunkStore:
                 f"config {self.hash_size}"
             )
 
-    def _attach_transparency(self, master: MasterRecord, read_only: bool) -> None:
+    def _attach_transparency(self, master: MasterRecord) -> None:
         """Load, verify, and catch up the signed head log at open.
 
         The head is appended *after* the master reaches the media, so a
@@ -466,6 +469,7 @@ class ChunkStore:
         """
         if not self.secure:
             return
+        read_only = self._read_only
         if not TransparencyLog.exists(self.untrusted):
             if read_only:
                 return
@@ -494,18 +498,7 @@ class ChunkStore:
             # on the signed history the fallback is benign — drop the
             # orphaned newer heads and re-sign from here.
             anchor = log.entry_for_generation(master.generation)
-            expected_root = (
-                master.root.hash_value
-                if master.root is not None
-                else bytes(self.hash_size)
-            )
-            if (
-                anchor is None
-                or anchor.seqno != master.commit_seqno
-                or anchor.depth != master.depth
-                or anchor.root_digest != expected_root
-                or anchor.empty_root != (master.root is None)
-            ):
+            if anchor is None or not self._head_signs(anchor, master):
                 raise TamperDetectedError(
                     f"head log tip is generation {tip.generation} but the "
                     f"master record is generation {master.generation}: the "
@@ -514,17 +507,7 @@ class ChunkStore:
             log.truncate_to(anchor.index)
             return
         if tip is not None and tip.generation == master.generation:
-            expected_root = (
-                master.root.hash_value
-                if master.root is not None
-                else bytes(self.hash_size)
-            )
-            if (
-                tip.seqno != master.commit_seqno
-                or tip.depth != master.depth
-                or tip.root_digest != expected_root
-                or tip.empty_root != (master.root is None)
-            ):
+            if not self._head_signs(tip, master):
                 raise TamperDetectedError(
                     f"head log tip for generation {tip.generation} does "
                     "not match the master record it claims to sign"
@@ -533,6 +516,18 @@ class ChunkStore:
         # The log lags (crash between master write and head append, or
         # a torn head append): catch up from the authenticated master.
         self._append_head(master)
+
+    def _head_signs(self, head, master: MasterRecord) -> bool:
+        """Whether a signed head names exactly this master's tree."""
+        root = master.root
+        return (
+            head.seqno == master.commit_seqno
+            and head.depth == master.depth
+            and head.root_digest == (
+                root.hash_value if root is not None else bytes(self.hash_size)
+            )
+            and head.empty_root == (root is None)
+        )
 
     def _append_head(self, master: MasterRecord) -> None:
         self.transparency.append(
@@ -550,19 +545,20 @@ class ChunkStore:
     # ------------------------------------------------------------------
 
     def _replay(self, master: MasterRecord) -> None:
-        # Adopt the segment table as of the last checkpoint; files are
-        # reconciled against it after the residual log is applied.
+        """Recovery (paper section 3): one procedure for every open.
+
+        Adopts the master's segment table, applies the residual log up
+        to its last durable commit (everything after it is discarded,
+        which implements the nondurable-commit guarantee), and checks
+        the one-way counter.  Salvage scans tolerantly, stops instead of
+        raising at the first record it cannot apply, and records the
+        counter in :attr:`salvage_info` instead of checking it.  All of
+        this happens in memory; only a writable open then makes the
+        files match (:meth:`_repair_media`).
+        """
+        salvage = self._salvage
         self.segments.segments = {
-            info.number: SegmentInfo(
-                number=info.number,
-                accountable_bytes=info.accountable_bytes,
-                dead_bytes=info.dead_bytes,
-                overhead_bytes=info.overhead_bytes,
-                file_bytes=info.file_bytes,
-                is_tail=info.is_tail,
-                is_free=info.is_free,
-            )
-            for info in master.segments
+            info.number: replace(info) for info in master.segments
         }
         scan = scan_residual_log(
             self.untrusted,
@@ -570,82 +566,81 @@ class ChunkStore:
             master.anchor_segment,
             master.anchor_offset,
             self.hash_size,
+            tolerant=salvage,
         )
-        # Find the last durable commit: everything after it is discarded,
-        # which implements the nondurable-commit guarantee.
-        cutoff = -1
+        cutoff = 0
         for idx, record in enumerate(scan.records):
             if record.kind == RecordKind.COMMIT and record.body.durable:
-                cutoff = idx
-        applied = scan.records[:cutoff + 1]
+                cutoff = idx + 1
 
         self._seqno = master.commit_seqno
         self._counter_value = master.expected_counter
         self._next_cid = master.next_chunk_id
-        tail_segment = master.anchor_segment
-        tail_offset = master.anchor_offset
-        chain_at_cutoff = master.chain_anchor
-        residual = {master.anchor_segment}
+        applied = 0
+        apply_stop: Optional[str] = None
+        for record in scan.records[:cutoff]:
+            try:
+                self._apply_record(record)
+            except TDBError as exc:
+                if not salvage:
+                    raise
+                apply_stop = (
+                    f"record in segment {record.segment} at {record.offset} "
+                    f"not applicable: {type(exc).__name__}: {exc}"
+                )
+                break
+            applied += 1
+        kept, discarded = scan.records[:applied], scan.records[applied:]
 
-        for record in applied:
-            info = self.segments.segments.get(record.segment)
-            if record.kind == RecordKind.SEG_HEADER:
-                if info is None:
-                    info = SegmentInfo(number=record.segment)
-                    self.segments.segments[record.segment] = info
-                else:
-                    info.reset_for_reuse()
+        # Segments opened by discarded records: a recycled free slot is
+        # free again, a brand-new segment's file is an orphan.
+        orphans = []
+        for record in discarded:
+            if record.kind != RecordKind.SEG_HEADER:
+                continue
+            info = self.segments.segments.get(record.body.segment)
             if info is None:
-                raise RecoveryError(
-                    f"residual log touches unknown segment {record.segment}"
-                )
-            info.file_bytes = max(info.file_bytes, record.end_offset)
-            payload_bytes = 0
-            if record.kind == RecordKind.COMMIT:
-                payload_bytes = sum(len(item.payload) for item in record.body.writes)
-                self._apply_commit(record)
-                self._seqno = max(self._seqno, record.body.seqno)
-                self._counter_value = max(
-                    self._counter_value, record.body.expected_counter
-                )
-                self._next_cid = max(self._next_cid, record.body.next_chunk_id)
-            info.overhead_bytes += record.total_size - payload_bytes
-            residual.add(record.segment)
-            tail_segment = record.segment
-            tail_offset = record.end_offset
-            chain_at_cutoff = record.chain_after
+                orphans.append(record.body.segment)
+            elif not info.is_tail:
+                info.reset_for_reuse()
+                info.is_free = True
 
-        # Discard segments opened after the cutoff (their headers belong
-        # to records we are dropping).
-        applied_set = {id(record) for record in applied}
-        for record in scan.records[cutoff + 1:]:
-            if record.kind == RecordKind.SEG_HEADER:
-                number = record.body.segment
-                info = self.segments.segments.get(number)
-                name = segment_file_name(number)
-                if info is not None and not info.is_tail:
-                    # It was a recycled free slot before the crash.
-                    info.reset_for_reuse()
-                    info.is_free = True
-                    if self.untrusted.exists(name):
-                        self.untrusted.truncate(name, 0)
-                elif info is None and self.untrusted.exists(name):
-                    self.untrusted.delete(name)
-
-        self.codec.chain = chain_at_cutoff
-        next_number = max(
-            [master.next_segment_number]
-            + [number + 1 for number in self.segments.segments]
-        )
+        # The scan advanced the codec past the discarded records too; the
+        # next append chains from the last kept one.
+        tail_segment, tail_offset = master.anchor_segment, master.anchor_offset
+        self.codec.chain = master.chain_anchor
+        if kept:
+            tail_segment, tail_offset = kept[-1].segment, kept[-1].end_offset
+            self.codec.chain = kept[-1].chain_after
         self.segments.restore(
-            list(self.segments.segments.values()),
             tail_segment,
             tail_offset,
-            next_number,
-            residual,
+            max(
+                [master.next_segment_number]
+                + [number + 1 for number in self.segments.segments]
+            ),
+            {master.anchor_segment} | {record.segment for record in kept},
         )
         self._reconcile_segments()
+        if salvage:
+            self.salvage_info = SalvageInfo(
+                counter_expected=self._counter_value,
+                counter_actual=(
+                    self.counter.read() if self.secure else self._counter_value
+                ),
+                commits_applied=sum(
+                    1 for record in kept if record.kind == RecordKind.COMMIT
+                ),
+                commits_discarded=sum(
+                    1 for record in discarded if record.kind == RecordKind.COMMIT
+                ),
+                scan_stop_reason=scan.stop_reason,
+                apply_stop_reason=apply_stop,
+            )
+            return
         self._check_counter()
+        if not self._read_only:
+            self._repair_media(orphans)
 
     def _digest_payload(self, data: bytes) -> bytes:
         """Content digest of a chunk or map-node payload.
@@ -658,8 +653,29 @@ class ChunkStore:
         self.perf.incr("payload_digests")
         return self.hash_engine.digest(data)
 
-    def _apply_commit(self, record) -> None:
+    def _apply_record(self, record) -> None:
+        """Fold one residual-log record into the segment table and map."""
+        info = self.segments.segments.get(record.segment)
+        if record.kind == RecordKind.SEG_HEADER:
+            if info is None:
+                info = SegmentInfo(number=record.segment)
+                self.segments.segments[record.segment] = info
+            else:
+                info.reset_for_reuse()
+        if info is None:
+            raise RecoveryError(
+                f"residual log touches unknown segment {record.segment}"
+            )
+        payload_bytes = 0
+        if record.kind == RecordKind.COMMIT:
+            payload_bytes = self._apply_commit(record)
+        info.file_bytes = max(info.file_bytes, record.end_offset)
+        info.overhead_bytes += record.total_size - payload_bytes
+
+    def _apply_commit(self, record) -> int:
+        """Redo one commit record; return its payload byte count."""
         body: CommitBody = record.body
+        info = self.segments.segments[record.segment]
         for item, rel_offset in zip(body.writes, body.payload_offsets):
             locator = Locator(
                 segment=record.segment,
@@ -669,7 +685,6 @@ class ChunkStore:
                     self._digest_payload(item.payload) if self.secure else b""
                 ),
             )
-            info = self.segments.segments[record.segment]
             info.accountable_bytes += len(item.payload)
             old = self.location_map.set(item.chunk_id, locator)
             if old is not None:
@@ -684,138 +699,21 @@ class ChunkStore:
                 self.segments.mark_dead(old.segment, old.length)
             if self.digest_memo is not None:
                 self.digest_memo.invalidate_chunk(chunk_id)
-
-    def _replay_readonly(self, master: MasterRecord) -> None:
-        """Salvage-mode replay: best-effort, never touches the media.
-
-        Applies the chain-valid residual-log prefix up to the last
-        durable commit, stopping (not raising) at the first record the
-        damaged map cannot absorb, and records every anomaly — including
-        one-way-counter skew — in :attr:`salvage_info`.
-        """
-        self.segments.segments = {
-            info.number: SegmentInfo(
-                number=info.number,
-                accountable_bytes=info.accountable_bytes,
-                dead_bytes=info.dead_bytes,
-                overhead_bytes=info.overhead_bytes,
-                file_bytes=info.file_bytes,
-                is_tail=info.is_tail,
-                is_free=info.is_free,
-            )
-            for info in master.segments
-        }
-        scan = scan_residual_log(
-            self.untrusted,
-            self.codec,
-            master.anchor_segment,
-            master.anchor_offset,
-            self.hash_size,
-            tolerant=True,
-        )
-        cutoff = -1
-        for idx, record in enumerate(scan.records):
-            if record.kind == RecordKind.COMMIT and record.body.durable:
-                cutoff = idx
-        applied = scan.records[:cutoff + 1]
-
-        self._seqno = master.commit_seqno
-        self._counter_value = master.expected_counter
-        self._next_cid = master.next_chunk_id
-        tail_segment = master.anchor_segment
-        tail_offset = master.anchor_offset
-        residual = {master.anchor_segment}
-        commits_applied = 0
-        apply_stop: Optional[str] = None
-
-        for position, record in enumerate(applied):
-            info = self.segments.segments.get(record.segment)
-            if record.kind == RecordKind.SEG_HEADER:
-                if info is None:
-                    info = SegmentInfo(number=record.segment)
-                    self.segments.segments[record.segment] = info
-                else:
-                    info.reset_for_reuse()
-            if info is None:
-                apply_stop = (
-                    f"residual log touches unknown segment {record.segment}"
-                )
-                break
-            if record.kind == RecordKind.COMMIT:
-                try:
-                    self._apply_commit_readonly(record)
-                except TDBError as exc:
-                    apply_stop = (
-                        f"commit seqno {record.body.seqno} not applicable: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    break
-                commits_applied += 1
-                self._seqno = max(self._seqno, record.body.seqno)
-                self._counter_value = max(
-                    self._counter_value, record.body.expected_counter
-                )
-                self._next_cid = max(self._next_cid, record.body.next_chunk_id)
-            info.file_bytes = max(info.file_bytes, record.end_offset)
-            residual.add(record.segment)
-            tail_segment = record.segment
-            tail_offset = record.end_offset
-
-        commits_discarded = sum(
-            1
-            for record in scan.records
-            if record.kind == RecordKind.COMMIT
-        ) - commits_applied
-
-        # Adopt the recovered cursor without segments.restore(): restore
-        # truncates the discarded tail, and salvage must not write.
-        for info in self.segments.segments.values():
-            info.is_tail = info.number == tail_segment
-            if info.is_tail:
-                info.is_free = False
-        self.segments.tail_segment = tail_segment
-        self.segments.tail_offset = tail_offset
-        self.segments.next_segment_number = max(
-            [master.next_segment_number]
-            + [number + 1 for number in self.segments.segments]
-        )
-        self.segments.residual_segments = residual
-
-        actual = self.counter.read() if self.secure else self._counter_value
-        self.salvage_info = SalvageInfo(
-            counter_expected=self._counter_value,
-            counter_actual=actual,
-            commits_applied=commits_applied,
-            commits_discarded=commits_discarded,
-            scan_stop_reason=scan.stop_reason,
-            apply_stop_reason=apply_stop,
-        )
-
-    def _apply_commit_readonly(self, record) -> None:
-        """Map-only commit application for salvage (no space accounting)."""
-        body: CommitBody = record.body
-        for item, rel_offset in zip(body.writes, body.payload_offsets):
-            locator = Locator(
-                segment=record.segment,
-                offset=record.offset + rel_offset,
-                length=len(item.payload),
-                hash_value=(
-                    self._digest_payload(item.payload) if self.secure else b""
-                ),
-            )
-            self.location_map.set(item.chunk_id, locator)
-        for chunk_id in body.deallocs:
-            self.location_map.remove(chunk_id)
+        self._seqno = max(self._seqno, body.seqno)
+        self._counter_value = max(self._counter_value, body.expected_counter)
+        self._next_cid = max(self._next_cid, body.next_chunk_id)
+        return sum(len(item.payload) for item in body.writes)
 
     def _reconcile_segments(self) -> None:
         """Compare the segment table against the actual files.
 
         A segment the cleaner freed after the last checkpoint has a
         truncated (or missing) file but zero live bytes after replay —
-        convert it to a free slot.  A short file with live bytes means
-        the attacker destroyed data: tamper detected.
+        it becomes a free slot.  A short file with live bytes means the
+        attacker destroyed data: tamper detected (salvage leaves it to
+        scrub, which names the chunks that are gone).
         """
-        for info in list(self.segments.segments.values()):
+        for info in self.segments.segments.values():
             if info.is_tail or info.is_free:
                 continue
             name = segment_file_name(info.number)
@@ -825,11 +723,7 @@ class ChunkStore:
             if info.live_bytes == 0:
                 info.reset_for_reuse()
                 info.is_free = True
-                if actual > 0:
-                    self.untrusted.truncate(name, 0)
-                elif actual < 0:
-                    self.untrusted.write(name, 0, b"")
-            else:
+            elif not self._salvage:
                 raise TamperDetectedError(
                     f"segment {info.number} is truncated or missing "
                     f"({actual} bytes on disk, {info.file_bytes} recorded) "
@@ -845,6 +739,13 @@ class ChunkStore:
         if actual == expected:
             return
         if actual == expected - 1:
+            if self._read_only:
+                raise TamperDetectedError(
+                    f"one-way counter is at {actual} but the newest durable "
+                    f"commit expects {expected}; after a crash between that "
+                    "commit's sync and its counter advance only a writable "
+                    "open may resync the counter"
+                )
             # The crash hit between the commit record reaching the log and
             # the counter bump; resync the counter.  The commit itself had
             # not reported success, so no acknowledged state is lost.
@@ -860,6 +761,29 @@ class ChunkStore:
             f"one-way counter regressed ({actual} < {expected - 1}); "
             "the platform counter was tampered with"
         )
+
+    def _repair_media(self, orphans: List[int]) -> None:
+        """Make the files match the recovered state (writable opens only).
+
+        Deletes segment files that only discarded records created,
+        empties every free slot, and cuts the tail back to the recovered
+        log end, which restores "file length == log bytes" for the next
+        append.
+        """
+        for number in orphans:
+            name = segment_file_name(number)
+            if self.untrusted.exists(name):
+                self.untrusted.delete(name)
+        for info in self.segments.segments.values():
+            name = segment_file_name(info.number)
+            if info.is_tail:
+                if self.untrusted.size(name) > info.file_bytes:
+                    self.untrusted.truncate(name, info.file_bytes)
+            elif info.is_free:
+                if not self.untrusted.exists(name):
+                    self.untrusted.write(name, 0, b"")
+                elif self.untrusted.size(name) > 0:
+                    self.untrusted.truncate(name, 0)
 
     # ------------------------------------------------------------------
     # Chunk operations (Figure 2 interface)

@@ -166,7 +166,7 @@ class Database:
         registry: Optional[ClassRegistry] = None,
     ) -> "Database":
         """Create a new file-backed database under ``directory``."""
-        parts = cls._file_parts(directory, create_secret=True)
+        parts = cls._file_parts(directory, create=True)
         return cls._assemble(
             *parts,
             chunk_config or ChunkStoreConfig(),
@@ -194,7 +194,7 @@ class Database:
         :meth:`scrub`; anomalies (counter skew, discarded log suffix)
         are reported in :attr:`salvage_info` instead of raising.
         """
-        parts = cls._file_parts(directory, create_secret=False)
+        parts = cls._file_parts(directory)
         return cls._assemble(
             *parts,
             chunk_config or ChunkStoreConfig(),
@@ -228,14 +228,27 @@ class Database:
         )
 
     @staticmethod
-    def _file_parts(directory: str, create_secret: bool):
+    def _file_parts(
+        directory: str,
+        create: bool = False,
+        counter: Optional[OneWayCounter] = None,
+    ):
+        """``(untrusted, secret, counter, archival)`` of a database directory.
+
+        The one place that knows the file layout (module docstring).
+        Only ``create`` makes the directory and a fresh secret: without
+        it a directory lacking ``secret.key`` raises before any other
+        part, each of which would create its file or subdirectory, is
+        built.  ``counter`` stands in for the counter file (a replica
+        mirrors the primary's counter instead of keeping its own).
+        """
         directory = os.path.abspath(directory)
-        os.makedirs(directory, exist_ok=True)
+        if create:
+            os.makedirs(directory, exist_ok=True)
+        secret = FileSecretStore(os.path.join(directory, "secret.key"), create=create)
         untrusted = FileUntrustedStore(os.path.join(directory, "data"))
-        secret = FileSecretStore(
-            os.path.join(directory, "secret.key"), create=create_secret
-        )
-        counter = FileOneWayCounter(os.path.join(directory, "counter"))
+        if counter is None:
+            counter = FileOneWayCounter(os.path.join(directory, "counter"))
         archival = FileArchivalStore(os.path.join(directory, "archive"))
         return untrusted, secret, counter, archival
 

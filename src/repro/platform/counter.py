@@ -64,12 +64,14 @@ class MirrorOneWayCounter(OneWayCounter):
     store, so the counter value authenticated inside that image is the
     *primary's* — the replica has no hardware of its own to consult.  The
     applier pins this mirror to the counter value the primary asserted
-    for the shipped generation; opening the image then demands exact
-    equality.  In particular the chunk store's lost-commit tolerance
-    (actual == expected - 1 re-advances the counter) is unavailable:
-    :meth:`increment` raises, turning a truncate-one-commit +
-    rewind-the-asserted-counter shipment into a detected tamper instead
-    of a silently accepted rollback.
+    for the shipped generation and opens the image read-only, which
+    demands exact equality: a read-only open never uses the chunk
+    store's lost-commit tolerance (actual == expected - 1 re-advances
+    the counter) and raises :class:`TamperDetectedError` instead, so a
+    truncate-one-commit + rewind-the-asserted-counter shipment is a
+    detected tamper, not a silently accepted rollback.  :meth:`increment`
+    raises the same error, so even a writable open of a mirrored image
+    cannot resync it.
     """
 
     def __init__(self, value: int) -> None:

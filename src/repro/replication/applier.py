@@ -13,13 +13,12 @@ durable directory:
    its manifest (a lying manifest only changes *which* bytes get fetched
    — the cryptographic checks below still decide whether they are
    trusted).
-3. **`ChunkStore.open`** of the candidate under the shared device secret
-   with a :class:`~repro.platform.MirrorOneWayCounter` pinned to the
-   manifest's counter value: master MAC, residual-log hash chain, and
-   *strict* counter equality.  The mirror's refusal to increment turns
-   the store's lost-commit tolerance into a rejection — truncating the
-   newest commit and rewinding the asserted counter by one does not fly
-   on a replica.
+3. **`ChunkStore.open(read_only=True)`** of the candidate under the
+   shared device secret with a :class:`~repro.platform.MirrorOneWayCounter`
+   pinned to the manifest's counter value: master MAC, residual-log hash
+   chain, and *strict* counter equality.  A read-only open has no
+   lost-commit tolerance — truncating the newest commit and rewinding
+   the asserted counter by one does not fly on a replica.
 4. **Deep Merkle scrub**: open() walks structure; only the deep scrub
    re-hashes every payload against the authenticated tree, catching
    corrupt sealed-segment bytes the open never touched.
@@ -56,10 +55,7 @@ from repro.errors import (
     TDBError,
 )
 from repro.platform import (
-    FileArchivalStore,
     FileOneWayCounter,
-    FileSecretStore,
-    FileUntrustedStore,
     MemoryOneWayCounter,
     MemoryUntrustedStore,
     MirrorOneWayCounter,
@@ -145,15 +141,10 @@ def open_replica_database(
     The replica has no counter hardware; ``counter_value`` is the value
     the applier verified for the installed image (from the sidecar).
     """
-    directory = os.path.abspath(directory)
-    untrusted = FileUntrustedStore(os.path.join(directory, "data"))
-    secret = FileSecretStore(os.path.join(directory, "secret.key"), create=False)
-    archival = FileArchivalStore(os.path.join(directory, "archive"))
     return Database._assemble(
-        untrusted,
-        secret,
-        MirrorOneWayCounter(counter_value),
-        archival,
+        *Database._file_parts(
+            directory, counter=MirrorOneWayCounter(counter_value)
+        ),
         chunk_config or ChunkStoreConfig(),
         object_config or ObjectStoreConfig(),
         collection_config or CollectionStoreConfig(),
@@ -185,13 +176,11 @@ def seed_replica(
     """
     from repro.backupstore import BackupStore
 
-    directory = os.path.abspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    secret = FileSecretStore(os.path.join(directory, "secret.key"), create=False)
+    untrusted, secret, counter, own_archive = Database._file_parts(
+        directory, counter=MemoryOneWayCounter()
+    )
     if archival is None:
-        archival = FileArchivalStore(os.path.join(directory, "archive"))
-    untrusted = FileUntrustedStore(os.path.join(directory, "data"))
-    counter = MemoryOneWayCounter()
+        archival = own_archive
     store = BackupStore(archival, secret).restore(
         list(backup_names), untrusted, secret, counter, chunk_config
     )
@@ -226,15 +215,13 @@ def promote_replica(
     replica state untouched (the counter file, being one-way, may only
     have moved forward).
     """
-    directory = os.path.abspath(directory)
-    secret = FileSecretStore(os.path.join(directory, "secret.key"), create=False)
+    _, secret, counter, _ = Database._file_parts(directory)
     state = load_state(directory, secret)
     if state is None:
         raise ReplicationError(
-            "nothing to promote: no verified replica state in "
-            f"{directory}"
+            f"nothing to promote: no verified replica state in {directory}"
         )
-    FileOneWayCounter.initialize(os.path.join(directory, "counter"), state.counter)
+    FileOneWayCounter.initialize(counter.path, state.counter)
     db = Database.open_existing(
         directory,
         chunk_config,
@@ -268,11 +255,9 @@ class ReplicaApplier:
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.directory = os.path.abspath(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self.secret_store = FileSecretStore(
-            os.path.join(self.directory, "secret.key"), create=False
+        self.untrusted, self.secret_store, _, _ = Database._file_parts(
+            self.directory
         )
-        self.untrusted = FileUntrustedStore(os.path.join(self.directory, "data"))
         self.chunk_config = chunk_config or ChunkStoreConfig()
         self.object_config = object_config or ObjectStoreConfig()
         self.collection_config = collection_config or CollectionStoreConfig()

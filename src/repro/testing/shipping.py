@@ -380,13 +380,10 @@ class ShipmentTamperMatrix:
 
     def _classify_accept(self, directory: str) -> ShipmentCaseResult:
         """A shipment was installed: identical to the primary, or corrupt?"""
-        from repro.platform import FileSecretStore
+        from repro.db import Database
         from repro.replication import load_state, open_replica_database
-        import os
 
-        secret = FileSecretStore(
-            os.path.join(directory, "secret.key"), create=False
-        )
+        _, secret, _, _ = Database._file_parts(directory)
         state = load_state(directory, secret)
         primary_master = self.server.db.chunk_store.master_io.load_latest()
         db = open_replica_database(directory, state.counter, self.chunk_config)

@@ -73,9 +73,12 @@ Usage::
     python -m repro.tools audit   /path/to/dbdir [--primary H:P]
 
 ``inspect``, ``verify``, ``scrub --salvage``, ``salvage-export``,
-``replicate``, ``stats``, ``heads`` and ``audit`` are read-only on
-their database; ``repair`` rewrites the untrusted store and
-``promote`` rewrites the replica's control files.
+``stats``, ``heads`` and ``audit`` open their database read-only and
+write nothing to it, so they are safe to run against a served
+primary's live directory.  ``scrub`` without ``--salvage`` recovers
+and checkpoints like a writable open, ``repair`` rewrites the untrusted
+store, ``replicate`` maintains the replica image and ``promote``
+rewrites the replica's control files.
 """
 
 from __future__ import annotations
@@ -90,19 +93,14 @@ from repro.chunkstore import ChunkStore
 from repro.collectionstore.collection import Collection
 from repro.collectionstore.store import register_collection_classes
 from repro.config import ChunkStoreConfig, SecurityProfile
+from repro.db import Database
 from repro.errors import TDBError
 from repro.objectstore import ClassRegistry, ObjectStore
-from repro.platform import (
-    FileArchivalStore,
-    FileOneWayCounter,
-    FileSecretStore,
-    FileUntrustedStore,
-)
+from repro.platform import FileArchivalStore
 from repro.repair import RepairEngine
 
 __all__ = [
     "main",
-    "open_readonly_stack",
     "verify_database",
     "serve_database",
     "serve_sharded_database",
@@ -114,23 +112,30 @@ __all__ = [
 ]
 
 
-def _platform_parts(directory: str):
-    untrusted = FileUntrustedStore(os.path.join(directory, "data"))
-    secret = FileSecretStore(os.path.join(directory, "secret.key"))
-    counter = FileOneWayCounter(os.path.join(directory, "counter"))
-    archival = FileArchivalStore(os.path.join(directory, "archive"))
-    return untrusted, secret, counter, archival
+def _open_store(
+    directory: str, config: Optional[ChunkStoreConfig], mode: str = "read-only"
+):
+    """``(chunk store, archival store)`` of a database directory.
 
-
-def open_readonly_stack(directory: str, config: Optional[ChunkStoreConfig] = None):
-    """Open the chunk store of a database directory (validating open)."""
-    untrusted, secret, counter, archival = _platform_parts(directory)
-    chunk_store = ChunkStore.open(untrusted, secret, counter, config)
-    return chunk_store, archival, secret
+    ``mode`` picks the open.  ``"read-only"`` (the default) makes no
+    media writes at all: no log truncation, no counter resync, no
+    checkpoint or signed head on close, so it is safe against a
+    primary's live directory.  ``"salvage"`` is just as read-only and
+    also tolerates damage.  ``"writable"`` recovers and repairs the
+    media, which ``scrub`` without ``--salvage`` intends.
+    """
+    untrusted, secret, counter, archival = Database._file_parts(directory)
+    if mode == "salvage":
+        store = ChunkStore.open_salvage(untrusted, secret, counter, config)
+    else:
+        store = ChunkStore.open(
+            untrusted, secret, counter, config, read_only=mode == "read-only"
+        )
+    return store, archival
 
 
 def inspect_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
-    chunk_store, archival, secret = open_readonly_stack(directory, config)
+    chunk_store, archival = _open_store(directory, config)
     stats = chunk_store.stats()
     print(f"database: {directory}")
     print(f"  security        : {'on' if chunk_store.secure else 'off'}")
@@ -147,8 +152,6 @@ def inspect_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     if log is not None and log.tip() is not None:
         print(f"  signed head     : {log.tip().describe()} "
               f"({len(log)} in log, scheme {log.scheme})")
-    if stats.possible_lost_commit:
-        print("  NOTE: last session may have lost its final in-flight commit")
 
     # Named objects via the object-store catalog, if present.
     registry = ClassRegistry()
@@ -179,7 +182,7 @@ def inspect_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
 
     streams = archival.list_streams()
     print(f"  backups         : {len(streams)}")
-    backups = BackupStore(archival, secret)
+    backups = BackupStore(archival, chunk_store.secret_store)
     for name in streams:
         try:
             info = backups.inspect(name)
@@ -198,7 +201,7 @@ def verify_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     """Audit every chunk and backup; return a process exit code."""
     failures = 0
     try:
-        chunk_store, archival, secret = open_readonly_stack(directory, config)
+        chunk_store, archival = _open_store(directory, config)
     except TDBError as exc:
         print(f"FAIL open: {type(exc).__name__}: {exc}")
         return 1
@@ -215,7 +218,7 @@ def verify_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
             print(f"FAIL chunk {chunk_id}: {type(exc).__name__}: {exc}")
     print(f"chunks: {checked}/{len(chunk_ids)} validated")
 
-    backups = BackupStore(archival, secret)
+    backups = BackupStore(archival, chunk_store.secret_store)
     streams = archival.list_streams()
     valid_streams = 0
     for name in streams:
@@ -261,9 +264,7 @@ def scrub_database(
     reflects it so scripted health checks cannot mistake a rolled-back
     or truncated store for a healthy one.
     """
-    untrusted, secret, counter, _ = _platform_parts(directory)
-    opener = ChunkStore.open_salvage if salvage else ChunkStore.open
-    store = opener(untrusted, secret, counter, config)
+    store, _ = _open_store(directory, config, "salvage" if salvage else "writable")
     info = store.salvage_info
     degraded = info is not None and info.degraded
     if degraded:
@@ -299,7 +300,7 @@ def _chain_names(backups: BackupStore, archival: FileArchivalStore) -> List[str]
 
 def repair_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     """Heal the store from its archive's backup chain."""
-    untrusted, secret, counter, archival = _platform_parts(directory)
+    untrusted, secret, counter, archival = Database._file_parts(directory)
     backups = BackupStore(archival, secret)
     names = _chain_names(backups, archival)
     if not names:
@@ -328,8 +329,7 @@ def salvage_export(
     directory: str, out_dir: str, config: Optional[ChunkStoreConfig]
 ) -> int:
     """Dump every surviving chunk of a damaged store to ``out_dir``."""
-    untrusted, secret, counter, _ = _platform_parts(directory)
-    store = ChunkStore.open_salvage(untrusted, secret, counter, config)
+    store, _ = _open_store(directory, config, "salvage")
     report, payloads = store.export_surviving()
     os.makedirs(out_dir, exist_ok=True)
     manifest_lines = []
@@ -379,7 +379,6 @@ def serve_database(
     """
     import threading
 
-    from repro.db import Database
     from repro.server import BackpressureConfig, TdbServer
 
     db = None
@@ -641,23 +640,9 @@ def promote_database(
     return 0
 
 
-def _open_store_readonly(directory: str, config: Optional[ChunkStoreConfig]):
-    """Open just the chunk store of a database directory, read-only.
-
-    Unlike :func:`open_readonly_stack` this passes ``read_only=True``,
-    so the open performs no media writes at all — in particular it does
-    not create or catch up the head log, which keeps ``stats``,
-    ``heads`` and ``audit`` safe to run against a primary's live
-    directory.
-    """
-    untrusted, secret, counter, _ = _platform_parts(directory)
-    store = ChunkStore.open(untrusted, secret, counter, config, read_only=True)
-    return store, secret
-
-
 def stats_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     """Print store statistics and the current signed commit head."""
-    store, _ = _open_store_readonly(directory, config)
+    store, _ = _open_store(directory, config)
     stats = store.stats()
     print(f"database: {directory}")
     print(f"  security        : {'on' if store.secure else 'off'}")
@@ -685,7 +670,7 @@ def stats_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
 
 def heads_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     """List every signed head in the transparency log, oldest first."""
-    store, _ = _open_store_readonly(directory, config)
+    store, _ = _open_store(directory, config)
     try:
         log = getattr(store, "transparency", None)
         if log is None:
@@ -714,7 +699,7 @@ def audit_database(
     """
     failures = 0
     try:
-        store, secret = _open_store_readonly(directory, config)
+        store, _ = _open_store(directory, config)
     except TDBError as exc:
         print(f"FAIL open: {type(exc).__name__}: {exc}")
         return 1
@@ -737,12 +722,15 @@ def audit_database(
                   f"{store.generation}: the image was rolled back")
             failures += 1
         elif tip.generation == store.generation:
-            root = store.location_map.root_locator
+            # The master, not the replayed state: commits the residual
+            # log holds past it are not signed yet.
+            master = store.master_io.load_latest()
+            root = master.root
             expected = (
                 root.hash_value if root is not None
                 else bytes(len(tip.root_digest))
             )
-            if (tip.seqno != store.commit_seqno
+            if (tip.seqno != master.commit_seqno
                     or tip.root_digest != expected
                     or tip.empty_root != (root is None)):
                 print("FAIL binding: the tip head does not match the "
@@ -768,7 +756,7 @@ def audit_database(
             from repro.proofs.client import VerifyingClient
 
             client = VerifyingClient(
-                host, int(port_text), secret, config=config
+                host, int(port_text), store.secret_store, config=config
             )
             try:
                 remote = client.fetch_log()

@@ -192,6 +192,19 @@ class TestPersistenceAndRecovery:
         recovered = ChunkStore.open(untrusted, secret, counter, config)
         assert recovered.read(cid) == b"second"
 
+    def test_appends_after_discarding_the_whole_residual_log(self):
+        """Recovery that keeps no residual record must rewind the hash
+        chain to the master's anchor, or the next append is unverifiable."""
+        store, untrusted, secret, counter, config = fresh_store()
+        cid = store.allocate_chunk_id()
+        store.write(cid, b"volatile", durable=False)
+        recovered = ChunkStore.open(untrusted, secret, counter, config)
+        assert not recovered.contains(cid)
+        cid = recovered.allocate_chunk_id()
+        recovered.write(cid, b"durable")
+        again = ChunkStore.open(untrusted, secret, counter, config)
+        assert again.read(cid) == b"durable"
+
     def test_nondurable_insert_discarded(self):
         store, untrusted, secret, counter, config = fresh_store()
         keep = store.allocate_chunk_id()

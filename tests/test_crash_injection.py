@@ -21,7 +21,7 @@ from functools import lru_cache
 import pytest
 
 from repro.chunkstore import ChunkStore
-from repro.errors import StoreError, TDBError
+from repro.errors import StoreError, TamperDetectedError, TDBError
 from repro.platform import MemoryOneWayCounter, MemoryUntrustedStore
 from repro.testing import ChunkStoreCrashScenario, CrashSweeper, FaultSchedule
 
@@ -119,6 +119,69 @@ def test_replay_sweep_every_durable_image_detected():
     assert report.detected >= 3
     # The final image itself must have opened cleanly, not been flagged.
     assert any(p.outcome == "current" for p in report.points)
+
+
+def _contents(store: ChunkStore) -> dict:
+    try:
+        return {cid: store.read(cid) for cid in store.chunk_ids()}
+    finally:
+        store.close()
+
+
+class DifferentialRecoveryScenario(ChunkStoreCrashScenario):
+    """Recovers each crash image three ways and demands they agree.
+
+    A read-only open and a salvage open run first: neither may change
+    the image or the counter, and both must return what the writable
+    recovery that follows returns.  The read-only open may refuse only
+    in the window between a commit's sync and its counter advance —
+    exactly when the writable recovery resyncs the counter.
+    """
+
+    def __init__(self, refusals: list) -> None:
+        super().__init__(secure=True)
+        self.refusals = refusals
+
+    def recover(self) -> dict:
+        image, counter_before = self.untrusted.save_image(), self.counter.read()
+        seen = {}
+        for mode in ("read-only", "salvage"):
+            try:
+                if mode == "salvage":
+                    store = ChunkStore.open_salvage(
+                        self.untrusted, self.secret_store, self.counter, self.config
+                    )
+                else:
+                    store = ChunkStore.open(
+                        self.untrusted, self.secret_store, self.counter,
+                        self.config, read_only=True,
+                    )
+                seen[mode] = _contents(store)
+            except TDBError as exc:
+                seen[mode] = exc
+            assert self.untrusted.save_image() == image, f"{mode} open wrote"
+            assert self.counter.read() == counter_before, f"{mode} open counted"
+        state = super().recover()
+        resynced = self.counter.read() == counter_before + 1
+        if isinstance(seen["read-only"], TDBError):
+            assert resynced and isinstance(seen["read-only"], TamperDetectedError), (
+                f"read-only open refused a recoverable image: {seen['read-only']!r}"
+            )
+            self.refusals.append(counter_before)
+        else:
+            assert not resynced, "read-only open accepted a counter one behind"
+            assert seen["read-only"] == state, "read-only open disagrees"
+        assert seen["salvage"] == state, "salvage open disagrees"
+        return state
+
+
+def test_readonly_and_salvage_opens_agree_with_recovery_at_every_crash_point():
+    refusals: list = []
+    report = CrashSweeper(lambda: DifferentialRecoveryScenario(refusals)).sweep()
+    report.assert_ok()
+    assert report.recovered > report.flagged
+    # The sync-before-counter window was crashed into, and refused.
+    assert refusals
 
 
 def test_mutation_guard_sweep_catches_lost_commits(monkeypatch):

@@ -26,6 +26,7 @@ from repro.config import ChunkStoreConfig, SecurityProfile
 from repro.errors import (
     RepairError,
     SalvageReadOnlyError,
+    TamperDetectedError,
     TDBError,
 )
 from repro.platform import (
@@ -451,6 +452,113 @@ class TestSalvage:
         assert info.degraded
         # The data itself still verifies: it is old, not corrupt.
         assert store.scrub().clean
+        store.close()
+
+
+class TestReadOnlyOpensWriteNothing:
+    """A read-only open runs the one replay but leaves the media alone,
+    so it is safe next to a live writer of the same directory."""
+
+    @staticmethod
+    def _live_db(tmp_path):
+        """A live file-backed store: one durable, one nondurable commit."""
+        from repro import Database
+
+        directory = str(tmp_path / "db")
+        db = Database.create(directory)
+        cs = db.chunk_store
+        durable, nondurable = cs.allocate_chunk_id(), cs.allocate_chunk_id()
+        cs.commit({durable: _payload(7, 0, 300)}, durable=True)
+        cs.commit({nondurable: _payload(7, 1, 300)}, durable=False)
+        return db, directory, durable, nondurable
+
+    @staticmethod
+    def _files(directory):
+        import os
+
+        out = {}
+        for root, _dirs, names in os.walk(directory):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, directory)] = fh.read()
+        return out
+
+    @staticmethod
+    def _finish(db, directory, durable, nondurable):
+        """The live store still reads its nondurable chunk, and after it
+        closes a writable reopen sees both chunks."""
+        from repro import Database
+
+        assert db.chunk_store.read(nondurable) == _payload(7, 1, 300)
+        db.close()
+        db = Database.open_existing(directory)
+        try:
+            assert db.chunk_store.read(durable) == _payload(7, 0, 300)
+            assert db.chunk_store.read(nondurable) == _payload(7, 1, 300)
+        finally:
+            db.close()
+
+    def test_readonly_open_of_a_live_directory_writes_nothing(self, tmp_path):
+        from repro.platform import (
+            FileOneWayCounter,
+            FileSecretStore,
+            FileUntrustedStore,
+        )
+
+        db, directory, durable, nondurable = self._live_db(tmp_path)
+        before = self._files(directory)
+        store = ChunkStore.open(
+            FileUntrustedStore(directory + "/data"),
+            FileSecretStore(directory + "/secret.key"),
+            FileOneWayCounter(directory + "/counter"),
+            read_only=True,
+        )
+        assert store.read(durable) == _payload(7, 0, 300)
+        assert not store.contains(nondurable)  # not durable: replayed away
+        store.scrub()
+        store.close()
+        assert self._files(directory) == before
+        self._finish(db, directory, durable, nondurable)
+
+    @pytest.mark.parametrize(
+        "command", ["stats", "heads", "audit", "inspect", "verify"]
+    )
+    def test_readonly_cli_on_a_live_directory_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        from repro.tools import main as tools_main
+
+        db, directory, durable, nondurable = self._live_db(tmp_path)
+        before = self._files(directory)
+        assert tools_main([command, directory]) == 0, capsys.readouterr()
+        assert self._files(directory) == before
+        self._finish(db, directory, durable, nondurable)
+
+
+class TestCounterOneBehind:
+    """The image's newest durable commit is one ahead of the counter: the
+    crash window between a commit's sync and its counter advance."""
+
+    def test_readonly_open_refuses_and_leaves_the_counter(self):
+        b = baseline()
+        untrusted = FaultyUntrustedStore()
+        untrusted.load_image(b.image)
+        counter = MemoryOneWayCounter(b.counter_value - 1)
+        with pytest.raises(TamperDetectedError):
+            ChunkStore.open(untrusted, b.secret, counter, CONFIG, read_only=True)
+        assert counter.read() == b.counter_value - 1
+        assert untrusted.save_image() == b.image
+
+    def test_writable_open_still_resyncs(self):
+        b = baseline()
+        untrusted = FaultyUntrustedStore()
+        untrusted.load_image(b.image)
+        counter = MemoryOneWayCounter(b.counter_value - 1)
+        store = ChunkStore.open(untrusted, b.secret, counter, CONFIG)
+        assert store.possible_lost_commit
+        assert counter.read() == b.counter_value
+        assert {cid: store.read(cid) for cid in store.chunk_ids()} == b.expected
         store.close()
 
 

@@ -67,6 +67,8 @@ class TestInspect:
         # StoreError is a TDBError: main converts it to exit code 2.
         assert tools_main(["inspect", missing]) == 2
         assert "secret store file missing" in capsys.readouterr().err
+        # An open creates nothing: no directory, no secret, no data dir.
+        assert not (tmp_path / "nothing").exists()
 
 
 class TestVerify:
