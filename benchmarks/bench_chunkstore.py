@@ -1,13 +1,10 @@
-"""Chunk-store hot-path bench: the platform's AES and the digest memo.
+"""Chunk-store hot-path bench on the platform's AES.
 
-Two measurements, written to ``BENCH_chunkstore.json`` (non-gating CI
-artifact):
-
-* write/read/deep-scrub wall time on the platform's AES (OpenSSL where
-  the cryptography package is importable, the table kernels otherwise);
-* deep vs incremental scrub on an unchanged store, with the
-  ``payload_digests`` counter proving the incremental pass re-hashed
-  nothing and the memo hit-rate showing why.
+Write/read/scrub wall time of a 160-chunk store on the platform's AES
+(OpenSSL where the cryptography package is importable, the table
+kernels otherwise), plus the per-kernel cipher throughput the store's
+``PerfStats`` recorded, written to ``BENCH_chunkstore.json``
+(non-gating CI artifact).
 
 Run directly (``python benchmarks/bench_chunkstore.py``) or via pytest
 (``pytest benchmarks/bench_chunkstore.py -q``).
@@ -67,9 +64,10 @@ def bench_store_traffic():
     read_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    report = store.scrub()  # deep
+    report = store.scrub()
     scrub_s = time.perf_counter() - started
     assert report.clean
+    assert report.verified_chunks == CHUNKS
 
     kernels = store.perf.as_dict()["kernels"]
     store.close()
@@ -79,7 +77,7 @@ def bench_store_traffic():
         "chunk_bytes": CHUNK_BYTES,
         "write_ms": round(write_s * 1e3, 2),
         "read_ms": round(read_s * 1e3, 2),
-        "deep_scrub_ms": round(scrub_s * 1e3, 2),
+        "scrub_ms": round(scrub_s * 1e3, 2),
         "cipher_mb_per_s": {
             name: counter["mb_per_s"]
             for name, counter in kernels.items()
@@ -88,50 +86,8 @@ def bench_store_traffic():
     }
 
 
-def bench_digest_memo():
-    untrusted = MemoryUntrustedStore()
-    store = ChunkStore.format(
-        untrusted,
-        MemorySecretStore(b"bench-chunkstore-secret-0123456x"),
-        MemoryOneWayCounter(),
-        CONFIG,
-    )
-    payloads = _payloads()
-    ids = {i: store.allocate_chunk_id() for i in payloads}
-    store.commit({ids[i]: data for i, data in payloads.items()}, durable=True)
-    store.checkpoint(force=True)
-
-    started = time.perf_counter()
-    deep = store.scrub(deep=True)
-    deep_s = time.perf_counter() - started
-    assert deep.clean
-
-    digests_before = store.perf.counter("payload_digests")
-    started = time.perf_counter()
-    incremental = store.scrub(deep=False)
-    incremental_s = time.perf_counter() - started
-    rehashes = store.perf.counter("payload_digests") - digests_before
-    assert incremental.clean
-
-    memo = store.perf.as_dict()["digest_memo"]
-    store.close()
-    return {
-        "chunks": CHUNKS,
-        "deep_scrub_ms": round(deep_s * 1e3, 2),
-        "incremental_scrub_ms": round(incremental_s * 1e3, 2),
-        "incremental_rehashes": rehashes,
-        "memo_skipped_chunks": incremental.memo_skipped_chunks,
-        "memo_skipped_nodes": incremental.memo_skipped_nodes,
-        "memo_hit_rate": memo["hit_rate"],
-        "speedup": round(deep_s / incremental_s, 2) if incremental_s else None,
-    }
-
-
 def run_all():
-    return {
-        "store_traffic": bench_store_traffic(),
-        "digest_memo": bench_digest_memo(),
-    }
+    return {"store_traffic": bench_store_traffic()}
 
 
 def write_report(results, path: str = OUTPUT) -> None:
@@ -141,12 +97,8 @@ def write_report(results, path: str = OUTPUT) -> None:
 
 
 def test_chunkstore_bench_smoke():
-    """Smoke gate: the store scrubs clean; incremental re-hashes 0."""
-    results = run_all()
-    memo = results["digest_memo"]
-    assert memo["incremental_rehashes"] == 0, memo
-    assert memo["memo_skipped_chunks"] == CHUNKS
-    write_report(results)
+    """Smoke gate: the store scrubs clean, every chunk verified."""
+    write_report(run_all())
 
 
 if __name__ == "__main__":

@@ -63,18 +63,14 @@ class DamageReport:
     """Structured result of one scrub pass.
 
     ``verified_chunks``/``verified_nodes`` count payloads re-hashed from
-    media *this pass*; ``memo_skipped_chunks``/``memo_skipped_nodes``
-    count payloads an incremental scrub accepted on the strength of the
-    digest memo without touching media.  A deep scrub always reports
-    zero skips.
+    media this pass (dirty map nodes that exist only in memory are
+    walked but not counted).
     """
 
     damaged_chunks: List[DamagedChunk] = field(default_factory=list)
     damaged_nodes: List[DamagedNode] = field(default_factory=list)
     verified_chunks: int = 0
     verified_nodes: int = 0
-    memo_skipped_chunks: int = 0
-    memo_skipped_nodes: int = 0
     root_lost: bool = False
 
     @property
@@ -93,11 +89,9 @@ class DamageReport:
 
     def summary(self) -> str:
         if self.clean:
-            skipped = self.memo_skipped_chunks + self.memo_skipped_nodes
-            suffix = f" ({skipped} memo-skipped)" if skipped else ""
             return (
                 f"clean: {self.verified_chunks} chunks and "
-                f"{self.verified_nodes} map nodes verified{suffix}"
+                f"{self.verified_nodes} map nodes verified"
             )
         parts = [
             f"{len(self.damaged_chunks)} damaged chunks",
@@ -116,7 +110,7 @@ def _id_span(fanout: int, level: int, index: int) -> Tuple[int, int]:
 
 
 def scrub_store(
-    store, collect: bool = False, deep: bool = True
+    store, collect: bool = False
 ) -> Tuple[DamageReport, Dict[int, bytes]]:
     """Walk the store's Merkle tree verifying every node and payload.
 
@@ -130,18 +124,11 @@ def scrub_store(
     returned too (the salvage-export path); otherwise the payload dict is
     empty and payload bytes are dropped after verification.
 
-    With ``deep=False`` the walk consults the store's digest memo: a
-    payload whose current locator matches its last-verified version is
-    accepted without re-reading media (map nodes additionally need a
-    live cache copy to keep walking their children).  ``collect=True``
-    and stores without a memo (salvage stores) always scrub
-    deep.  Every payload a deep pass does verify is noted in the memo,
-    so deep-then-incremental is the cheap steady-state pattern.
+    Nothing is taken on trust from an earlier pass: every clean node and
+    every payload is re-read and re-hashed from media, as a read would.
     """
     lmap = store.location_map
     fanout = lmap.fanout
-    memo = store.digest_memo
-    effective_deep = deep or collect or memo is None
     report = DamageReport()
     payloads: Dict[int, bytes] = {}
 
@@ -183,15 +170,6 @@ def scrub_store(
             # Newer than its media copy (salvage replay applied commits
             # to it); the in-memory node is the truth being scrubbed.
             return cached
-        if (
-            not effective_deep
-            and cached is not None
-            and memo.node_verified(level, index, locator)
-        ):
-            # This exact on-media version already verified and we still
-            # hold its decoded form — keep walking without re-reading.
-            report.memo_skipped_nodes += 1
-            return cached
         try:
             node = store.node_io.load_node(locator, level, index)
         except TDBError as exc:
@@ -206,9 +184,6 @@ def scrub_store(
             for slot in sorted(node.children):
                 chunk_id = base + slot
                 locator = node.children[slot]
-                if not effective_deep and memo.chunk_verified(chunk_id, locator):
-                    report.memo_skipped_chunks += 1
-                    continue
                 try:
                     data = store.read_payload(locator)
                 except TDBError as exc:
@@ -217,8 +192,6 @@ def scrub_store(
                     )
                 else:
                     report.verified_chunks += 1
-                    if memo is not None:
-                        memo.note_chunk(chunk_id, locator)
                     if collect:
                         payloads[chunk_id] = data
             return

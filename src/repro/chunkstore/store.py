@@ -46,7 +46,6 @@ from repro.chunkstore.master import MasterIO, MasterRecord, MASTER_FILES
 from repro.chunkstore.recovery import scan_residual_log
 from repro.chunkstore.scrub import DamageReport, scrub_store
 from repro.chunkstore.segments import SegmentInfo, SegmentManager, segment_file_name
-from repro.chunkstore.digestmemo import DigestMemo
 from repro.chunkstore.snapshot import Snapshot
 from repro.config import ChunkStoreConfig
 from repro.crypto import (
@@ -192,8 +191,6 @@ class _StoreNodeIO(NodeIO):
                 f"map node identity mismatch: stored ({node.level}, {node.index}),"
                 f" expected ({level}, {index})"
             )
-        if self.store.digest_memo is not None:
-            self.store.digest_memo.note_node(level, index, locator)
         return node
 
     def append_node(self, level: int, index: int, plaintext: bytes) -> Locator:
@@ -249,9 +246,6 @@ class ChunkStore:
             self.cipher = create_payload_cipher("null", b"")
             self._record_mac = None
             self._master_mac = None
-        self.digest_memo: Optional[DigestMemo] = (
-            DigestMemo(self.perf) if self.secure else None
-        )
         untrusted.stats.attach_section("perf", self.perf.as_dict)
         self.cache = cache or SharedLruCache(config.map_cache_entries * 4096)
         self.node_io = _StoreNodeIO(self)
@@ -275,7 +269,6 @@ class ChunkStore:
         self._durable_commits_total = 0
         self._checkpoints_total = 0
         self._app_payload_bytes = 0
-        self._compaction_mark = 0
         self.possible_lost_commit = False
         self._salvage = False
         self._read_only = False
@@ -399,10 +392,6 @@ class ChunkStore:
         self = cls._new(untrusted, secret_store, counter, config, cache)
         self._read_only = read_only
         self._salvage = salvage
-        if salvage:
-            # Salvage trusts nothing it has not just re-verified: no memo,
-            # every scrub is a deep scrub.
-            self.digest_memo = None
         master = self.master_io.load_latest()
         self._validate_master_config(master)
         self._db_uuid = master.db_uuid
@@ -643,14 +632,7 @@ class ChunkStore:
             self._repair_media(orphans)
 
     def _digest_payload(self, data: bytes) -> bytes:
-        """Content digest of a chunk or map-node payload.
-
-        Every call re-hashes payload bytes, so the ``payload_digests``
-        counter is exactly the store's "chunk re-hash" count — the
-        number the digest memo exists to drive to zero on clean
-        subtrees.
-        """
-        self.perf.incr("payload_digests")
+        """Content digest of a chunk or map-node payload."""
         return self.hash_engine.digest(data)
 
     def _apply_record(self, record) -> None:
@@ -689,16 +671,10 @@ class ChunkStore:
             old = self.location_map.set(item.chunk_id, locator)
             if old is not None:
                 self.segments.mark_dead(old.segment, old.length)
-            if self.digest_memo is not None:
-                # The payload came out of the chain-authenticated
-                # residual log, so its digest is trustworthy.
-                self.digest_memo.note_chunk(item.chunk_id, locator)
         for chunk_id in body.deallocs:
             old = self.location_map.remove(chunk_id)
             if old is not None:
                 self.segments.mark_dead(old.segment, old.length)
-            if self.digest_memo is not None:
-                self.digest_memo.invalidate_chunk(chunk_id)
         self._seqno = max(self._seqno, body.seqno)
         self._counter_value = max(self._counter_value, body.expected_counter)
         self._next_cid = max(self._next_cid, body.next_chunk_id)
@@ -836,12 +812,7 @@ class ChunkStore:
             locator = self.location_map.lookup(chunk_id)
             if locator is None:
                 raise ChunkNotFoundError(f"chunk {chunk_id} is not written")
-            data = self.read_payload(locator)
-            # read_payload raised unless the media bytes matched the
-            # locator's digest, so this version is now known-verified.
-            if self.digest_memo is not None:
-                self.digest_memo.note_chunk(chunk_id, locator)
-            return data
+            return self.read_payload(locator)
 
     def write(self, chunk_id: int, data: bytes, durable: bool = True) -> None:
         """Single-chunk commit (see :meth:`commit` for batches)."""
@@ -959,16 +930,10 @@ class ChunkStore:
             old = self.location_map.set(item.chunk_id, locator)
             if old is not None:
                 self._retire(old, commit_durable=durable)
-            if self.digest_memo is not None:
-                # We produced both the bytes and the digest ourselves;
-                # the new version starts out verified.
-                self.digest_memo.note_chunk(item.chunk_id, locator)
         for chunk_id in deallocs:
             old = self.location_map.remove(chunk_id)
             if old is not None:
                 self._retire(old, commit_durable=durable)
-            if self.digest_memo is not None:
-                self.digest_memo.invalidate_chunk(chunk_id)
         self._commits_total += 1
         if durable:
             self._durable_commits_total += 1
@@ -988,12 +953,7 @@ class ChunkStore:
     # ------------------------------------------------------------------
 
     def read_payload(self, locator: Locator) -> bytes:
-        """Fetch, validate, and decrypt the payload a locator points at.
-
-        Always verifies from media — the memo never short-circuits a
-        read, it only lets *scrub* skip re-hashing versions a read or
-        write already verified.
-        """
+        """Fetch, validate, and decrypt the payload a locator points at."""
         data = self.segments.read(locator.segment, locator.offset, locator.length)
         if self.secure:
             if self._digest_payload(data) != locator.hash_value:
@@ -1025,41 +985,24 @@ class ChunkStore:
     # Scrubbing (Merkle-tree verification with damage localization)
     # ------------------------------------------------------------------
 
-    def scrub(self, deep: bool = True) -> DamageReport:
-        """Verify every reachable map node and chunk payload.
+    def scrub(self) -> DamageReport:
+        """Verify every reachable map node and chunk payload from media.
 
         A writable store is checkpointed first so the on-disk tree equals
         the logical tree; a salvage store is walked as reconstructed.
+        Every payload is re-read and re-hashed, exactly as a read checks
+        it, so bytes flipped since any earlier scrub are found.
         Damage is *reported*, never raised: the returned
         :class:`~repro.chunkstore.scrub.DamageReport` lists damaged chunk
         ids, map-node coordinates with the chunk-id ranges they covered,
         and the segments involved.
-
-        ``deep=True`` (the default) re-reads and re-hashes everything
-        from media — the tamper-detection walk.  ``deep=False`` runs an
-        *incremental* scrub that skips payload versions the digest memo
-        already saw verified, re-hashing only what changed since; it
-        checks the tree's shape but cannot notice media bytes flipped
-        after their last verification.  Salvage stores always scrub
-        deep (they carry no memo).
         """
         with self._lock:
             self._check_open()
             if not self._salvage and not self._read_only:
                 self.checkpoint(force=True)
-            report, _ = scrub_store(self, collect=False, deep=deep)
+            report, _ = scrub_store(self)
             return report
-
-    def reset_digest_memo(self) -> None:
-        """Forget every remembered verification.
-
-        The repair engine calls this once damage is confirmed: after
-        media corruption nothing remembered about the image is evidence
-        any more.
-        """
-        with self._lock:
-            if self.digest_memo is not None:
-                self.digest_memo.clear()
 
     def export_surviving(self) -> Tuple[DamageReport, Dict[int, bytes]]:
         """Scrub and return the plaintext of every chunk that verifies.
@@ -1156,15 +1099,12 @@ class ChunkStore:
         payload_offset = offset + MapNodeBody.payload_offset_in_record(
             self.codec.header_size
         )
-        locator = Locator(
+        return Locator(
             segment=segment,
             offset=payload_offset,
             length=len(payload),
             hash_value=self._digest_payload(payload) if self.secure else b"",
         )
-        if self.digest_memo is not None:
-            self.digest_memo.note_node(level, index, locator)
-        return locator
 
     # ------------------------------------------------------------------
     # Space management
@@ -1437,18 +1377,6 @@ class ChunkStore:
         """
         name = segment_file_name(number)
         return self.untrusted.read(name, offset, length)
-
-    def export_master_blob(self) -> Tuple[str, bytes]:
-        """``(file name, raw sealed bytes)`` of the current master slot.
-
-        Must be captured in the same locked region as the snapshot that
-        anchors a shipment: two checkpoints later the alternating slot
-        scheme overwrites the same file.
-        """
-        with self._lock:
-            self._check_open()
-            name = MASTER_FILES[self._generation % 2]
-            return name, self.untrusted.read(name)
 
     def begin_shipment(
         self,

@@ -11,7 +11,7 @@ profile (the paper used 3DES; see ``DESIGN.md`` for the substitution notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.crypto.cipher import CIPHER_KEY_SIZES
 from repro.crypto.native import HAVE_NATIVE_BACKEND
@@ -70,27 +70,10 @@ class SecurityProfile:
         """Which AES runs: ``"native"`` (OpenSSL) or ``"fast"`` (tables)."""
         return "native" if HAVE_NATIVE_BACKEND else "fast"
 
-    def with_cipher(self, cipher_name: str) -> "SecurityProfile":
-        """Return a copy of this profile using a different cipher."""
-        return replace(self, cipher_name=cipher_name)
-
-    def with_hash(self, hash_name: str) -> "SecurityProfile":
-        """Return a copy of this profile using a different hash."""
-        return replace(self, hash_name=hash_name)
-
     @classmethod
     def insecure(cls) -> "SecurityProfile":
         """Profile for plain TDB (no tamper detection, no secrecy)."""
         return cls(enabled=False, hash_name="sha1", cipher_name="null")
-
-    @classmethod
-    def paper_tdb_s(cls) -> "SecurityProfile":
-        """The paper's TDB-S configuration: SHA-1 hashing + block cipher.
-
-        TDB-S ran on native crypto (the paper calls its crypto cost
-        *minor*); so does this profile wherever OpenSSL is importable.
-        """
-        return cls(enabled=True, hash_name="sha1", cipher_name="aes-128")
 
 
 @dataclass(frozen=True)

@@ -286,13 +286,13 @@ class Database:
         self._require_objects()
         return self.collection_store.transaction()
 
-    def scrub(self, deep: bool = True):
+    def scrub(self):
         """Merkle-verify the whole chunk level; returns a DamageReport.
 
-        ``deep=False`` runs the memo-accelerated incremental scrub (see
-        :meth:`~repro.chunkstore.store.ChunkStore.scrub`).
+        Every reachable map node and chunk payload is re-read and
+        re-hashed (see :meth:`~repro.chunkstore.store.ChunkStore.scrub`).
         """
-        return self.chunk_store.scrub(deep=deep)
+        return self.chunk_store.scrub()
 
     def export_surviving(self):
         """Scrub and return ``(DamageReport, {chunk_id: plaintext})``."""
@@ -313,10 +313,6 @@ class Database:
     def io_stats(self):
         """The untrusted store's :class:`~repro.platform.iostats.IOStats`."""
         return self.chunk_store.untrusted.stats
-
-    def perf_stats(self):
-        """The chunk store's :class:`~repro.perf.PerfStats` (crypto kernels)."""
-        return self.chunk_store.perf
 
     # ------------------------------------------------------------------
     # Group commit (service layer)

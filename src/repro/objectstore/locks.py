@@ -117,7 +117,3 @@ class LockManager:
             if mode is LockMode.EXCLUSIVE:
                 return lock.owner == txn_id
             return txn_id in lock.sharers or lock.owner == txn_id
-
-    def held_object_ids(self, txn_id: int) -> Set[int]:
-        with self._mutex:
-            return set(self._held.get(txn_id, set()))

@@ -1,18 +1,17 @@
-"""Performance counters for the crypto/hashing hot path.
+"""Per-kernel timings for the crypto/hashing hot path.
 
 The I/O layer already meters traffic (:mod:`repro.platform.iostats`);
 this module does the same for CPU: every cipher and hash kernel the
 chunk store drives is wrapped so its calls, bytes, and nanoseconds are
-tallied per kernel name, and the chunk-digest memo reports its
-hit-rate.  The counters surface in three places: ``PerfStats.as_dict``,
-the owning store's ``IOStats.as_dict`` (as an attached section), and
-the server's ``stats`` verb — so a benchmark or a live operator can see
-exactly where crypto time goes and how much re-hashing the memo saved.
+tallied per kernel name.  The table surfaces as ``PerfStats.as_dict``
+and, nested as ``io.perf``, in the owning store's ``IOStats.as_dict``
+and the server's ``stats`` verb — so a benchmark or a live operator can
+see exactly where crypto time goes.
 
-Snapshots are detached copies; the live object is shared across the
-server's session threads and is locked accordingly.  Instrumentation
-costs one lock acquisition per whole-payload operation (not per block),
-which is noise next to the kernels themselves.
+The live object is shared across the server's session threads and is
+locked accordingly.  Instrumentation costs one lock acquisition per
+whole-payload operation (not per block), which is noise next to the
+kernels themselves.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ class KernelCounter:
 
     __slots__ = ("calls", "nbytes", "ns")
 
-    def __init__(self, calls: int = 0, nbytes: int = 0, ns: int = 0) -> None:
-        self.calls = calls
-        self.nbytes = nbytes
-        self.ns = ns
+    def __init__(self) -> None:
+        self.calls = 0
+        self.nbytes = 0
+        self.ns = 0
 
     @property
     def mb_per_s(self) -> float:
@@ -49,109 +48,27 @@ class KernelCounter:
 
 
 class PerfStats:
-    """Counters of crypto-kernel work and digest-memo effectiveness.
-
-    ``record_kernel`` feeds the per-kernel table; ``incr`` feeds plain
-    named counters (``payload_digests`` is the one the acceptance tests
-    watch: every content digest of a chunk or map-node payload bumps
-    it, so "scrub re-hashed nothing" is directly observable).  The memo
-    counters are written by the chunk store's
-    :class:`~repro.chunkstore.digestmemo.DigestMemo`.
-    """
+    """The per-kernel table of crypto work (``cipher.*`` and ``hash.*``)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._kernels: Dict[str, KernelCounter] = {}
-        self._counters: Dict[str, int] = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_invalidations = 0
 
-    # -- recording -----------------------------------------------------
-
-    def record_kernel(self, name: str, nbytes: int, ns: int, calls: int = 1) -> None:
+    def record_kernel(self, name: str, nbytes: int, ns: int) -> None:
         with self._lock:
             counter = self._kernels.get(name)
             if counter is None:
                 counter = self._kernels[name] = KernelCounter()
-            counter.calls += calls
+            counter.calls += 1
             counter.nbytes += nbytes
             counter.ns += ns
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
-    def record_memo(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.memo_hits += 1
-            else:
-                self.memo_misses += 1
-
-    def record_memo_invalidation(self, amount: int = 1) -> None:
-        with self._lock:
-            self.memo_invalidations += amount
-
-    # -- reading -------------------------------------------------------
-
-    def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def kernel(self, name: str) -> KernelCounter:
-        """Detached copy of one kernel's counters (zeros if never run)."""
-        with self._lock:
-            counter = self._kernels.get(name)
-            if counter is None:
-                return KernelCounter()
-            return KernelCounter(counter.calls, counter.nbytes, counter.ns)
-
-    @property
-    def memo_hit_rate(self) -> float:
-        with self._lock:
-            probes = self.memo_hits + self.memo_misses
-            return self.memo_hits / probes if probes else 0.0
-
-    def snapshot(self) -> "PerfStats":
-        """Return an independent copy of the current counters."""
-        with self._lock:
-            copy = PerfStats()
-            copy._kernels = {
-                name: KernelCounter(c.calls, c.nbytes, c.ns)
-                for name, c in self._kernels.items()
-            }
-            copy._counters = dict(self._counters)
-            copy.memo_hits = self.memo_hits
-            copy.memo_misses = self.memo_misses
-            copy.memo_invalidations = self.memo_invalidations
-            return copy
-
-    def reset(self) -> None:
-        """Zero all counters (used between benchmark phases)."""
-        with self._lock:
-            self._kernels.clear()
-            self._counters.clear()
-            self.memo_hits = 0
-            self.memo_misses = 0
-            self.memo_invalidations = 0
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-able view (nested under ``io.perf`` in the stats verb)."""
         with self._lock:
-            probes = self.memo_hits + self.memo_misses
             return {
                 "kernels": {
                     name: counter.as_dict()
                     for name, counter in sorted(self._kernels.items())
-                },
-                "counters": dict(sorted(self._counters.items())),
-                "digest_memo": {
-                    "hits": self.memo_hits,
-                    "misses": self.memo_misses,
-                    "invalidations": self.memo_invalidations,
-                    "hit_rate": round(
-                        self.memo_hits / probes if probes else 0.0, 4
-                    ),
                 },
             }

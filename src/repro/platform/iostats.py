@@ -54,9 +54,10 @@ class IOStats:
         """Nest ``provider()``'s dict under ``name`` in :meth:`as_dict`.
 
         The chunk store attaches its :class:`~repro.perf.PerfStats` here
-        so one ``stats`` round-trip reports I/O *and* crypto-kernel
-        counters.  Providers must be cheap and thread-safe; snapshots
-        and deltas carry plain counters only (no sections).
+        as ``perf``, so one ``stats`` round-trip reports I/O *and* the
+        per-kernel crypto table.  Providers must be cheap and
+        thread-safe; snapshots and deltas carry plain counters only (no
+        sections).
         """
         with self._lock:
             self._sections[name] = provider

@@ -183,17 +183,6 @@ class MemoryUntrustedStore(UntrustedStore):
     def sync(self, name: str) -> None:
         self.stats.record_sync()
 
-    # -- attacker access ---------------------------------------------------
-
-    def raw_view(self, name: str) -> bytearray:
-        """Return the live backing buffer of ``name`` (attacker interface).
-
-        Mutating the returned buffer models offline modification of
-        removable media; the trusted layers never use this entry point.
-        """
-        with self._lock:
-            return self._require(name)
-
     def _require(self, name: str) -> bytearray:
         buf = self._files.get(name)
         if buf is None:

@@ -104,9 +104,6 @@ class RepairEngine:
                     report_before=report,
                     report_after=report,
                 )
-            # Damage confirmed: past verifications say nothing about the
-            # media any more, so the digest memo must start over.
-            store.reset_digest_memo()
             if not report.root_lost:
                 try:
                     return self._selective(store, report)

@@ -492,7 +492,7 @@ class ReplicaApplier:
                     "shipped image authenticates a different generation or "
                     "commit seqno than its manifest claims"
                 )
-            report = store.scrub(deep=True)
+            report = store.scrub()
             if not report.clean:
                 raise TamperDetectedError(
                     f"shipped image failed its deep scrub: {report.summary()}"

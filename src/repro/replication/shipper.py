@@ -81,7 +81,6 @@ class ReplicationShipper:
                 self._acked_seqno[session_id] = last_seqno
             if anchor is None:
                 self._up_to_date += 1
-                self.store.perf.incr("repl_up_to_date")
                 manifest: Dict[str, Any] = {
                     "up_to_date": True,
                     "generation": last_generation,
@@ -91,7 +90,6 @@ class ReplicationShipper:
                 manifest = self._build_manifest(anchor)
                 self._subs[session_id] = _Subscription(anchor, manifest)
                 self._shipments += 1
-                self.store.perf.incr("repl_shipments")
         if previous is not None:
             previous.anchor.snapshot.release()
         return manifest
@@ -151,8 +149,6 @@ class ReplicationShipper:
         with self._lock:
             self._segment_requests += 1
             self._bytes_streamed += len(data)
-        self.store.perf.incr("repl_segments_shipped")
-        self.store.perf.incr("repl_bytes_streamed", len(data))
         return data
 
     def master_blob(self, session_id: Any) -> Dict[str, Any]:
@@ -167,7 +163,6 @@ class ReplicationShipper:
                 raise ReplicationError("no active shipment; subscribe first")
             blob = sub.anchor.master_blob
             self._bytes_streamed += len(blob)
-        self.store.perf.incr("repl_bytes_streamed", len(blob))
         return {"name": sub.anchor.master_name, "blob": blob}
 
     # ------------------------------------------------------------------

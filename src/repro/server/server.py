@@ -424,12 +424,6 @@ class TdbServer(SessionBackend):
         # unknown — its token stays pending.
         raise exc
 
-    def count(self, name: str) -> None:
-        """Mirror the core's counters into PerfStats so they also show
-        up under the io/perf section of the stats verb."""
-        if self.db is not None:
-            self.db.perf_stats().incr("srv_" + name, 1)
-
     def describe(self) -> Dict[str, Any]:
         features = []
         if self.tenancy is None:

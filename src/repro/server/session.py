@@ -199,9 +199,6 @@ class SessionBackend:
         re-raise to end the session and leave the token pending."""
         raise NotImplementedError
 
-    def count(self, name: str) -> None:
-        """Counter sink: told about every session-level counter bump."""
-
 
 class SessionCore:
     """The server-wide half of the session contract (see module docstring)."""
@@ -242,7 +239,6 @@ class SessionCore:
     def count(self, name: str) -> None:
         with self._lock:
             self._counters[name] += 1
-        self.backend.count(name)
 
     # ------------------------------------------------------------------
     # One request

@@ -288,7 +288,6 @@ class ShardedTdbServer(SessionBackend):
             "empty_commits": 0,
             "worker_restarts": 0,
             "commit_settlements": 0,
-            "timeout_aborts": 0,
             "poisoned_sessions": 0,
             "recovered_decisions": 0,
         }
@@ -612,7 +611,6 @@ class ShardedTdbServer(SessionBackend):
                 except asyncio.TimeoutError:
                     if session.txn is not None:
                         self.admission.record_timeout_abort()
-                        self._count("timeout_aborts")
                     break
                 except (ProtocolError, OSError, ConnectionError):
                     parked = not self._stopping and self.core.park(session)

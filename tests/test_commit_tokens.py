@@ -277,10 +277,6 @@ class TestSessionParking:
             assert resilience["sessions_parked"] == 1
             assert resilience["sessions_resumed"] == 1
             assert resilience["parked_sessions"] == 0
-            # The counters also flow through the PerfStats mirror.
-            perf = server.stats_payload()["io"]["perf"]["counters"]
-            assert perf["srv_sessions_parked"] == 1
-            assert perf["srv_sessions_resumed"] == 1
 
     def test_resume_token_is_single_use(self):
         with running_server(backpressure=self.GRACE) as server:

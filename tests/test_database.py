@@ -72,6 +72,24 @@ class TestInMemoryDatabase:
             stats = db.stats()
             assert stats.capacity_bytes > 0
 
+    def test_io_stats_nest_the_crypto_kernel_table(self):
+        # benchmarks/e2e reads io.perf.kernels; the table is all there is.
+        with Database.in_memory(chunk_config=small_chunk_config()) as db:
+            db.register_class(Song)
+            with db.transaction() as txn:
+                txn.set_root(txn.insert(Song("Blue in Green", 1)))
+            perf = db.io_stats().as_dict()["perf"]
+            assert list(perf) == ["kernels"]
+            kernels = perf["kernels"]
+            for prefix in ("cipher.", "hash."):
+                names = [name for name in kernels if name.startswith(prefix)]
+                assert names, f"no {prefix}* kernel recorded: {sorted(kernels)}"
+                for name in names:
+                    entry = kernels[name]
+                    assert entry["calls"] > 0
+                    assert entry["bytes"] > 0
+                    assert entry["ns"] >= 0
+
     def test_backup_and_restore_through_facade(self):
         db = Database.in_memory(chunk_config=small_chunk_config())
         db.register_class(Song)

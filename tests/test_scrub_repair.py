@@ -15,6 +15,7 @@ state — and never escapes with a non-TDB exception.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -240,6 +241,82 @@ class TestScrub:
         with pytest.raises(TDBError):
             store.read(victim)
         store.close()
+
+
+class TestScrubFromMedia:
+    """Nothing vouches for a chunk but its digest: every scrub re-reads
+    and re-hashes every reachable payload, exactly as a read does."""
+
+    @staticmethod
+    def _store(security):
+        store = ChunkStore.format(
+            FaultyUntrustedStore(),
+            MemorySecretStore(_SECRET),
+            MemoryOneWayCounter(),
+            replace(CONFIG, security=security),
+        )
+        writes = {}
+        for i in range(20):
+            writes[store.allocate_chunk_id()] = _payload(4, i, 120 + i)
+        store.commit(writes, durable=True)
+        store.checkpoint(force=True)
+        return store, writes
+
+    def test_every_scrub_verifies_every_chunk(self):
+        store, writes = self._store(SecurityProfile())
+        reports = [store.scrub() for _ in range(3)]
+        store.close()
+        for report in reports:
+            assert report.clean
+            assert report.verified_chunks == len(writes)
+            assert report.verified_nodes == reports[0].verified_nodes > 0
+
+    def test_next_scrub_catches_tamper(self):
+        b = baseline()
+        victim = sorted(b.expected)[3]
+        loc = b.chunk_locator(victim)
+        store, untrusted = b.fresh_store()
+        assert store.scrub().clean
+        # Flip a payload byte behind the store's back.
+        name = segment_file_name(loc.segment)
+        buf = bytearray(untrusted.read(name, 0, untrusted.size(name)))
+        buf[loc.offset + loc.length // 2] ^= 0x40
+        untrusted.write(name, 0, bytes(buf))
+        report = store.scrub()
+        store.close()
+        assert [d.chunk_id for d in report.damaged_chunks] == [victim]
+
+    def test_salvage_store_scrubs_every_chunk(self):
+        b = baseline()
+        store = b.open_salvage(b.image)
+        report = store.scrub()
+        store.close()
+        assert report.clean
+        assert report.verified_chunks == len(b.expected)
+
+    def test_plain_tdb_store_scrubs_every_chunk(self):
+        store, writes = self._store(SecurityProfile(enabled=False))
+        report = store.scrub()
+        store.close()
+        assert report.clean
+        assert report.verified_chunks == len(writes)
+
+    def test_unchanged_checkpoint_rehashes_nothing(self, monkeypatch):
+        store, _ = self._store(SecurityProfile())
+        digested = []
+        original = ChunkStore._digest_payload
+
+        def counting(self, data):
+            digested.append(len(data))
+            return original(self, data)
+
+        monkeypatch.setattr(ChunkStore, "_digest_payload", counting)
+        store.checkpoint(force=True)
+        assert digested == []
+        # The counter is live: a scrub hashes each node and payload once.
+        report = store.scrub()
+        store.close()
+        assert len(digested) == report.verified_chunks + report.verified_nodes
 
 
 # ---------------------------------------------------------------------------

@@ -680,6 +680,33 @@ class TestFrontDoorResilience:
             assert "single_shard_commits" in stats["resilience"]
             assert stats["sessions"]["max_sessions"] > 0
 
+    def test_idle_timeout_aborts_and_releases_locks(self, tmp_path):
+        config = BackpressureConfig(idle_timeout=0.3, request_timeout=5.0)
+        with sharded_server(tmp_path, backpressure=config) as server:
+            with connect(server) as alice:
+                with alice.transaction() as txn:
+                    oid = txn.put({"locked": "no"})
+                alice.call("begin", mode="object")
+                alice.call("obj.put", oid=oid, value={"locked": "by alice"})
+                # Alice goes silent holding the exclusive lock on a worker.
+                # The idle timeout must abort her transaction so Bob's
+                # lock request is granted inside the worker's lock budget.
+                time.sleep(0.8)
+                bob = connect(server).connect()
+                bob.call("begin", mode="object")
+                bob.call("obj.put", oid=oid, value={"locked": "by bob"})
+                bob.call("commit")
+                stats = bob.stats()
+                # Counted once, by admission control, as on TdbServer.
+                assert stats["sessions"]["timeout_aborts"] == 1
+                assert "timeout_aborts" not in stats["resilience"]
+                # Alice's uncommitted write is gone, and her connection too.
+                with bob.transaction() as txn:
+                    assert txn.get(oid) == {"locked": "by bob"}
+                bob.close()
+                with pytest.raises(TransientStoreError):
+                    alice.call("stats")
+
 
 # ---------------------------------------------------------------------------
 # CLI entry point
