@@ -1,7 +1,7 @@
-"""Server throughput: threaded group-commit scaling vs the sharded service.
+"""Server throughput: threaded group-commit scaling.
 
-Runs :func:`repro.bench.serverload.run_server_load` in both server
-modes and writes ``BENCH_server.json`` next to the repository root —
+Runs :func:`repro.bench.serverload.run_server_load` at 1, 8 and 32
+clients and writes ``BENCH_server.json`` next to the repository root —
 the non-gating CI artifact tracking transactions per second, commit
 batch size, and the amortized sync / counter cost per transaction.
 
@@ -10,18 +10,10 @@ minimum measured duration (~2 s in the full run), so the numbers are
 not quantized by a fixed transaction count finishing in a few clock
 ticks.
 
-Two shapes matter:
-
-* **threaded** — batch size ~1 with a single client (no batching tax),
-  growing well past 2 at 32 clients while syncs-per-transaction falls
-  toward ``1 / batch``;
-* **sharded** — on a multi-core runner, 32 clients over 4 shard worker
-  processes must beat the threaded 32-client baseline by >= 2x
-  (``speedup`` in the artifact, with a per-shard breakdown).  On
-  smaller runners the ratio is recorded but not judged: the workers
-  just time-slice one core, so the gate would measure the scheduler,
-  not the architecture.  ``cpu_count`` in the artifact says which
-  regime produced the numbers.
+The shape that matters: batch size ~1 with a single client (no
+batching tax), growing well past 2 at 32 clients while
+syncs-per-transaction falls toward ``1 / batch``.  ``cpu_count`` in the
+artifact records the hardware that produced the numbers.
 
 Run directly (``python benchmarks/bench_server_throughput.py``) or via
 pytest (``pytest benchmarks/bench_server_throughput.py -q``).
@@ -36,56 +28,20 @@ import sys
 from repro.bench.serverload import run_server_load
 
 CLIENT_POINTS = (1, 8, 32)
-SHARDS = 4
-GATE_CLIENTS = 32
-GATE_MIN_SPEEDUP = 2.0
-GATE_MIN_CPUS = 4
 OUTPUT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "BENCH_server.json")
 
 
 def run_points(duration_s: float = 2.0, warmup_txns: int = 5):
-    """Both modes at every client point, plus the speedup verdict."""
+    """The threaded server at every client point."""
     threaded = {}
     for clients in CLIENT_POINTS:
         threaded[str(clients)] = run_server_load(
             clients=clients,
-            mode="threaded",
             warmup_txns=warmup_txns,
             duration_s=duration_s,
             max_delay=0.01,
         ).as_dict()
-    sharded = {}
-    for clients in CLIENT_POINTS:
-        sharded[str(clients)] = run_server_load(
-            clients=clients,
-            mode="sharded",
-            shards=SHARDS,
-            warmup_txns=warmup_txns,
-            duration_s=duration_s,
-            max_delay=0.01,
-        ).as_dict()
-
-    base = threaded[str(GATE_CLIENTS)]["txns_per_s"]
-    parallel = sharded[str(GATE_CLIENTS)]["txns_per_s"]
-    cpu_count = os.cpu_count() or 1
-    gate = {
-        "clients": GATE_CLIENTS,
-        "shards": SHARDS,
-        "threaded_txns_per_s": base,
-        "sharded_txns_per_s": parallel,
-        "speedup": round(parallel / base, 3) if base else None,
-        "cpu_count": cpu_count,
-        "min_speedup": GATE_MIN_SPEEDUP,
-        # The >=2x architecture gate only means something with real
-        # parallel hardware under the worker processes.
-        "judged": cpu_count >= GATE_MIN_CPUS,
-        "passed": (
-            cpu_count >= GATE_MIN_CPUS
-            and base > 0
-            and parallel / base >= GATE_MIN_SPEEDUP
-        ) if cpu_count >= GATE_MIN_CPUS else None,
-    }
-    return {"threaded": threaded, "sharded": sharded, "gate": gate}
+    return {"threaded": threaded, "cpu_count": os.cpu_count() or 1}
 
 
 def write_report(results, path: str = OUTPUT) -> None:
@@ -95,23 +51,13 @@ def write_report(results, path: str = OUTPUT) -> None:
 
 
 def test_server_throughput_smoke():
-    """Smoke gate: both modes complete cleanly; concurrency batches;
-    the sharded speedup gate holds whenever the runner has the cores."""
+    """Smoke gate: every point completes cleanly and concurrency batches."""
     results = run_points(duration_s=0.8, warmup_txns=3)
-    for mode in ("threaded", "sharded"):
-        for clients, point in results[mode].items():
-            assert point["errors"] == 0, point
-            assert point["transactions"] > 0, point
+    for clients, point in results["threaded"].items():
+        assert point["errors"] == 0, point
+        assert point["transactions"] > 0, point
     # 32 concurrent clients must share commits; a lone client must not wait.
     assert results["threaded"]["32"]["mean_batch_size"] > 1.0
-    assert results["sharded"]["32"]["per_shard"], "per-shard breakdown missing"
-    gate = results["gate"]
-    if gate["judged"]:
-        assert gate["passed"], (
-            f"sharded/{SHARDS} at {GATE_CLIENTS} clients is only "
-            f"{gate['speedup']}x the threaded baseline on a "
-            f"{gate['cpu_count']}-core runner (need {GATE_MIN_SPEEDUP}x)"
-        )
     write_report(results)
 
 

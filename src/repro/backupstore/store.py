@@ -213,7 +213,7 @@ class BackupStore:
         with consecutive sequence numbers.  Returns the folded
         ``{chunk_id: plaintext}`` state and the database UUID the chain
         belongs to.  Shared by :meth:`restore` and the repair engine's
-        selective re-materialization.
+        selective restore.
         """
         if not names_in_order:
             raise BackupError("a backup chain needs at least one stream")

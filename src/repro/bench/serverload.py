@@ -1,11 +1,10 @@
 """Server-throughput driver: N client threads against a live TDB service.
 
-Measures what the service layer adds over the embedded stack — group
-commit under the threaded server, multi-process parallelism under the
-sharded one.  Both modes run *file-backed* databases with durable syncs
-(``fsync=True``) so the two are comparable, served over loopback TCP
-and hammered by ``clients`` threads each running small insert
-transactions through :class:`~repro.server.client.TdbClient`.
+Measures what the service layer adds over the embedded stack: group
+commit under the threaded server.  The database is *file-backed* with
+durable syncs (``fsync=True``), served over loopback TCP and hammered
+by ``clients`` threads each running small insert transactions through
+:class:`~repro.server.client.TdbClient`.
 
 Statistical validity: every client first runs ``warmup_txns``
 unrecorded transactions (connection setup, allocator and cache warmup,
@@ -17,10 +16,9 @@ the clock resolution matters.
 The result reports throughput, the per-transaction latency
 distribution, the commit batch-size distribution, and the two costs
 group commit exists to amortize: durable syncs and one-way-counter
-advances per committed transaction.  Sharded runs add a per-shard
-breakdown (commits, batches, syncs per worker process).
+advances per committed transaction.
 
-Runnable: ``python -m repro.bench.serverload --clients 32 --shards 4``.
+Runnable: ``python -m repro.bench.serverload --clients 32``.
 """
 
 from __future__ import annotations
@@ -37,12 +35,7 @@ from typing import Dict, List, Optional
 from repro.bench.metrics import LatencyStats
 from repro.config import ChunkStoreConfig
 from repro.db import Database
-from repro.server import (
-    BackpressureConfig,
-    ShardedTdbServer,
-    TdbClient,
-    TdbServer,
-)
+from repro.server import BackpressureConfig, TdbClient, TdbServer
 
 __all__ = ["ServerLoadResult", "run_server_load"]
 
@@ -51,9 +44,7 @@ __all__ = ["ServerLoadResult", "run_server_load"]
 class ServerLoadResult:
     """One load run's numbers, JSON-able for benchmark artifacts."""
 
-    mode: str
     clients: int
-    shards: int
     transactions: int
     warmup_txns: int
     duration_target_s: float
@@ -68,14 +59,11 @@ class ServerLoadResult:
     latency_p50_ms: float
     latency_p95_ms: float
     batch_size_histogram: Dict[str, int] = field(default_factory=dict)
-    per_shard: Dict[str, Dict[str, object]] = field(default_factory=dict)
     errors: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "mode": self.mode,
+        return {
             "clients": self.clients,
-            "shards": self.shards,
             "transactions": self.transactions,
             "warmup_txns": self.warmup_txns,
             "duration_target_s": self.duration_target_s,
@@ -92,9 +80,6 @@ class ServerLoadResult:
             "batch_size_histogram": self.batch_size_histogram,
             "errors": self.errors,
         }
-        if self.per_shard:
-            out["per_shard"] = self.per_shard
-        return out
 
 
 def _drive_clients(
@@ -104,7 +89,7 @@ def _drive_clients(
     duration_s: float,
     payload_fields: int,
 ):
-    """The measured phase, identical for both server modes."""
+    """The measured phase: every client loops until the deadline."""
     host, port = address
     payload = {f"field{i}": "x" * 16 for i in range(payload_fields)}
     latency = LatencyStats()
@@ -160,52 +145,8 @@ def _drive_clients(
     return latency, elapsed, errors
 
 
-def _aggregate_sharded_stats(before: Dict, after: Dict):
-    """Sum per-shard deltas of the group-commit / io / counter stats."""
-    agg = {
-        "requests": 0, "batches": 0, "max_batch_size": 0,
-        "sync_calls": 0, "counter": 0,
-    }
-    histogram: Dict[str, int] = {}
-    per_shard: Dict[str, Dict[str, object]] = {}
-    for shard, now in after.items():
-        base = before.get(shard) or {}
-        if now is None:
-            continue
-        gc_now = now.get("group_commit") or {}
-        gc_base = (base.get("group_commit") or {}) if base else {}
-        requests = gc_now.get("requests", 0) - gc_base.get("requests", 0)
-        batches = gc_now.get("batches", 0) - gc_base.get("batches", 0)
-        syncs = (now.get("io", {}).get("sync_calls", 0)
-                 - (base.get("io", {}) or {}).get("sync_calls", 0))
-        counter = (now.get("chunk_store", {}).get("counter_value", 0)
-                   - (base.get("chunk_store", {}) or {}).get("counter_value", 0))
-        agg["requests"] += requests
-        agg["batches"] += batches
-        agg["sync_calls"] += syncs
-        agg["counter"] += counter
-        agg["max_batch_size"] = max(
-            agg["max_batch_size"], gc_now.get("max_batch_size", 0)
-        )
-        for size, count in (gc_now.get("batch_sizes") or {}).items():
-            histogram[str(size)] = (
-                histogram.get(str(size), 0)
-                + count - (gc_base.get("batch_sizes") or {}).get(size, 0)
-            )
-        per_shard[shard] = {
-            "commits": requests,
-            "batches": batches,
-            "sync_calls": syncs,
-            "counter_advances": counter,
-            "worker_commits": (now.get("counters") or {}).get("commits", 0),
-        }
-    return agg, histogram, per_shard
-
-
 def run_server_load(
     clients: int = 8,
-    mode: str = "threaded",
-    shards: int = 4,
     warmup_txns: int = 5,
     duration_s: float = 2.0,
     max_batch: int = 32,
@@ -215,103 +156,61 @@ def run_server_load(
 ) -> ServerLoadResult:
     """Run one load point and return its measurements.
 
-    ``mode`` is ``"threaded"`` (one process, group commit) or
-    ``"sharded"`` (``shards`` worker processes behind the asyncio front
-    door).  Both use a file-backed store under ``directory`` (a fresh
-    temporary directory by default) so throughput numbers compare
-    like for like.
+    The store is file-backed under ``directory`` (a fresh temporary
+    directory by default) and served by one :class:`TdbServer` with
+    group commit.
     """
-    if mode not in ("threaded", "sharded"):
-        raise ValueError(f"unknown mode {mode!r}")
     own_dir = directory is None
-    root = directory or tempfile.mkdtemp(prefix=f"tdb-bench-{mode}-")
+    root = directory or tempfile.mkdtemp(prefix="tdb-bench-")
     backpressure = BackpressureConfig(
         max_sessions=max(64, clients + 8), idle_timeout=120.0,
         request_timeout=60.0,
     )
     try:
-        if mode == "threaded":
-            db = Database.create(
-                os.path.join(root, "db"),
-                chunk_config=ChunkStoreConfig(fsync=True),
-            )
-            server = TdbServer(
-                db,
-                backpressure=backpressure,
-                max_batch=max_batch,
-                max_delay=max_delay,
-            ).start()
-            shards_running = 1
-        else:
-            server = ShardedTdbServer(
-                os.path.join(root, "db"),
-                shards=shards,
-                backpressure=backpressure,
-                max_batch=max_batch,
-                max_delay=max_delay,
-                chunk_config=ChunkStoreConfig(fsync=True),
-            ).start()
-            shards_running = server.layout.shards
-
-        if mode == "threaded":
-            io_before = db.io_stats().snapshot()
-            counter_before = db.stats().counter_value
-            gc_before = server.coordinator.stats_snapshot()
-        else:
-            with TdbClient(*server.address, timeout=30) as admin:
-                shard_before = admin.stats()["per_shard"]
+        db = Database.create(
+            os.path.join(root, "db"),
+            chunk_config=ChunkStoreConfig(fsync=True),
+        )
+        server = TdbServer(
+            db,
+            backpressure=backpressure,
+            max_batch=max_batch,
+            max_delay=max_delay,
+        ).start()
+        io_before = db.io_stats().snapshot()
+        counter_before = db.stats().counter_value
+        gc_before = server.coordinator.stats_snapshot()
 
         latency, elapsed, errors = _drive_clients(
             server.address, clients, warmup_txns, duration_s, payload_fields
         )
         transactions = latency.count
 
-        per_shard: Dict[str, Dict[str, object]] = {}
-        if mode == "threaded":
-            gc_after = server.coordinator.stats_snapshot()
-            requests = gc_after.requests - gc_before.requests
-            batches = gc_after.batches - gc_before.batches
-            mean_batch = requests / batches if batches else 0.0
-            max_batch_seen = gc_after.max_batch_size
-            histogram = {
-                str(k): v - gc_before.batch_sizes.get(k, 0)
-                for k, v in sorted(gc_after.batch_sizes.items())
-                if v - gc_before.batch_sizes.get(k, 0) > 0
-            }
-            io_delta = db.io_stats().delta_since(io_before)
-            syncs = io_delta.sync_calls
-            counter_delta = db.stats().counter_value - counter_before
-            server.stop()
-            db.close()
-        else:
-            with TdbClient(*server.address, timeout=30) as admin:
-                shard_after = admin.stats()["per_shard"]
-            agg, histogram, per_shard = _aggregate_sharded_stats(
-                shard_before, shard_after
-            )
-            mean_batch = (
-                agg["requests"] / agg["batches"] if agg["batches"] else 0.0
-            )
-            batches = agg["batches"]
-            max_batch_seen = agg["max_batch_size"]
-            syncs = agg["sync_calls"]
-            counter_delta = agg["counter"]
-            server.stop()
+        gc_after = server.coordinator.stats_snapshot()
+        requests = gc_after.requests - gc_before.requests
+        batches = gc_after.batches - gc_before.batches
+        histogram = {
+            str(k): v - gc_before.batch_sizes.get(k, 0)
+            for k, v in sorted(gc_after.batch_sizes.items())
+            if v - gc_before.batch_sizes.get(k, 0) > 0
+        }
+        syncs = db.io_stats().delta_since(io_before).sync_calls
+        counter_delta = db.stats().counter_value - counter_before
+        server.stop()
+        db.close()
     finally:
         if own_dir:
             shutil.rmtree(root, ignore_errors=True)
 
     return ServerLoadResult(
-        mode=mode,
         clients=clients,
-        shards=shards_running,
         transactions=transactions,
         warmup_txns=warmup_txns,
         duration_target_s=duration_s,
         elapsed_s=elapsed,
         txns_per_s=transactions / elapsed if elapsed > 0 else 0.0,
-        mean_batch_size=mean_batch,
-        max_batch_size=max_batch_seen,
+        mean_batch_size=requests / batches if batches else 0.0,
+        max_batch_size=gc_after.max_batch_size,
         batches=batches,
         syncs_per_txn=syncs / transactions if transactions else 0.0,
         counter_advances_per_txn=(
@@ -321,7 +220,6 @@ def run_server_load(
         latency_p50_ms=latency.percentile(0.50),
         latency_p95_ms=latency.percentile(0.95),
         batch_size_histogram=histogram,
-        per_shard=per_shard,
         errors=len(errors),
     )
 
@@ -331,9 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--mode", choices=["threaded", "sharded"],
-                        default="threaded")
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--warmup-txns", type=int, default=5)
     parser.add_argument("--duration", type=float, default=2.0)
     parser.add_argument("--max-batch", type=int, default=32)
@@ -341,8 +236,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     result = run_server_load(
         clients=args.clients,
-        mode=args.mode,
-        shards=args.shards,
         warmup_txns=args.warmup_txns,
         duration_s=args.duration,
         max_batch=args.max_batch,

@@ -425,7 +425,7 @@ class LocationMap:
 
         A damaged node's mapping entries are unrecoverable from media; the
         repair engine detaches the node so the chunk ids it covered read
-        as unmapped, then re-materializes them from the backup chain.
+        as unmapped, then restores them from the backup chain.
         Returns whether a parent entry was actually removed.  The root
         cannot be pruned — losing it means a full restore.
         """

@@ -3,7 +3,7 @@
 The location map *is* the embedded Merkle tree (section 3 of the paper),
 so one walk from the root locator can verify every reachable map node
 and chunk payload against its authenticated digest — without
-materializing the database above the chunk layer.  Unlike the normal
+decoding the database above the chunk layer.  Unlike the normal
 read path, which raises :class:`~repro.errors.TamperDetectedError` at
 the first bad byte, the scrubber records each failure in a structured
 :class:`DamageReport` and keeps walking, so the repair engine learns

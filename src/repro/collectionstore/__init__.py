@@ -12,7 +12,7 @@ Python adaptation of the paper's section 5:
 * indexes are **maintained automatically**: inserts update them
   immediately; updates and deletes made through iterators are applied at
   iterator close,
-* iterators are **insensitive** (section 5.2.2): a query materializes its
+* iterators are **insensitive** (section 5.2.2): a query captures its
   result set, updates are deferred until close, only one iterator may
   hand out writable references at a time, and iteration is
   unidirectional — together these rule out the Halloween syndrome,

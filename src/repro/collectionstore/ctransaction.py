@@ -92,24 +92,6 @@ class CTransaction:
     # Termination
     # ------------------------------------------------------------------
 
-    @property
-    def object_transaction(self):
-        """The inner object transaction (2PC prepare needs raw access)."""
-        return self._txn
-
-    def materialize(self):
-        """Chunk-level effect of this transaction; see
-        :meth:`repro.objectstore.transaction.Transaction.materialize`.
-        Open iterators must be closed first — their deferred index
-        maintenance is part of the write set."""
-        still_open = sum(len(its) for its in self._open_iterators.values())
-        if still_open:
-            raise IteratorStateError(
-                f"{still_open} iterator(s) still open at prepare; close "
-                "them to apply their deferred index updates"
-            )
-        return self._txn.materialize()
-
     def commit(self, durable: bool = True) -> None:
         """Commit; every iterator must be closed first (its close applies
         the deferred index maintenance and may raise)."""

@@ -12,7 +12,7 @@ The paper's four constraints (section 5.2.2) and how they appear here:
    replays the updates using the pre-update key snapshots captured when
    each writable reference was handed out.
 
-Insensitivity itself comes from materializing the result set at query
+Insensitivity itself comes from capturing the result set at query
 time: updates performed through the iterator cannot add, remove, or move
 rows under it, which rules out the Halloween syndrome by construction.
 
@@ -32,7 +32,7 @@ __all__ = ["CollectionIterator"]
 
 
 class CollectionIterator:
-    """Unidirectional cursor over a materialized query result."""
+    """Unidirectional cursor over a captured query result."""
 
     def __init__(self, ctransaction, handle, oids: List[int]) -> None:
         self.ct = ctransaction

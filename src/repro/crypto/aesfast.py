@@ -12,7 +12,7 @@ is four table lookups and four XORs on Python ints.  Decryption uses the
 The state is held as four 32-bit big-endian column words, which is also
 the interface (:meth:`AesFast.encrypt_words`) the batched CBC/CTR
 kernels in :mod:`repro.crypto.modes` consume — whole payloads are
-transformed without materializing per-block ``bytes`` objects.
+transformed without building per-block ``bytes`` objects.
 
 Key schedule and test vectors are shared with the reference cipher: the
 round keys are expanded by :class:`~repro.crypto.aes.Aes` itself, so the

@@ -303,15 +303,15 @@ class CommitInDoubtError(ServerError):
 
 
 class FeatureUnavailableError(ServerError):
-    """The verb exists in the protocol but this frontend cannot serve it.
+    """The verb exists in the protocol but this server cannot serve it.
 
-    Structured refusal for capability gaps — e.g. ``repl.*`` / ``proof.*``
-    / ``log.*`` on a sharded layout, whose stores are per-shard so there
-    is no single replication stream or transparency head to serve.  Not
-    transient: retrying the same verb against the same server cannot
-    succeed; clients should consult the ``hello`` feature list (absent
-    verbs are advertised there) and route to a frontend that has the
-    feature.
+    Structured refusal for capability gaps — e.g. ``repl.*`` /
+    ``proof.*`` / ``log.*`` on a multi-tenant hub, whose stores are
+    per-tenant so there is no single replication stream or transparency
+    head to serve.  Not transient: retrying the same verb against the
+    same server cannot succeed; clients should consult the ``hello``
+    feature list (absent verbs are advertised there) and route to a
+    server that has the feature.
     """
 
 

@@ -28,7 +28,7 @@ from repro.errors import ObjectStoreError, PicklingError
 from repro.objectstore.encoding import BufferReader, BufferWriter
 from repro.objectstore.locks import LockManager
 from repro.objectstore.persistent import ClassRegistry, Persistent, global_registry
-from repro.objectstore.transaction import _OBJ_NS, Transaction
+from repro.objectstore.transaction import Transaction
 
 __all__ = ["ObjectStore", "Catalog"]
 
@@ -145,17 +145,6 @@ class ObjectStore:
 
     def _transaction_finished(self, txn: Transaction) -> None:
         """Hook for subclasses / bookkeeping; currently a no-op."""
-
-    def evict(self, oid: int) -> None:
-        """Drop any cached unpickled instance of ``oid``.
-
-        For callers that apply chunk-level state *around* the object
-        layer — crash recovery replaying a redo record straight into the
-        chunk store — so the next reader re-unpickles the authoritative
-        bytes instead of a stale cached instance.
-        """
-        with self.mutex:
-            self.cache.remove(_OBJ_NS, oid)
 
     def submit_commit(self, writes, deallocs, durable: bool = True) -> None:
         """Apply a transaction's write set through the commit sink.

@@ -110,31 +110,6 @@ class Transaction:
             self._written.pop(oid, None)
             self._removed.add(oid)
 
-    def materialize(self):
-        """Compute this transaction's chunk-level effect without committing.
-
-        Returns ``(writes, deallocs)`` — exactly the batch :meth:`commit`
-        would submit to the chunk store: ``writes`` maps object id to
-        pickled payload (objects opened writable but unchanged are
-        skipped), ``deallocs`` is the sorted removed-id list.  No cache,
-        lock, or transaction state changes; the transaction stays active
-        and a later :meth:`commit` writes byte-identical state.  This is
-        the 2PC *prepare* entry point: the sharded server persists the
-        batch as a redo record so a decided commit survives a worker
-        crash (:mod:`repro.server.shardworker`).
-        """
-        self._check_active()
-        with self._store.mutex:
-            writes = {}
-            for oid, obj in {**self._inserted, **self._written}.items():
-                if oid in self._removed:
-                    continue
-                payload = self._store.registry.pickle_object(obj)
-                if self._clean_pickles.get(oid) == payload:
-                    continue
-                writes[oid] = payload
-            return writes, sorted(self._removed)
-
     def commit(self, durable: bool = True) -> None:
         """Atomically persist this transaction's effects.
 

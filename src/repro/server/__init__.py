@@ -10,29 +10,22 @@ service:
 * :mod:`repro.server.session` — the session core: the one definition
   of the wire contract (auth gates, begin/commit/abort, commit tokens
   over :mod:`repro.server.commitcache`, request replay, park/resume,
-  tenant verbs, ``hello``) against a backend interface both transports
-  implement,
-* :mod:`repro.server.server` — the threaded transport: one
-  :class:`Session` thread per connection over an in-process backend,
-  plus the per-store ``repl.*`` / ``proof.*`` / ``log.*`` verbs,
+  tenant verbs, ``hello``) as plain calls into the server,
+* :mod:`repro.server.server` — the threaded server: one session
+  thread per connection over one database (or a tenancy hub), plus
+  the per-store ``repl.*`` / ``proof.*`` / ``log.*`` verbs,
 * :mod:`repro.server.groupcommit` — batches concurrent commits into a
   single chunk-store commit (one log append + sync + counter advance),
 * :mod:`repro.server.backpressure` — bounded sessions, bounded commit
   queue, idle/request timeouts that abort and release locks,
 * :mod:`repro.server.client` — context-managed remote transactions
-  with bounded reconnect/retry on transient errors,
-* :mod:`repro.server.sharded` / :mod:`repro.server.shardworker` /
-  :mod:`repro.server.sharding` — the sharded transport: an asyncio
-  front door awaiting the same core over N shard worker processes, with
-  ordered cross-shard two-phase commit (:mod:`repro.server.coordinator`).
+  with bounded reconnect/retry on transient errors.
 """
 
 from repro.server.backpressure import AdmissionControl, BackpressureConfig
 from repro.server.client import RemoteTransaction, TdbClient
 from repro.server.groupcommit import GroupCommitCoordinator, GroupCommitStats
 from repro.server.server import RemoteRecord, TdbServer, field_indexer
-from repro.server.sharded import ShardedTdbServer
-from repro.server.sharding import ShardLayout
 
 __all__ = [
     "AdmissionControl",
@@ -41,8 +34,6 @@ __all__ = [
     "GroupCommitStats",
     "RemoteRecord",
     "RemoteTransaction",
-    "ShardLayout",
-    "ShardedTdbServer",
     "TdbClient",
     "TdbServer",
     "field_indexer",

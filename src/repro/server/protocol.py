@@ -8,8 +8,9 @@ responses echo the id as ``{"id": n, "ok": true, "result": {...}}`` or
 :class:`~repro.errors.TDBError` subclass the server raised; the client
 re-raises the same class so remote and embedded use look identical to
 the application.  ``transient`` marks faults worth retrying (admission
-rejections, transient store faults) even for clients that do not know
-the class name.
+rejections, transient store faults, and lock timeouts: a deadlock
+victim's retry can succeed once the other transaction ends) even for
+clients that do not know the class name.
 
 Verbs
 -----
@@ -99,15 +100,17 @@ import time
 from typing import Any, Dict, Optional, Type
 
 from repro import errors as _errors
-from repro.errors import ProtocolError, ServerBusyError, TransientStoreError
+from repro.errors import (
+    LockTimeoutError,
+    ProtocolError,
+    ServerBusyError,
+    TransientStoreError,
+)
 
 __all__ = [
-    "HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "encode_frame",
-    "frame_length",
-    "decode_body",
     "read_frame",
     "write_frame",
     "recv_exact",
@@ -117,9 +120,6 @@ __all__ = [
 ]
 
 _LENGTH = struct.Struct(">I")
-
-#: Size of the length prefix in front of every frame body.
-HEADER_BYTES = _LENGTH.size
 
 #: Upper bound on one frame's body; a peer announcing more is treated as
 #: a protocol violation, not an allocation request.
@@ -173,27 +173,6 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} limit"
         )
     return _LENGTH.pack(len(body)) + body
-
-
-def frame_length(header: bytes) -> int:
-    """Body length announced by a frame header, checked against the cap."""
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
-        )
-    return length
-
-
-def decode_body(body: bytes) -> Dict[str, Any]:
-    """Parse one frame body: UTF-8 JSON holding an object."""
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return message
 
 
 def recv_exact(
@@ -258,13 +237,24 @@ def read_frame(
     deadline = None
     if body_timeout is not None:
         deadline = time.monotonic() + body_timeout
-    rest = recv_exact(sock, HEADER_BYTES - 1, deadline)
+    rest = recv_exact(sock, _LENGTH.size - 1, deadline)
     if rest is None:
         raise ProtocolError("connection closed inside frame header")
-    body = recv_exact(sock, frame_length(first + rest), deadline)
+    (length,) = _LENGTH.unpack(first + rest)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"peer announced a {length}-byte frame (limit {MAX_FRAME_BYTES})"
+        )
+    body = recv_exact(sock, length, deadline)
     if body is None:
         raise ProtocolError("connection closed between frame header and body")
-    return decode_body(body)
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError("frame body must be a JSON object")
+    return message
 
 
 def write_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
@@ -276,7 +266,9 @@ def write_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 def _is_transient(exc: BaseException) -> bool:
-    return isinstance(exc, (TransientStoreError, ServerBusyError))
+    return isinstance(
+        exc, (TransientStoreError, ServerBusyError, LockTimeoutError)
+    )
 
 
 def error_payload(request_id: Any, exc: BaseException) -> Dict[str, Any]:

@@ -6,11 +6,10 @@ connections under admission control, and each connection gets a
 :class:`Session` — a thread that reads protocol frames and hands them
 to the shared :class:`~repro.server.session.SessionCore`, which owns
 the session contract (one open transaction, exactly-once commits,
-request replay, park/resume, hub auth).  :class:`TdbServer` is the
-core's in-process backend: verbs map straight onto
-``Database.transaction()`` / ``ctransaction()`` under the existing
-strict-2PL locks, and nothing in it ever suspends, so the session
-thread runs every handler to completion itself.
+request replay, park/resume, hub auth).  The core calls back into
+:class:`TdbServer` for everything that touches the store: verbs map
+straight onto ``Database.transaction()`` / ``ctransaction()`` under the
+existing strict-2PL locks, on the session's own thread.
 
 Concurrency model:
 
@@ -54,12 +53,7 @@ from repro.errors import (
 from repro.server.backpressure import AdmissionControl, BackpressureConfig
 from repro.server.groupcommit import GroupCommitCoordinator
 from repro.server import protocol
-from repro.server.session import (
-    SessionBackend,
-    SessionCore,
-    SessionState,
-    run_to_completion,
-)
+from repro.server.session import SessionCore, SessionState
 from repro.server.verbs import (
     MUTATING_DATA_VERBS,
     RemoteRecord,
@@ -118,9 +112,7 @@ class Session:
                     break
                 if request is None:
                     break  # clean EOF
-                response, state = run_to_completion(
-                    core.serve(self.state, request)
-                )
+                response, state = core.serve(self.state, request)
                 if state is not self.state:
                     # session.resume adopted a parked session; the
                     # shipper's pins stay keyed by this connection.
@@ -140,7 +132,7 @@ class Session:
             )
         finally:
             if not parked:
-                run_to_completion(core.end(self.state))
+                core.end(self.state)
             try:
                 self.sock.close()
             except OSError:
@@ -148,7 +140,7 @@ class Session:
             self.server._session_finished(self)
 
 
-class TdbServer(SessionBackend):
+class TdbServer:
     """Threaded socket server over one :class:`~repro.db.Database`."""
 
     def __init__(
@@ -191,7 +183,7 @@ class TdbServer(SessionBackend):
         self.replication_stats = replication_stats
         self.admission = AdmissionControl(self.backpressure.max_sessions)
         self.executor = VerbExecutor(max_results=max_results)
-        self.core = SessionCore(self, self.backpressure, tenancy)
+        self.core = SessionCore(self)
         if read_only or tenancy is not None:
             # A replica commits nothing, so there is nothing to batch —
             # and its store would refuse the coordinator's commits anyway.
@@ -282,7 +274,7 @@ class TdbServer(SessionBackend):
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
             self._reaper_thread = None
-        run_to_completion(self.core.close())
+        self.core.close()
         if self.shipper is not None:
             self.shipper.close()
         with self._proof_lock:
@@ -349,10 +341,10 @@ class TdbServer(SessionBackend):
             self._reaper_wake.wait(self.core.sweep_interval)
             if self._stopping:
                 break
-            run_to_completion(self.core.expire_parked())
+            self.core.expire_parked()
 
     # ------------------------------------------------------------------
-    # The session core's in-process backend
+    # What the session core calls for store access
     # ------------------------------------------------------------------
 
     def _session_db(self, state: SessionState):
@@ -365,7 +357,7 @@ class TdbServer(SessionBackend):
         if self.txn_gate is not None:
             self.txn_gate.release_shared()
 
-    async def begin_txn(self, state: SessionState, mode: str):
+    def begin_txn(self, state: SessionState, mode: str):
         if self.txn_gate is not None:
             # Replica mode: the transaction pins the current image so the
             # applier cannot swap it mid-transaction.  The gate is held
@@ -378,7 +370,7 @@ class TdbServer(SessionBackend):
             self._release_gate()
             raise
 
-    async def execute(self, state: SessionState, request) -> Dict[str, Any]:
+    def execute(self, state: SessionState, request) -> Dict[str, Any]:
         if self.read_only and request["op"] in MUTATING_DATA_VERBS:
             # ``begin`` / ``commit`` / ``abort`` stay allowed: a
             # read-only transaction's commit carries no writes, so it
@@ -391,9 +383,10 @@ class TdbServer(SessionBackend):
             self._session_db(state), request, state.txn, state.mode
         )
 
-    async def commit_txn(
-        self, state: SessionState, txn, durable: bool, token: Optional[str]
-    ) -> Dict[str, Any]:
+    def commit_txn(self, txn, durable: bool) -> Dict[str, Any]:
+        """Commit ``txn`` (already detached from its session).  The
+        transaction is over either way: a failed commit has released its
+        locks before the error propagates."""
         try:
             txn.commit(durable=durable)
         except TDBError:
@@ -409,35 +402,13 @@ class TdbServer(SessionBackend):
             self._release_gate()
         return {"durable": durable}
 
-    async def abort_txn(self, state: SessionState, txn) -> None:
+    def abort_txn(self, txn) -> None:
         try:
             txn.abort()
         finally:
             self._release_gate()
 
-    async def hub_call(self, fn, *args):
-        return fn(*args)
-
-    def internal_fault(self, exc: Exception) -> TDBError:
-        # Crash injection or an interpreter-level failure: the session
-        # ends, and the outcome of a commit it interrupted is genuinely
-        # unknown — its token stays pending.
-        raise exc
-
-    def describe(self) -> Dict[str, Any]:
-        features = []
-        if self.tenancy is None:
-            features.append("proofs")
-            if self.shipper is not None:
-                features.append("replication")
-        return {
-            "mode": "replica" if self.read_only else "primary",
-            "sharded": False,
-            "shards": 1,
-            "features": features,
-        }
-
-    async def serve_verb(self, state: SessionState, request) -> Dict[str, Any]:
+    def serve_verb(self, state: SessionState, request) -> Dict[str, Any]:
         # The core has checked the verb against protocol.VERBS and kept
         # its own, so what arrives here is stats or a per-store verb.
         handler = getattr(self, "_op_" + request["op"].replace(".", "_"))

@@ -1,8 +1,7 @@
 """The session core: what a TDB session guarantees over the wire.
 
-Both frontends — the threaded :mod:`repro.server.server` and the
-asyncio front door of :mod:`repro.server.sharded` — serve one session
-contract, written down only here:
+:mod:`repro.server.server` moves frames and threads; the session
+contract it serves is written down only here:
 
 * who may send what before ``auth`` binds an identity on a multi-tenant
   hub, and which verbs a hub cannot serve at all;
@@ -21,11 +20,13 @@ contract, written down only here:
 * ``hello``, the tenant verbs, and the session-level ``resilience``
   counters of ``stats``.
 
-Every handler is a coroutine function over :class:`SessionBackend`.
-The asyncio front door awaits them on its loop with a backend that
-routes to shard workers; the threaded server's in-process backend
-never suspends, so its session threads drive the same coroutines with
-:func:`run_to_completion` — no event loop, extra thread or hop.
+Every handler is a plain method that runs on the session's own thread
+and calls the :class:`~repro.server.server.TdbServer` directly for what
+touches the store: opening, running, committing and aborting
+transactions, and the ``stats`` and per-store verbs.  A
+:class:`~repro.errors.TDBError` is the client's answer; anything else
+escaping a verb ends the session, and a commit it interrupted leaves
+its token pending, because that commit's outcome is genuinely unknown.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import secrets
 import threading
 import time
-from typing import Any, Coroutine, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
     AuthFailedError,
@@ -50,22 +51,16 @@ from repro.server.commitcache import CommitResultCache
 from repro.server.verbs import DATA_VERBS, MUTATING_DATA_VERBS, param
 from repro.tenancy import value_bytes as _tenant_value_bytes
 
-__all__ = [
-    "SessionBackend",
-    "SessionCore",
-    "SessionState",
-    "failed_outcome",
-    "run_to_completion",
-]
+__all__ = ["SessionCore", "SessionState", "failed_outcome"]
 
 #: Verbs a multi-tenant hub answers before ``auth`` binds an identity.
 #: Everything else on a hub requires an authenticated session.
 _PREAUTH_VERBS = ("hello", "auth", "stats", "commit.result", "session.resume")
 
 #: Verbs that are inherently per-database: replication streams and
-#: transparency heads belong to one store.  Neither a multi-tenant hub
-#: (per-tenant heads are a roadmap item) nor a sharded root has one;
-#: both advertise these as ``absent_verbs`` in ``hello``.
+#: transparency heads belong to one store.  A multi-tenant hub has none
+#: (per-tenant heads are a roadmap item), so it advertises these as
+#: ``absent_verbs`` in ``hello``.
 PER_STORE_VERBS = (
     "repl.subscribe",
     "repl.segments",
@@ -77,33 +72,15 @@ PER_STORE_VERBS = (
 )
 
 
-def run_to_completion(coro: Coroutine) -> Any:
-    """Drive a coroutine that never suspends, on the calling thread:
-    the threaded server's backend only ever blocks, so the first
-    ``send`` runs a handler to its end."""
-    try:
-        coro.send(None)
-    except StopIteration as done:
-        return done.value
-    coro.close()
-    raise RuntimeError("a session handler suspended outside an event loop")
-
-
 def failed_outcome(exc: TDBError) -> Dict[str, Any]:
     """The commit-cache outcome recording that a commit failed with ``exc``."""
     payload = protocol.error_payload(None, exc)
-    outcome = {
+    return {
         "status": "failed",
         "error": payload["error"],
         "message": payload["message"],
         "transient": payload["transient"],
     }
-    # A sharded backend tags an in-doubt commit with the shard whose
-    # durable ledger can still settle it (see ``settle_token``).
-    shard = getattr(exc, "shard", None)
-    if shard is not None:
-        outcome["shard"] = shard
-    return outcome
 
 
 class SessionState:
@@ -111,7 +88,7 @@ class SessionState:
 
     The parked object *is* the state: ``session.resume`` hands this very
     object to the resuming connection, so nothing is copied and the
-    backend's transaction handle keeps its identity.
+    open transaction keeps its identity.
     """
 
     __slots__ = (
@@ -120,12 +97,12 @@ class SessionState:
     )
 
     def __init__(self, session_id: int) -> None:
-        #: The transport's key for this session (the sharded backend
-        #: keys worker-side transactions by it).
+        #: The connection's key for this session (the replication
+        #: shipper keys its segment pins by it).
         self.id = session_id
         #: Token a disconnected client presents to ``session.resume``.
         self.resume_token = secrets.token_hex(16)
-        #: The backend's handle on the open transaction (``None``: no
+        #: The open object or collection transaction (``None``: no
         #: transaction open) and its mode.
         self.txn: Any = None
         self.mode: Optional[str] = None
@@ -146,75 +123,18 @@ class SessionState:
         self.deadline = 0.0  # parked-until, set when parked
 
 
-class SessionBackend:
-    """What the session core needs from the store behind a frontend.
-
-    Coroutine functions throughout, so one handler text serves a
-    backend that awaits worker processes and one that only ever blocks.
-    """
-
-    async def begin_txn(self, state: SessionState, mode: str) -> Any:
-        """Open a transaction; the returned handle becomes ``state.txn``."""
-        raise NotImplementedError
-
-    async def execute(self, state: SessionState, request) -> Dict[str, Any]:
-        """Run one data verb in the session's transaction."""
-        raise NotImplementedError
-
-    async def commit_txn(
-        self, state: SessionState, txn: Any, durable: bool,
-        token: Optional[str],
-    ) -> Dict[str, Any]:
-        """Commit ``txn`` (already detached from ``state``); returns the
-        ``commit`` result.  The transaction is over either way: a
-        backend that raises has released its locks first."""
-        raise NotImplementedError
-
-    async def abort_txn(self, state: SessionState, txn: Any) -> None:
-        """Abort ``txn`` (already detached from ``state``)."""
-        raise NotImplementedError
-
-    async def settle_token(self, token: str, payload) -> Optional[Dict[str, Any]]:
-        """Settle a token the cache cannot answer (``payload`` says
-        ``unknown`` or records an in-doubt failure) from the backend's
-        durable state; ``None`` when it has nothing better."""
-        return None
-
-    async def hub_call(self, fn, *args) -> Any:
-        """Call one blocking :class:`~repro.tenancy.TenancyHub` method."""
-        raise NotImplementedError
-
-    async def serve_verb(self, state: SessionState, request) -> Dict[str, Any]:
-        """Serve ``stats`` or a per-store verb (the core defines neither)."""
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:
-        """The frontend's part of ``hello``: ``mode``, ``sharded``,
-        ``shards`` and its own ``features``."""
-        raise NotImplementedError
-
-    def internal_fault(self, exc: Exception) -> TDBError:
-        """Policy for a non-:class:`TDBError` escaping a verb: return
-        the error to answer (and resolve a tokened commit) with, or
-        re-raise to end the session and leave the token pending."""
-        raise NotImplementedError
-
-
 class SessionCore:
     """The server-wide half of the session contract (see module docstring)."""
 
-    def __init__(
-        self,
-        backend: SessionBackend,
-        backpressure: BackpressureConfig,
-        tenancy=None,
-    ) -> None:
-        self.backend = backend
-        self.backpressure = backpressure
+    def __init__(self, server) -> None:
+        #: The :class:`~repro.server.server.TdbServer` whose store the
+        #: handlers reach.
+        self.server = server
+        self.backpressure: BackpressureConfig = server.backpressure
         #: Optional :class:`repro.tenancy.TenancyHub`.  When set, every
         #: session must bind a ``(tenant, principal)`` identity via the
         #: auth challenge-response before touching data.
-        self.tenancy = tenancy
+        self.tenancy = server.tenancy
         #: Boot nonce: lets a client distinguish "this server never saw
         #: your commit token" from "the server restarted and lost its
         #: token cache" — the latter makes an unknown token *in doubt*.
@@ -244,7 +164,7 @@ class SessionCore:
     # One request
     # ------------------------------------------------------------------
 
-    async def serve(
+    def serve(
         self, state: SessionState, request: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], SessionState]:
         """Answer one request frame: the response and the session's
@@ -259,15 +179,11 @@ class SessionCore:
             self.count("request_replays")
             return state.last_response, state
         try:
-            result, state = await self._dispatch(state, request)
+            result, state = self._dispatch(state, request)
             response = {"id": request_id, "ok": True, "result": result}
         except TDBError as exc:
             response = protocol.error_payload(request_id, exc)
-        except Exception as exc:  # noqa: BLE001 — the backend's policy
-            response = protocol.error_payload(
-                request_id, self.backend.internal_fault(exc)
-            )
-        # Cache before the transport writes: if the write dies the
+        # Cache before the server writes: if the write dies the
         # session parks with the response, and the resumed client's
         # re-send replays it.  A resume response must not clobber the
         # slot it just adopted — the slot still holds the dropped
@@ -278,7 +194,7 @@ class SessionCore:
             state.last_response = response
         return response, state
 
-    async def _dispatch(
+    def _dispatch(
         self, state: SessionState, request: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], SessionState]:
         op = request.get("op")
@@ -300,8 +216,8 @@ class SessionCore:
                 )
         if op in DATA_VERBS:
             if hub is not None:
-                await self.backend.hub_call(hub.check, state.identity, op, request)
-            result = await self.backend.execute(state, request)
+                hub.check(state.identity, op, request)
+            result = self.server.execute(state, request)
             if hub is not None and op in MUTATING_DATA_VERBS:
                 state.txn_bytes += _tenant_value_bytes(request)
             return result, state
@@ -317,14 +233,14 @@ class SessionCore:
             raise ProtocolError(f"unknown verb {op!r}")
         handler = getattr(self, "_op_" + op.replace(".", "_"), None)
         if handler is None:  # stats and the per-store verbs
-            handler = self.backend.serve_verb
-        return await handler(state, request), state
+            handler = self.server.serve_verb
+        return handler(state, request), state
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
     # ------------------------------------------------------------------
 
-    async def _op_begin(self, state: SessionState, request) -> Dict[str, Any]:
+    def _op_begin(self, state: SessionState, request) -> Dict[str, Any]:
         mode = param(request, "mode", default="object")
         if mode not in ("object", "collection"):
             raise ProtocolError(f"unknown transaction mode {mode!r}")
@@ -335,8 +251,8 @@ class SessionCore:
         if self.tenancy is not None:
             # Tenancy: charge the tenant's txn/s token bucket first; a
             # refused begin opens nothing.
-            await self.backend.hub_call(self.tenancy.on_begin, state.identity)
-        state.txn = await self.backend.begin_txn(state, mode)
+            self.tenancy.on_begin(state.identity)
+        state.txn = self.server.begin_txn(state, mode)
         state.mode = mode
         state.txn_bytes = 0
         return {
@@ -345,7 +261,7 @@ class SessionCore:
             "epoch": self.epoch,
         }
 
-    async def _op_commit(self, state: SessionState, request) -> Dict[str, Any]:
+    def _op_commit(self, state: SessionState, request) -> Dict[str, Any]:
         token = param(request, "token", str, None)
         durable = bool(param(request, "durable", default=True))
         cache = self.commit_results
@@ -369,40 +285,29 @@ class SessionCore:
                 # nothing keeps its locks, and resolves the token as a
                 # transient failure below.
                 try:
-                    await self.backend.hub_call(
-                        hub.on_commit_start, identity, txn_bytes
-                    )
+                    hub.on_commit_start(identity, txn_bytes)
                 except Exception:
-                    await self.backend.abort_txn(state, txn)
+                    self.server.abort_txn(txn)
                     raise
                 quota_held = True
-            result = await self.backend.commit_txn(state, txn, durable, token)
+            result = self.server.commit_txn(txn, durable)
             committed = True
         except TDBError as exc:
             # The commit failed (queue full, store fault, deferred index
-            # violation, quota...); the backend released the locks.
+            # violation, quota...); the server released the locks.  Any
+            # other exception (crash injection, a bug) leaves the outcome
+            # genuinely unknown: the token stays pending, commit.result
+            # says so, and the session ends.
             if token is not None:
                 cache.resolve(token, failed_outcome(exc))
             raise
-        except Exception as exc:
-            # Crash injection, disk-full in a decision log, a bug.  A
-            # backend that answers such faults says the commit did not
-            # happen, so the token must not stay pending forever; one
-            # that re-raises leaves the outcome genuinely unknown —
-            # the token stays pending and commit.result says so.
-            fault = self.backend.internal_fault(exc)
-            if token is not None:
-                cache.resolve(token, failed_outcome(fault))
-            raise fault from exc
         finally:
             if quota_held:
                 # Releases the pending-commit slot; on success it also
                 # settles the stored-bytes meter and the audit trail.
                 # (An in-doubt outcome releases without recording —
                 # metering is accounting, not a ledger.)
-                await self.backend.hub_call(
-                    hub.on_commit_end, identity, txn_bytes, committed
-                )
+                hub.on_commit_end(identity, txn_bytes, committed)
         if token is not None:
             cache.resolve(
                 token, {"status": "committed", "durable": result["durable"]}
@@ -424,17 +329,9 @@ class SessionCore:
             raise protocol.exception_from_payload(prior)
         return {"durable": prior.get("durable", True), "replayed": True}
 
-    async def _op_commit_result(self, state: SessionState, request) -> Dict[str, Any]:
+    def _op_commit_result(self, state: SessionState, request) -> Dict[str, Any]:
         token = param(request, "token", str)
         payload = self.commit_results.lookup(token)
-        if (
-            payload["status"] == "unknown"
-            or payload.get("error") == "CommitInDoubtError"
-        ):
-            outcome = await self.backend.settle_token(token, payload)
-            if outcome is not None:
-                self.commit_results.resolve(token, outcome)
-                payload = {**outcome, "token": token}
         self.count(
             "indoubt_misses" if payload["status"] == "unknown"
             else "indoubt_hits"
@@ -442,36 +339,38 @@ class SessionCore:
         payload["epoch"] = self.epoch
         return payload
 
-    async def _op_abort(self, state: SessionState, request) -> Dict[str, Any]:
+    def _op_abort(self, state: SessionState, request) -> Dict[str, Any]:
         if state.txn is None:
             raise SessionStateError("no open transaction to abort")
         txn, state.txn, state.mode = state.txn, None, None
         state.txn_bytes = 0
-        await self.backend.abort_txn(state, txn)
+        self.server.abort_txn(txn)
         return {}
 
     # ------------------------------------------------------------------
     # hello / tenancy
     # ------------------------------------------------------------------
 
-    async def _op_hello(self, state: SessionState, request) -> Dict[str, Any]:
+    def _op_hello(self, state: SessionState, request) -> Dict[str, Any]:
         """Protocol version + capability negotiation.
 
-        ``absent_verbs`` names protocol verbs this frontend cannot serve
+        ``absent_verbs`` names protocol verbs this server cannot serve
         (they fail with ``FeatureUnavailableError``) so a new client can
         route around a capability gap before tripping over it.
         """
-        info = self.backend.describe()
-        features = ["resume", "commit-tokens"] + info["features"]
+        features = ["resume", "commit-tokens"]
+        absent: Tuple[str, ...] = ()
         if self.tenancy is not None:
             features.append("tenancy")
-        absent = PER_STORE_VERBS if self.tenancy or info["sharded"] else ()
+            absent = PER_STORE_VERBS
+        else:
+            features.append("proofs")
+            if self.server.shipper is not None:
+                features.append("replication")
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "server": "tdb",
-            "mode": info["mode"],
-            "sharded": info["sharded"],
-            "shards": info["shards"],
+            "mode": "replica" if self.server.read_only else "primary",
             "epoch": self.epoch,
             "features": features,
             "absent_verbs": list(absent),
@@ -488,12 +387,12 @@ class SessionCore:
 
     def release_identity(self, state: SessionState) -> None:
         """Drop a session's hub identity: its tenant lease and quota
-        slot (memory-only, so safe on an event loop)."""
+        slot."""
         if self.tenancy is not None and state.identity is not None:
             self.tenancy.release(state.identity)
             state.identity = None
 
-    async def _op_auth(self, state: SessionState, request) -> Dict[str, Any]:
+    def _op_auth(self, state: SessionState, request) -> Dict[str, Any]:
         hub = self._require_hub()
         if state.txn is not None:
             raise SessionStateError(
@@ -503,9 +402,7 @@ class SessionCore:
         principal = param(request, "principal", str)
         proof = param(request, "proof", default=None)
         if proof is None:
-            state.pending_auth = await self.backend.hub_call(
-                hub.begin_auth, tenant, principal
-            )
+            state.pending_auth = hub.begin_auth(tenant, principal)
             return {"challenge": state.pending_auth["challenge"]}
         # The pending challenge is consumed by the attempt, success or
         # not: replaying an observed proof finds no challenge and fails.
@@ -516,7 +413,7 @@ class SessionCore:
             or pending["principal"] != principal
         ):
             raise AuthFailedError("authentication failed")
-        identity = await self.backend.hub_call(hub.finish_auth, pending, proof)
+        identity = hub.finish_auth(pending, proof)
         self.release_identity(state)
         state.identity = identity
         return {
@@ -525,11 +422,10 @@ class SessionCore:
             "principal": identity.principal,
         }
 
-    async def _op_tenant_grant(self, state: SessionState, request):
+    def _op_tenant_grant(self, state: SessionState, request):
         # Also tenant.revoke: the hub method is named by the verb.
         edit = getattr(self._require_hub(), request["op"].rpartition(".")[2])
-        return await self.backend.hub_call(
-            edit,
+        return edit(
             state.identity,
             param(request, "principal", str),
             param(request, "scope", str),
@@ -538,10 +434,8 @@ class SessionCore:
 
     _op_tenant_revoke = _op_tenant_grant
 
-    async def _op_tenant_meter(self, state: SessionState, request):
-        return await self.backend.hub_call(
-            self._require_hub().meter, state.identity.tenant
-        )
+    def _op_tenant_meter(self, state: SessionState, request):
+        return self._require_hub().meter(state.identity.tenant)
 
     # ------------------------------------------------------------------
     # Park / resume / end
@@ -554,7 +448,7 @@ class SessionCore:
         open transaction simply waits in the registry.  ``False`` (the
         caller ends the session) when parking is disabled, the core is
         closed, nothing is worth preserving, or the registry is full.
-        The transport releases its admission slot either way — a parked
+        The server releases its admission slot either way — a parked
         session must not starve live connections.
         """
         grace = self.backpressure.effective_resume_grace
@@ -591,11 +485,7 @@ class SessionCore:
         self.release_identity(state)
         return parked
 
-    def parked_states(self) -> List[SessionState]:
-        with self._lock:
-            return list(self._parked.values())
-
-    async def end(self, state: SessionState) -> None:
+    def end(self, state: SessionState) -> None:
         """A session is over for good (closed, timed out, grace expired,
         server stopping): abort what it left open — releasing its locks
         so other sessions stop blocking on a dead client — and drop its
@@ -604,18 +494,18 @@ class SessionCore:
         state.txn_bytes = 0
         if txn is not None:
             try:
-                await self.backend.abort_txn(state, txn)
+                self.server.abort_txn(txn)
             except TDBError:
                 pass
         self.release_identity(state)
 
     @property
     def sweep_interval(self) -> float:
-        """How often the transport's timer should call :meth:`expire_parked`."""
+        """How often the server's timer should call :meth:`expire_parked`."""
         grace = self.backpressure.effective_resume_grace
         return max(0.02, min(grace / 4.0, 0.25))
 
-    async def expire_parked(self) -> None:
+    def expire_parked(self) -> None:
         """End every parked session whose grace window has passed."""
         now = time.monotonic()
         with self._lock:
@@ -626,16 +516,16 @@ class SessionCore:
             ]
         for entry in expired:
             self.count("grace_expired")
-            await self.end(entry)
+            self.end(entry)
 
-    async def close(self) -> None:
+    def close(self) -> None:
         """Server stopping: refuse further parking, end what is parked."""
         with self._lock:
             self._closed = True
             parked = list(self._parked.values())
             self._parked.clear()
         for entry in parked:
-            await self.end(entry)
+            self.end(entry)
 
     # ------------------------------------------------------------------
     # Stats

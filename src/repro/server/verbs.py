@@ -1,13 +1,11 @@
 """The remote data model and the data-verb executor.
 
-Both server frontends — the threaded :mod:`repro.server.server` and the
-sharded :mod:`repro.server.sharded` worker processes — speak the same
-JSON data model: values live in :class:`RemoteRecord` persistent
-objects, collections are indexed by record fields, and the ``obj.*`` /
-``name.*`` / ``col.*`` verbs map onto ``Database.transaction()`` /
-``ctransaction()``.  This module holds that shared core so a shard
-worker executes *exactly* the code path the threaded server does; the
-frontends differ only in transaction lifecycle and routing.
+The server speaks a JSON data model: values live in
+:class:`RemoteRecord` persistent objects, collections are indexed by
+record fields, and the ``obj.*`` / ``name.*`` / ``col.*`` verbs map
+onto ``Database.transaction()`` / ``ctransaction()``.  The executor is
+stateless, so one instance serves every session of a server, plain
+database or tenancy hub alike.
 """
 
 from __future__ import annotations
@@ -87,9 +85,8 @@ def field_indexer(
     )
 
 
-#: Every data verb the executor handles.  Frontends use this set to
-#: route: anything here needs an open transaction (and, in the sharded
-#: server, a shard decision).
+#: Every data verb the executor handles.  The session core routes on
+#: this set: anything here needs an open transaction.
 DATA_VERBS = frozenset(
     {
         "obj.put",
@@ -164,7 +161,7 @@ class VerbExecutor:
 
     Stateless apart from the result cap: the database and transaction
     are passed per call, so one executor serves every session of a
-    frontend (and survives a replica applier swapping the database).
+    server (and survives a replica applier swapping the database).
     """
 
     def __init__(self, max_results: int = 1000) -> None:

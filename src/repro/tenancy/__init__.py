@@ -1,6 +1,6 @@
 """repro.tenancy — the multi-tenant DRM hub.
 
-Turns either server frontend into a hub serving many tenants from one
+Turns the server into a hub serving many tenants from one
 root directory: per-tenant databases opened lazily and LRU-evicted
 (:mod:`~repro.tenancy.registry`), per-principal HMAC challenge–response
 authentication, DDH-style policy grants persisted as ordinary TDB
@@ -10,8 +10,7 @@ durable ``_audit`` trail written into each tenant's own database — the
 DRM workload the paper targets, dogfooded through the store itself.
 
 Entry point: :class:`~repro.tenancy.hub.TenancyHub`, passed as the
-``tenancy`` argument of :class:`~repro.server.server.TdbServer` or
-:class:`~repro.server.sharded.ShardedTdbServer` (see
+``tenancy`` argument of :class:`~repro.server.server.TdbServer` (see
 ``tools.py serve --tenants``).
 """
 

@@ -1,7 +1,7 @@
-"""TenancyHub: the control plane both server frontends share.
+"""TenancyHub: the multi-tenant control plane behind the server.
 
 The hub owns the :class:`~repro.tenancy.registry.TenantRegistry` and
-exposes everything a frontend needs, in frontend-neutral terms:
+exposes everything the session core needs:
 
 - ``begin_auth`` / ``finish_auth`` / ``release`` — the HMAC
   challenge–response and the session lease it produces.
@@ -11,10 +11,8 @@ exposes everything a frontend needs, in frontend-neutral terms:
   the transaction lifecycle threads through (token bucket at begin,
   pending-commit and stored-bytes budgets around commit, durable
   metering after).
-- ``session_db`` — the tenant's database for the threaded frontend.
-- ``read_reserved`` — reserved-collection reads for the sharded
-  frontend, whose data plane lives in the shards while the control
-  plane stays in the tenant's hub database.
+- ``session_db`` — the tenant's database, which serves the session's
+  data verbs.
 
 Authentication protocol: the first ``auth`` call (no ``proof``) makes
 the hub look up the principal's secret and mint a single-use random
@@ -64,10 +62,8 @@ def value_bytes(request: Dict[str, Any]) -> int:
     """Accounting size of one mutating data verb.
 
     The stored-bytes quota is accounting-based: the JSON size of the
-    payload the verb carried.  It is the one currency both frontends
-    can measure identically — the sharded front door never sees the
-    tenant's chunk store, so physical bytes cannot be shared ground.
-    Verbs without a payload (``name.bind``, ``obj.remove``) cost a
+    payload the verb carried, known before the commit runs, so the
+    budget gates a commit up front.  Verbs without a payload (``name.bind``, ``obj.remove``) cost a
     small flat fee for their metadata write.
     """
     if "value" not in request:
@@ -86,7 +82,7 @@ def compute_proof(secret_hex: str, challenge_hex: str) -> str:
 
 
 class TenancyHub:
-    """The multi-tenant control plane (thread-safe; frontend-neutral)."""
+    """The multi-tenant control plane (thread-safe)."""
 
     def __init__(
         self,
@@ -96,8 +92,6 @@ class TenancyHub:
         chunk_config: Optional[ChunkStoreConfig] = None,
         meter_flush_every: int = 16,
     ) -> None:
-        from repro.server.verbs import VerbExecutor
-
         self.registry = TenantRegistry(
             root,
             max_open=max_open,
@@ -105,7 +99,6 @@ class TenancyHub:
             chunk_config=chunk_config,
             meter_flush_every=meter_flush_every,
         )
-        self._executor = VerbExecutor()
 
     # ------------------------------------------------------------------
     # Tenant administration (CLI and wire)
@@ -397,34 +390,9 @@ class TenancyHub:
     # ------------------------------------------------------------------
 
     def session_db(self, identity: Identity):
-        """The tenant's database (threaded frontend data plane).  The
+        """The tenant's database (the session's data plane).  The
         session's lease — taken at ``finish_auth`` — pins it open."""
         return self.registry.acquire(identity.tenant).db
-
-    def read_reserved(
-        self, identity: Identity, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Serve a reserved-collection read for the sharded frontend.
-
-        The shards hold only the tenants' data plane; ``_audit`` and
-        friends live in the tenant's hub database, so the front door
-        routes reserved ``col.get`` / ``col.iterate`` here.  Runs in a
-        throwaway read-only collection transaction.
-        """
-        op = request.get("op")
-        if op not in ("col.get", "col.iterate"):
-            raise PermissionDeniedError(
-                f"reserved collections are read-only over the wire ({op!r})"
-            )
-        with self.registry.using(identity.tenant) as state:
-            with state.lock:
-                ct = state.db.ctransaction()
-                try:
-                    return self._executor.execute(
-                        state.db, request, ct, "collection"
-                    )
-                finally:
-                    ct.abort()
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

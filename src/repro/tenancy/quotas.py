@@ -14,10 +14,8 @@ bytes, txn/s token bucket"):
 ``max_bytes``
     Cumulative committed payload bytes, *accounting-based*: each
     transaction's cost is the JSON size of the values its mutating verbs
-    carried, identical on the threaded and the sharded path (the sharded
-    front door never sees the tenant's chunk store, so physical size
-    cannot be the common currency).  Restored from the durable meter on
-    tenant open.
+    carried, known before the commit reaches the tenant's chunk store.
+    Restored from the durable meter on tenant open.
 ``txn_rate``
     A token bucket refilled at ``txn_rate`` tokens/second with
     ``burst`` capacity; every ``begin`` takes one token.

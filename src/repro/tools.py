@@ -15,7 +15,7 @@ Subcommands over a file-backed database directory (the layout
   ``--salvage`` the store is opened read-only so a damaged image can be
   diagnosed without touching it.
 * ``repair``  — heal a damaged store from the backup chain in its
-  archive (selective re-materialization when the damage is local, full
+  archive (selective restore when the damage is local, full
   restore when it is not).
 * ``salvage-export`` — open the store read-only in salvage mode and
   dump every chunk that still Merkle-verifies to files in an output
@@ -24,10 +24,7 @@ Subcommands over a file-backed database directory (the layout
   protocol (:mod:`repro.server`) until interrupted; group-commit and
   backpressure tuning via ``--max-batch`` / ``--max-delay`` /
   ``--max-pending`` / ``--max-results``.
-  ``--shards N`` serves a *sharded* layout instead: N worker processes
-  behind one asyncio front door (:mod:`repro.server.sharded`), created
-  on first use and reopened with the recorded shard count after that.
-  ``--tenants`` turns either frontend into a multi-tenant hub
+  ``--tenants`` turns the server into a multi-tenant hub
   (:mod:`repro.tenancy`): sessions must authenticate as a
   ``(tenant, principal)`` pair and data verbs are policy-gated and
   metered per tenant.
@@ -58,8 +55,7 @@ Usage::
     python -m repro.tools repair  /path/to/dbdir
     python -m repro.tools salvage-export /path/to/dbdir /path/to/outdir
     python -m repro.tools serve   /path/to/dbdir [--host H] [--port P]
-    python -m repro.tools serve   /path/to/sharddir --shards 4
-    python -m repro.tools serve   /path/to/hubroot --tenants [--shards 4]
+    python -m repro.tools serve   /path/to/hubroot --tenants
     python -m repro.tools tenant  create /path/to/hubroot NAME [--admin P]
     python -m repro.tools tenant  list   /path/to/hubroot
     python -m repro.tools tenant  grant  /path/to/hubroot NAME P SCOPE RIGHT
@@ -103,7 +99,6 @@ __all__ = [
     "main",
     "verify_database",
     "serve_database",
-    "serve_sharded_database",
     "replicate_database",
     "promote_database",
     "stats_database",
@@ -432,89 +427,6 @@ def serve_database(
             hub.close()
         if db is not None:
             db.close()
-    return 0
-
-
-def serve_sharded_database(
-    directory: str,
-    host: str,
-    port: int,
-    shards: int,
-    config: Optional[ChunkStoreConfig] = None,
-    max_sessions: int = 64,
-    idle_timeout: float = 30.0,
-    resume_grace: float = 2.0,
-    max_batch: int = 32,
-    max_delay: float = 0.005,
-    max_pending: int = 256,
-    max_results: int = 1000,
-    tenants: bool = False,
-    ready_callback=None,
-    stop_event=None,
-) -> int:
-    """Serve a sharded layout: N worker processes, one asyncio front door.
-
-    ``directory`` must be either empty (the layout is created with
-    ``shards`` partitions) or an existing shard layout created with the
-    same count — the partition function is a function of N, so the count
-    is pinned in ``sharding.json``.
-
-    With ``tenants`` the front door also runs the multi-tenant hub:
-    tenant control planes live under ``<directory>/tenants/`` while
-    tenant data shares the shard workers under per-tenant namespaces.
-    """
-    import threading
-
-    from repro.server.backpressure import BackpressureConfig
-    from repro.server.sharded import ShardedTdbServer
-
-    hub = None
-    if tenants:
-        from repro.tenancy import TenancyHub
-
-        hub = TenancyHub(directory, chunk_config=config)
-    backpressure = BackpressureConfig(
-        max_sessions=max_sessions,
-        idle_timeout=idle_timeout,
-        resume_grace=resume_grace,
-        max_pending_commits=max_pending,
-    )
-    server = ShardedTdbServer(
-        directory,
-        shards=shards,
-        host=host,
-        port=port,
-        backpressure=backpressure,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        max_results=max_results,
-        chunk_config=config,
-        tenancy=hub,
-    )
-    try:
-        server.start()
-    except BaseException:
-        if hub is not None:
-            hub.close()
-        raise
-    bound_host, bound_port = server.address
-    label = "tenant hub " if tenants else ""
-    print(
-        f"serving {label}{directory} on {bound_host}:{bound_port} "
-        f"({server.layout.shards} shard workers)"
-    )
-    if ready_callback is not None:
-        ready_callback(bound_host, bound_port)
-    if stop_event is None:
-        stop_event = threading.Event()
-    try:
-        stop_event.wait()
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
-    finally:
-        server.stop()
-        if hub is not None:
-            hub.close()
     return 0
 
 
@@ -926,11 +838,6 @@ def main(argv=None) -> int:
                              help="pending-commit admission limit")
             cmd.add_argument("--max-results", type=int, default=1000,
                              help="cap on rows returned per query verb")
-            cmd.add_argument("--shards", type=int, default=None,
-                             help="serve a sharded layout with this many "
-                                  "worker processes (creates the layout on "
-                                  "an empty directory; must match the "
-                                  "recorded count afterwards)")
             cmd.add_argument("--tenants", action="store_true", default=False,
                              help="serve the directory as a multi-tenant "
                                   "hub root: sessions authenticate as "
@@ -1012,22 +919,6 @@ def main(argv=None) -> int:
         if args.command == "salvage-export":
             return salvage_export(args.directory, args.out_dir, config)
         if args.command == "serve":
-            if args.shards is not None:
-                return serve_sharded_database(
-                    args.directory,
-                    args.host,
-                    args.port,
-                    args.shards,
-                    config,
-                    max_sessions=args.max_sessions,
-                    idle_timeout=args.idle_timeout,
-                    resume_grace=args.resume_grace,
-                    max_batch=args.max_batch,
-                    max_delay=args.max_delay,
-                    max_pending=args.max_pending,
-                    max_results=args.max_results,
-                    tenants=args.tenants,
-                )
             return serve_database(
                 args.directory,
                 args.host,

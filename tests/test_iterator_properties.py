@@ -5,7 +5,7 @@ reads, writes, and deletes *while an iterator is open*, and checks the
 store against a pure-Python model:
 
 * **insensitivity** — the iterator observes exactly the objects its
-  query materialized at open time; objects inserted mid-iteration never
+  query captured at open time; objects inserted mid-iteration never
   appear under the cursor,
 * **deferred index maintenance** — index lookups keep returning
   pre-update keys until the iterator closes (so inserting a key that a
@@ -202,7 +202,7 @@ class IteratorSession:
             return
         oid = self.iterator._oids[self.iterator._position]
         item = self.iterator.read()
-        # Each oid appears once in a materialized result set, so the
+        # Each oid appears once in a captured result set, so the
         # cursor must show this object's pre-open committed state.
         assert (item.key, item.rank) == tuple(self.model[oid]), (
             f"cursor shows ({item.key}, {item.rank}) for oid {oid}, "
@@ -284,7 +284,7 @@ class IteratorSession:
     def _check_insensitivity(self):
         observed = set(self.observed)
         assert observed <= self.expected_oids, (
-            "iterator observed objects outside its materialized result set"
+            "iterator observed objects outside its captured result set"
         )
         assert not (observed & self.inserted_while_open), (
             "iterator observed an object inserted after it was opened"

@@ -3,7 +3,7 @@
 The scrub walks the embedded Merkle tree and reports *every* damaged
 chunk and map node instead of stopping at the first bad byte; the
 repair engine uses that report plus a full+incremental backup chain to
-re-materialize exactly the damaged state (falling back to a full
+rebuild exactly the damaged state (falling back to a full
 restore); salvage mode opens a damaged store read-only and serves
 whatever still verifies.
 

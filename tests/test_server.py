@@ -121,7 +121,7 @@ class TestProtocolErrors:
     def test_unknown_verb_and_state_machine(self):
         with running_server() as server:
             with connect(server) as client:
-                with pytest.raises(ProtocolError):
+                with pytest.raises(ProtocolError, match="unknown verb"):
                     client.call("drop.tables")
                 with pytest.raises(SessionStateError):
                     client.call("commit")
@@ -132,6 +132,15 @@ class TestProtocolErrors:
                     client.call("col.insert", name="x", value={})  # wrong mode
                 client.call("abort")
 
+    def test_mode_mismatch_and_no_txn_messages(self):
+        with running_server() as server:
+            with connect(server) as client:
+                with pytest.raises(SessionStateError, match="no open transaction"):
+                    client.call("obj.get", oid=1)
+                with client.transaction("collection"):
+                    with pytest.raises(SessionStateError, match="needs a object"):
+                        client.call("obj.get", oid=1)
+
     def test_stats_verb_needs_no_transaction(self):
         with running_server() as server:
             with connect(server) as client:
@@ -141,6 +150,7 @@ class TestProtocolErrors:
                     "resilience",
                 }
                 assert payload["sessions"]["active_sessions"] == 1
+                assert payload["sessions"]["max_sessions"] > 0
                 resilience = payload["resilience"]
                 assert set(resilience) >= {
                     "sessions_parked", "sessions_resumed", "resume_failures",
@@ -157,6 +167,38 @@ class TestProtocolErrors:
                 sock.sendall(b"\x00\x00\x00\x04haha")
                 # The server cannot parse the frame and hangs up.
                 assert sock.recv(4096) == b""
+
+
+class TestHello:
+    def test_new_client_vs_threaded_server(self):
+        with running_server() as server:
+            with connect(server) as client:
+                info = client.hello()
+                assert info["protocol"] == protocol.PROTOCOL_VERSION
+                assert info["mode"] == "primary"
+                assert "sharded" not in info and "shards" not in info
+                assert "commit-tokens" in info["features"]
+                assert info["absent_verbs"] == []
+                assert client.hello() is info  # cached
+
+    def test_old_client_needs_no_hello(self):
+        """A v1 client never sends ``hello``; its raw frames work unchanged."""
+        with running_server() as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                for frame in (
+                    {"id": 1, "op": "begin", "mode": "object"},
+                    {"id": 2, "op": "obj.put", "oid": None,
+                     "value": {"legacy": True}},
+                    {"id": 3, "op": "commit"},
+                ):
+                    protocol.write_frame(sock, frame)
+                    response = protocol.read_frame(sock, 5.0, 5.0)
+                    assert response["ok"], response
+                    if frame["id"] == 2:
+                        oid = response["result"]["oid"]
+            with connect(server) as client:
+                with client.transaction() as txn:
+                    assert txn.get(oid) == {"legacy": True}
 
 
 class TestTwoPhaseLockingOverTheWire:
@@ -199,6 +241,43 @@ class TestTwoPhaseLockingOverTheWire:
                 bob.call("obj.put", oid=oid, value={"n": 2})
                 bob.call("commit")
 
+    def test_deadlock_victim_is_transient_on_the_wire(self):
+        """``col.get`` then ``col.insert`` from two sessions deadlocks on
+        the shared-to-exclusive upgrade; the lock timeout that breaks it
+        reaches a client that knows no class names as a retryable frame."""
+        with running_server(db=self._db()) as server:
+            with connect(server) as setup:
+                with setup.transaction("collection") as ct:
+                    ct.create_collection("plays", "k")
+                    ct.insert("plays", {"k": 1})
+            socks = [
+                socket.create_connection(server.address, timeout=10.0)
+                for _ in range(2)
+            ]
+            try:
+                for sock in socks:
+                    for frame in (
+                        {"id": 1, "op": "begin", "mode": "collection"},
+                        {"id": 2, "op": "col.get", "name": "plays", "key": 1},
+                    ):
+                        protocol.write_frame(sock, frame)
+                        assert protocol.read_frame(sock, 10.0, 10.0)["ok"]
+                # Both upgrade at once; neither can win until one times out.
+                for sock in socks:
+                    protocol.write_frame(sock, {
+                        "id": 3, "op": "col.insert", "name": "plays",
+                        "value": {"k": 2},
+                    })
+                responses = [protocol.read_frame(s, 10.0, 10.0) for s in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+            victims = [r for r in responses if not r["ok"]]
+            assert victims, responses
+            for victim in victims:
+                assert victim["error"] == "LockTimeoutError"
+                assert victim["transient"] is True
+
 
 class TestBackpressure:
     def test_idle_timeout_aborts_and_releases_locks(self):
@@ -218,7 +297,10 @@ class TestBackpressure:
                 bob.call("begin", mode="object")
                 bob.call("obj.put", oid=oid, value={"locked": "by bob"})
                 bob.call("commit")
-                assert server.admission.as_dict()["timeout_aborts"] == 1
+                # Counted once, by admission control.
+                stats = bob.stats()
+                assert stats["sessions"]["timeout_aborts"] == 1
+                assert "timeout_aborts" not in stats["resilience"]
                 # Alice's uncommitted write is gone, and her connection too.
                 with bob.transaction() as txn:
                     assert txn.get(oid) == {"locked": "by bob"}
@@ -343,7 +425,8 @@ class TestProtocolUnit:
             "ok": False,
             "error": "LockTimeoutError",
             "message": "lock busy",
-            "transient": False,
+            # A deadlock victim: retrying after the winner ends succeeds.
+            "transient": True,
         }
         exc = protocol.exception_from_payload(payload)
         assert isinstance(exc, LockTimeoutError)

@@ -3,9 +3,9 @@
 The session contract (who may send what, begin/commit/abort, commit
 tokens, request replay, park/resume, parameter checking) lives in one
 place, :mod:`repro.server.session`.  This suite plays the same raw-frame
-conversation against the threaded server, the sharded front door with
-one and with two shards, and both under a tenancy hub, and requires the
-transcripts to be *equal* — not merely each one plausible.
+conversation against the server over one database and the server as a
+tenancy hub, and requires the transcripts to be *equal* — not merely
+each one plausible.
 
 Raw frames over a plain socket, no :class:`TdbClient`: its transparent
 reconnect / resume / re-auth would paper over exactly the differences
@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.db import Database
-from repro.server import BackpressureConfig, ShardedTdbServer, TdbServer, protocol
+from repro.server import BackpressureConfig, TdbServer, protocol
 from repro.tenancy import TenancyHub, compute_proof
 
 BACKPRESSURE = BackpressureConfig(
@@ -39,7 +39,7 @@ SESSION_KEYS = SESSION_COUNTERS | {
     "parked_sessions", "resume_grace", "epoch", "commit_tokens",
 }
 
-FRONTENDS = ["threaded", "sharded-1", "sharded-2", "threaded-hub", "sharded-hub"]
+FRONTENDS = ["threaded", "threaded-hub"]
 
 
 @contextlib.contextmanager
@@ -47,19 +47,12 @@ def frontend(kind: str, tmp_path):
     """Yield ``(server, secret)``; ``secret`` is the hub admin's or None."""
     root = str(tmp_path / kind)
     hub = secret = db = None
-    if kind.endswith("-hub"):
+    if kind == "threaded-hub":
         hub = TenancyHub(root)
         secret = hub.create_tenant("acme", None)["secret"]
-    if kind == "threaded":
-        db = Database.in_memory()
-        server = TdbServer(db, backpressure=BACKPRESSURE)
-    elif kind == "threaded-hub":
-        server = TdbServer(None, backpressure=BACKPRESSURE, tenancy=hub)
     else:
-        shards = 1 if kind == "sharded-1" else 2
-        server = ShardedTdbServer(
-            root, shards=shards, backpressure=BACKPRESSURE, tenancy=hub
-        )
+        db = Database.in_memory()
+    server = TdbServer(db, backpressure=BACKPRESSURE, tenancy=hub)
     server.start()
     try:
         yield server, secret
@@ -126,8 +119,8 @@ class Wire:
             return (response["id"], response["error"], response["message"],
                     response["transient"])
         result = dict(response["result"])
-        # hello's capability fields, and a cross-shard commit's ``shards``.
-        for key in ("sharded", "shards", "features", "absent_verbs"):
+        # hello's capability fields.
+        for key in ("features", "absent_verbs"):
             result.pop(key, None)
         for key, kind in (("epoch", "epoch"), ("session", "session"),
                           ("oid", "oid"), ("challenge", "challenge")):
@@ -236,10 +229,8 @@ class TestFrontendParity:
     def test_transcript_equals_the_threaded_servers(self, played, kind):
         assert played[kind][1] == played["threaded"][1]
 
-    def test_hub_prologues_are_equal(self, played):
-        threaded, sharded = played["threaded-hub"][0], played["sharded-hub"][0]
-        assert threaded == sharded
-        outcomes = [row[1][1] for row in threaded]
+    def test_hub_prologue_gates_auth_then_store_verbs(self, played):
+        outcomes = [row[1][1] for row in played["threaded-hub"][0]]
         assert outcomes == [
             "AuthRequiredError", "AuthRequiredError", "AuthRequiredError",
             "ok", "ok", "FeatureUnavailableError", "FeatureUnavailableError",

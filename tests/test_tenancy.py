@@ -1,6 +1,5 @@
 """The multi-tenant DRM hub: registry lifecycle, auth, policy, quotas,
-metered audit, and the three-tenant end-to-end contract on the threaded
-server (the sharded frontend is covered in ``test_tenancy_sharded.py``).
+metered audit, and the three-tenant end-to-end contract on the server.
 """
 
 from __future__ import annotations
@@ -265,6 +264,9 @@ class TestThreadedHub:
                     client.call("begin", mode="object")
                 with pytest.raises(AuthRequiredError):
                     client.call("obj.get", oid=1)
+                # hello and stats remain answerable pre-auth.
+                assert "tenancy" in client.hello()["features"]
+                assert client.stats()["tenancy"]["open"] >= 0
 
     def test_per_store_verbs_unavailable(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, _, secrets):
@@ -299,6 +301,22 @@ class TestThreadedHub:
                 with c.transaction("collection") as ct:
                     rows = ct.get_match("docs", 1)
                     assert rows == [{"k": 1, "owner": "acme"}]
+
+    def test_names_and_collections_are_per_tenant(self, tmp_path):
+        tenants = [("acme", None), ("globex", None)]
+        with running_hub(tmp_path, tenants) as (server, _, secrets):
+            with connect(server, "acme", "admin", secrets["acme"]) as c:
+                with c.transaction("collection") as ct:
+                    ct.create_collection("vault", "k")
+                    ct.insert("vault", {"k": 7})
+                with c.transaction() as txn:
+                    txn.bind("only-acme", txn.put({"x": 1}))
+            with connect(server, "globex", "admin", secrets["globex"]) as c:
+                with c.transaction() as txn:
+                    assert txn.lookup("only-acme") is None
+                with pytest.raises(TDBError):
+                    with c.transaction("collection") as ct:
+                        ct.get_match("vault", 7)
 
     def test_policy_gates_and_revocation_next_txn(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, hub, secrets):
@@ -427,6 +445,49 @@ class TestThreadedHub:
                 assert seqs == sorted(seqs)
                 meter = c.call("tenant.meter")
                 assert meter["audit_records"] >= len(rows)
+
+    def test_audit_needs_explicit_grant_and_stays_read_only(self, tmp_path):
+        with running_hub(tmp_path, [("acme", None)]) as (server, _, secrets):
+            with connect(server, "acme", "admin", secrets["acme"]) as c:
+                # Wildcard admin does not cover reserved scopes; the admin
+                # can mint the explicit grant (tenant.grant needs admin).
+                c.call("begin", mode="collection")
+                with pytest.raises(PermissionDeniedError):
+                    c.call("col.iterate", name="_audit")
+                c.call("abort")
+                c.call("tenant.grant", principal="admin",
+                       scope="_audit", right="read")
+                with c.transaction() as txn:
+                    txn.put({"metered": True})
+                c.call("begin", mode="collection")
+                rows = c.call("col.iterate", name="_audit")["values"]
+                c.call("abort")
+                events = [r["event"] for r in rows]
+                assert "auth" in events and "grant" in events
+                # Reserved collections stay read-only over the wire.
+                c.call("begin", mode="collection")
+                with pytest.raises(PermissionDeniedError):
+                    c.call("col.insert", name="_audit",
+                           value={"event": "forged"})
+                c.call("abort")
+                meter = c.call("tenant.meter")
+                assert meter["usage"]["commits"] >= 1
+                assert meter["audit_records"] >= len(rows)
+
+    def test_stats_count_sessions_and_release_on_disconnect(self, tmp_path):
+        with running_hub(tmp_path, [("acme", None)]) as (server, hub, secrets):
+            c = connect(server, "acme", "admin", secrets["acme"])
+            assert c.stats()["tenancy"]["tenants"]["acme"]["sessions"] == 1
+            c.close()
+            # The identity's quota slot frees when the connection drains.
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                state = hub.registry.peek("acme")
+                if state is not None and state.quota.sessions == 0:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("session quota slot never released")
 
     def test_stats_payload_has_tenancy_section(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, _, secrets):

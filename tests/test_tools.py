@@ -423,7 +423,12 @@ class TestReplicationCommands:
         out = capsys.readouterr().out
         assert "--max-pending" in out
         assert "--no-quorum-seal" not in out
+        assert "--shards" not in out  # the sharded layout is gone
         assert "--max-results" in out
+        with pytest.raises(SystemExit) as refused:
+            tools_main(["serve", "unused-dir", "--shards", "2"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             tools_main(["replicate", "--help"])
         out = capsys.readouterr().out
