@@ -79,6 +79,13 @@ __all__ = [
     "ShipmentAnchor",
 ]
 
+#: Map nodes the store's own cache holds when the caller passes no
+#: shared cache (the full stack shares one with the object store).
+MAP_CACHE_ENTRIES = 1024
+#: Victim segments one cleaning pass may process, bounding per-commit
+#: cleaning latency.
+CLEANER_SEGMENTS_PER_PASS = 4
+
 
 @dataclass(frozen=True)
 class SegmentExportInfo:
@@ -247,7 +254,7 @@ class ChunkStore:
             self._record_mac = None
             self._master_mac = None
         untrusted.stats.attach_section("perf", self.perf.as_dict)
-        self.cache = cache or SharedLruCache(config.map_cache_entries * 4096)
+        self.cache = cache or SharedLruCache(MAP_CACHE_ENTRIES * 4096)
         self.node_io = _StoreNodeIO(self)
         self.master_io = MasterIO(untrusted, self._master_mac)
         self.cleaner = Cleaner(self)
@@ -453,8 +460,8 @@ class ChunkStore:
         generation tip must match the master exactly.  Read-only opens
         (replicas serving verified shipped images) only load: the
         applier mirrors the primary's log and cross-checks it itself,
-        and a replica image staged without a log is still trustworthy
-        through the sidecar checks.
+        and a replica image staged without a log is still bound by the
+        counter check.
         """
         if not self.secure:
             return
@@ -1121,7 +1128,7 @@ class ChunkStore:
         """
         if self.segments.free_slot_count() == 0:
             if self.segments.utilization() < self.config.max_utilization:
-                self.cleaner.clean_pass(self.config.cleaner_segments_per_pass)
+                self.cleaner.clean_pass(CLEANER_SEGMENTS_PER_PASS)
             return
         # Compaction: while utilization sits below the bound there is
         # reclaimable dead space; bounded cleaning squeezes it out so the
@@ -1143,7 +1150,7 @@ class ChunkStore:
                 (info.dead_bytes for info in victims), default=0
             )
             if best_dead >= self.config.segment_size // 4:
-                self.cleaner.clean_pass(self.config.cleaner_segments_per_pass)
+                self.cleaner.clean_pass(CLEANER_SEGMENTS_PER_PASS)
         self._shrink_free_slots()
 
     def clean(self, max_segments: Optional[int] = None) -> int:
@@ -1152,7 +1159,7 @@ class ChunkStore:
             self._check_open()
             self._check_writable()
             return self.cleaner.clean_pass(
-                max_segments or self.config.cleaner_segments_per_pass
+                max_segments or CLEANER_SEGMENTS_PER_PASS
             )
 
     def idle_maintenance(self, max_passes: int = 16) -> dict:
@@ -1178,7 +1185,7 @@ class ChunkStore:
                 victims = self.segments.cleanable_segments()
                 if not any(info.dead_bytes > 0 for info in victims):
                     break
-                freed = self.cleaner.clean_pass(self.config.cleaner_segments_per_pass)
+                freed = self.cleaner.clean_pass(CLEANER_SEGMENTS_PER_PASS)
                 report["passes"] += 1
                 report["segments_freed"] += freed
                 self._shrink_free_slots()

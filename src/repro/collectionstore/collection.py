@@ -124,7 +124,6 @@ class CollectionHandle:
                 txn,
                 descriptor.root_oid,
                 initial_buckets=config.hash_initial_buckets,
-                max_load=config.hash_max_load,
             )
         return ListIndex(txn, descriptor.root_oid, config.list_node_capacity)
 

@@ -1,8 +1,8 @@
 """Persistent dynamic hash table (Larson linear hashing, paper ref [20]).
 
 The table grows one bucket at a time: a *split pointer* sweeps across the
-buckets of the current level; when the load factor exceeds the configured
-maximum, the bucket at the split pointer is split by rehashing its
+buckets of the current level; when the load factor exceeds its maximum
+(:data:`HASH_MAX_LOAD` by default), the bucket at the split pointer is split by rehashing its
 entries under the next level's address function.  There is no big-bang
 rehash, which is why the paper picks it for an embedded store.
 
@@ -98,6 +98,10 @@ class HashBucket(Persistent):
         return 96 + 64 * len(self.entries)
 
 
+#: Mean entries per bucket above which the table splits a bucket.
+HASH_MAX_LOAD = 2.0
+
+
 class HashIndex:
     """Operations on one linear-hashing table, bound to a transaction."""
 
@@ -106,7 +110,7 @@ class HashIndex:
         txn,
         root_oid: int,
         initial_buckets: int = 8,
-        max_load: float = 2.0,
+        max_load: float = HASH_MAX_LOAD,
         bucket_capacity: int = 16,
     ) -> None:
         self.txn = txn

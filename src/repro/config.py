@@ -93,12 +93,6 @@ class ChunkStoreConfig:
     ``map_fanout``
         Children per location-map node (the map is a radix tree over chunk
         ids; it doubles as the Merkle tree).
-    ``map_cache_entries``
-        Maximum number of map nodes cached in memory; the cache budget is
-        shared with the object cache in the full stack.
-    ``cleaner_segments_per_pass``
-        How many victim segments one cleaning pass may process, bounding
-        per-commit cleaning latency.
     ``initial_segments``
         Segments allocated when a fresh store is formatted.
     ``fsync``
@@ -110,8 +104,6 @@ class ChunkStoreConfig:
     max_utilization: float = 0.6
     checkpoint_residual_bytes: int = 256 * 1024
     map_fanout: int = 64
-    map_cache_entries: int = 1024
-    cleaner_segments_per_pass: int = 4
     initial_segments: int = 4
     fsync: bool = False
     security: SecurityProfile = field(default_factory=SecurityProfile)
@@ -160,7 +152,6 @@ class CollectionStoreConfig:
 
     btree_order: int = 32
     hash_initial_buckets: int = 8
-    hash_max_load: float = 2.0
     list_node_capacity: int = 64
 
     def __post_init__(self) -> None:
@@ -168,8 +159,6 @@ class CollectionStoreConfig:
             raise ValueError("btree_order must be at least 4")
         if self.hash_initial_buckets < 1:
             raise ValueError("hash_initial_buckets must be at least 1")
-        if self.hash_max_load <= 0:
-            raise ValueError("hash_max_load must be positive")
         if self.list_node_capacity < 1:
             raise ValueError("list_node_capacity must be at least 1")
 
@@ -180,9 +169,7 @@ class BaselineConfig:
 
     page_size: int = 4096
     cache_bytes: int = 4 * 1024 * 1024
-    btree_min_keys: int = 4
     fsync: bool = False
-    checkpoint_log: bool = False  # BDB's TPC-B run never checkpoints (fig 11b)
 
     def __post_init__(self) -> None:
         if self.page_size < 512:

@@ -228,27 +228,21 @@ class Database:
         )
 
     @staticmethod
-    def _file_parts(
-        directory: str,
-        create: bool = False,
-        counter: Optional[OneWayCounter] = None,
-    ):
+    def _file_parts(directory: str, create: bool = False):
         """``(untrusted, secret, counter, archival)`` of a database directory.
 
-        The one place that knows the file layout (module docstring).
-        Only ``create`` makes the directory and a fresh secret: without
-        it a directory lacking ``secret.key`` raises before any other
-        part, each of which would create its file or subdirectory, is
-        built.  ``counter`` stands in for the counter file (a replica
-        mirrors the primary's counter instead of keeping its own).
+        The one place that knows the file layout (module docstring); a
+        replica directory has the same layout.  Only ``create`` makes
+        the directory and a fresh secret: without it a directory lacking
+        ``secret.key`` raises before any other part, each of which would
+        create its file or subdirectory, is built.
         """
         directory = os.path.abspath(directory)
         if create:
             os.makedirs(directory, exist_ok=True)
         secret = FileSecretStore(os.path.join(directory, "secret.key"), create=create)
         untrusted = FileUntrustedStore(os.path.join(directory, "data"))
-        if counter is None:
-            counter = FileOneWayCounter(os.path.join(directory, "counter"))
+        counter = FileOneWayCounter(os.path.join(directory, "counter"))
         archival = FileArchivalStore(os.path.join(directory, "archive"))
         return untrusted, secret, counter, archival
 

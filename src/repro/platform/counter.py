@@ -58,20 +58,23 @@ class MemoryOneWayCounter(OneWayCounter):
 
 
 class MirrorOneWayCounter(OneWayCounter):
-    """A pinned counter for verifying a *copy* of someone else's store.
+    """A pinned counter for verifying a shipped candidate image.
 
-    A replica holds a byte-for-byte image of the primary's untrusted
-    store, so the counter value authenticated inside that image is the
-    *primary's* — the replica has no hardware of its own to consult.  The
-    applier pins this mirror to the counter value the primary asserted
-    for the shipped generation and opens the image read-only, which
-    demands exact equality: a read-only open never uses the chunk
-    store's lost-commit tolerance (actual == expected - 1 re-advances
-    the counter) and raises :class:`TamperDetectedError` instead, so a
-    truncate-one-commit + rewind-the-asserted-counter shipment is a
-    detected tamper, not a silently accepted rollback.  :meth:`increment`
-    raises the same error, so even a writable open of a mirrored image
-    cannot resync it.
+    A shipment is a byte-for-byte copy of the primary's untrusted store,
+    so the counter value authenticated inside it is the *primary's*.
+    Before installing, the replica applier opens the in-memory candidate
+    read-only against this mirror, pinned to the counter value the
+    manifest asserts for the shipped generation.  A read-only open
+    demands exact equality: it never uses the chunk store's lost-commit
+    tolerance (actual == expected - 1 re-advances the counter) and
+    raises :class:`TamperDetectedError` instead, so a truncate-one-commit
+    + rewind-the-asserted-counter shipment is a detected tamper, not a
+    silently accepted rollback.  :meth:`increment` raises the same
+    error, so even a writable open of a mirrored image cannot resync it.
+
+    The installed image is not opened against a mirror: it sits under
+    the replica's own :class:`FileOneWayCounter`, which the applier
+    advances to the verified value on every install.
     """
 
     def __init__(self, value: int) -> None:
@@ -112,10 +115,10 @@ class FileOneWayCounter(OneWayCounter):
     def initialize(cls, path: str, value: int) -> "FileOneWayCounter":
         """Seed (or fast-forward) the counter file at ``path`` to ``value``.
 
-        Used by replica promotion: the promoted node binds itself to a
-        real one-way counter starting at the last value it verified from
-        the primary.  Refuses to move an existing counter backwards —
-        that would be exactly the rewind the counter exists to prevent.
+        Used by the replica applier: every install advances the
+        replica's own counter to the value it verified for the shipped
+        image.  Refuses to move an existing counter backwards — that
+        would be exactly the rewind the counter exists to prevent.
         """
         if value < 0:
             raise StoreError("counter cannot be negative")

@@ -20,7 +20,6 @@ from repro.proofs.headlog import (
     HeadVerifier,
     SignedHead,
     TransparencyLog,
-    resolve_head_scheme,
 )
 from repro.proofs.merkle import ChunkProof, build_proof, verify_proof
 from repro.proofs.service import ProofService
@@ -31,7 +30,6 @@ __all__ = [
     "HeadVerifier",
     "SignedHead",
     "TransparencyLog",
-    "resolve_head_scheme",
     "ChunkProof",
     "build_proof",
     "verify_proof",

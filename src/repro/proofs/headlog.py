@@ -19,10 +19,10 @@ chain (or just its tip) lets clients, auditors, and replicas verify:
 Signing is dual: every entry carries an HMAC-SHA256 tag under a key
 derived from the device secret (always verifiable with the stdlib),
 and additionally an Ed25519 signature when the ``cryptography``
-package is importable — mirroring the native/fallback crypto-engine
-ladder.  The Ed25519-present flag lives *inside* the MAC'd body, so
-stripping the public-key signature breaks the MAC.  Scheme selection
-follows ``REPRO_HEAD_SCHEME`` (``auto`` | ``ed25519`` | ``hmac``).
+package is importable.  The platform picks the scheme, as it picks the
+AES implementation: ``ed25519`` when ``cryptography`` imports, ``hmac``
+otherwise.  The Ed25519-present flag lives *inside* the MAC'd body, so
+stripping the public-key signature breaks the MAC.
 
 Crash model: appends go through ``UntrustedStore.append``, so a torn
 append leaves a strict byte-prefix of one entry at the tail.  Loading
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-import os
 import struct
 from dataclasses import dataclass
 from typing import List, Optional
@@ -67,15 +66,12 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "HAVE_ED25519",
     "HEAD_LOG_FILE",
-    "HEAD_SCHEMES",
     "SignedHead",
     "HeadVerifier",
     "TransparencyLog",
-    "resolve_head_scheme",
 ]
 
 HEAD_LOG_FILE = "head.log"
-HEAD_SCHEMES = ("auto", "ed25519", "hmac")
 
 _HEADER_MAGIC = b"TDBHEADL"
 _HEADER = struct.Struct(">8sBB16sB32s")  # magic, version, scheme, uuid, hash, pub
@@ -96,22 +92,9 @@ _ED_SEED_PURPOSE = "tdb-head-ed25519-seed"
 _GENESIS_PREFIX = b"tdb-head-genesis"
 
 
-def resolve_head_scheme(scheme: Optional[str] = None) -> str:
-    """Resolve the signing scheme: explicit arg, env, or auto-detect."""
-    if scheme is None:
-        scheme = os.environ.get("REPRO_HEAD_SCHEME", "auto")
-    if scheme not in HEAD_SCHEMES:
-        raise ConfigError(
-            f"unknown head-log scheme {scheme!r}; valid: {', '.join(HEAD_SCHEMES)}"
-        )
-    if scheme == "auto":
-        return "ed25519" if HAVE_ED25519 else "hmac"
-    if scheme == "ed25519" and not HAVE_ED25519:
-        raise ConfigError(
-            "head-log scheme 'ed25519' requires the cryptography package; "
-            "install it or use 'auto'/'hmac'"
-        )
-    return scheme
+def _platform_scheme() -> str:
+    """The signing scheme this platform supports."""
+    return "ed25519" if HAVE_ED25519 else "hmac"
 
 
 def genesis_hash(db_uuid: bytes) -> bytes:
@@ -340,16 +323,15 @@ class TransparencyLog:
         secret_store,
         db_uuid: bytes,
         hash_size: int,
-        scheme: Optional[str] = None,
     ) -> "TransparencyLog":
         """Start a fresh head log, replacing any stale file."""
-        resolved = resolve_head_scheme(scheme)
+        scheme = _platform_scheme()
         verifier = HeadVerifier(secret_store, db_uuid, hash_size)
-        pubkey = verifier.ed_public if resolved == "ed25519" else None
+        pubkey = verifier.ed_public if scheme == "ed25519" else None
         header = _HEADER.pack(
             _HEADER_MAGIC,
             _HEADER_VERSION,
-            _SCHEME_BYTES[resolved],
+            _SCHEME_BYTES[scheme],
             bytes(db_uuid),
             hash_size,
             pubkey or bytes(32),
@@ -358,7 +340,7 @@ class TransparencyLog:
             untrusted.truncate(HEAD_LOG_FILE, 0)
         untrusted.write(HEAD_LOG_FILE, 0, header)
         untrusted.sync(HEAD_LOG_FILE)
-        return cls(untrusted, secret_store, verifier, resolved, [], True)
+        return cls(untrusted, secret_store, verifier, scheme, [], True)
 
     @classmethod
     def load(
@@ -368,7 +350,6 @@ class TransparencyLog:
         db_uuid: bytes,
         hash_size: int,
         writable: bool,
-        scheme: Optional[str] = None,
     ) -> "TransparencyLog":
         """Load and fully verify an existing head log.
 
@@ -428,8 +409,9 @@ class TransparencyLog:
             valid_end = offset
         if writable and valid_end < len(data):
             untrusted.truncate(HEAD_LOG_FILE, valid_end)
-        resolved = resolve_head_scheme(scheme)
-        return cls(untrusted, secret_store, verifier, resolved, heads, writable)
+        return cls(
+            untrusted, secret_store, verifier, _platform_scheme(), heads, writable
+        )
 
     # -- appends -----------------------------------------------------------
 

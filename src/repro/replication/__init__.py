@@ -17,12 +17,13 @@ Roles:
 * :class:`ReplicaApplier` — replica side.  Fetches a shipment, rebuilds
   the candidate image in memory, verifies it (master MAC, residual-log
   chain, strict counter equality, deep Merkle scrub, monotonicity
-  against its own persisted high-water state), and only then installs it
-  and atomically swaps the read-only serving database.
+  against its own one-way counter and installed image), and only then
+  installs it, advances its counter, and atomically swaps the read-only
+  serving database.
 * :func:`seed_replica` — bootstrap a replica from a PR 2 backup chain so
   it can serve (stale) reads before its first contact with the primary.
-* :func:`promote_replica` — bind a verified replica image to a real
-  one-way counter and reopen it writable when the primary dies.
+* :func:`promote_replica` — reopen the replica image writable when the
+  primary dies; it already sits under the replica's own one-way counter.
 
 The replica shares the primary's device secret: copy ``secret.key`` into
 the replica directory out of band (a real deployment provisions it into
@@ -31,7 +32,6 @@ a single MAC — an unverified replica is exactly what this module exists
 to prevent.
 """
 
-from repro.replication.state import ReplicaState, load_state, save_state
 from repro.replication.shipper import ReplicationShipper
 from repro.replication.applier import (
     ReplicaApplier,
@@ -42,9 +42,6 @@ from repro.replication.applier import (
 )
 
 __all__ = [
-    "ReplicaState",
-    "load_state",
-    "save_state",
     "ReplicationShipper",
     "ReplicaApplier",
     "TransactionGate",

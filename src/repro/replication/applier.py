@@ -1,14 +1,27 @@
 """Replica side: verify-then-install shipment application.
 
+A replica holds its image exactly as a primary does: under its own
+one-way counter, the ``counter`` file of its directory.  Every install
+advances that counter to the shipment's verified ``expected_counter``,
+and the installed image only ever opens read-only against it, so an
+image rolled back on the replica's disk fails the chunk store's counter
+check with :class:`~repro.errors.ReplayDetectedError`, as it would on a
+primary.
+
 The applier treats the shipping channel exactly as the chunk store
 treats its untrusted store: *nothing is trusted until verified*.  A
 shipment is rebuilt in an in-memory candidate store and must survive the
 full local-attacker gauntlet before a single byte reaches the replica's
 durable directory:
 
-1. **Monotonicity** against the replica's MACed high-water sidecar
-   (:mod:`repro.replication.state`): an older generation is a replayed
-   shipment, a same-generation fork or an identity change is tampering.
+1. **Monotonicity** against the replica's high-water mark: its one-way
+   counter, plus the MAC'd master record of the installed image when
+   that image opens against the counter.  A shipment whose counter is
+   behind the replica's is a replay.  Under the installed identity an
+   older generation is a replay too, and a same-generation fork is
+   tampering.  A shipment of another identity (a seeded image adopting
+   its primary) passes on its counter alone: a primary pins no identity
+   either.
 2. **Transport digests**: every fetched segment must match the digest in
    its manifest (a lying manifest only changes *which* bytes get fetched
    — the cryptographic checks below still decide whether they are
@@ -23,9 +36,12 @@ durable directory:
    re-hashes every payload against the authenticated tree, catching
    corrupt sealed-segment bytes the open never touched.
 
-Only then does the image go to disk, the sidecar advance, and the
-serving database swap — under an exclusive
-:class:`TransactionGate` hold so no reader ever spans two images.
+Only then do the image files go to disk, and after them the counter
+advances: the primary's own order (commit record, then counter).  A
+crash in between leaves an image ahead of its counter, which no
+read-only open serves and the next sync installs again.  The serving
+database swaps under an exclusive :class:`TransactionGate` hold, so no
+reader ever spans two images.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro.chunkstore import ChunkStore
-from repro.chunkstore.master import MASTER_FILES
+from repro.chunkstore.master import MASTER_FILES, MasterRecord
 from repro.chunkstore.segments import segment_file_name
 from repro.config import (
     ChunkStoreConfig,
@@ -56,17 +72,10 @@ from repro.errors import (
 )
 from repro.platform import (
     FileOneWayCounter,
-    MemoryOneWayCounter,
     MemoryUntrustedStore,
     MirrorOneWayCounter,
 )
 from repro.platform.resilient import RetryPolicy
-from repro.replication.state import (
-    ReplicaState,
-    load_state,
-    remove_state,
-    save_state,
-)
 from repro.replication.shipper import MAX_SHIP_BYTES
 from repro.proofs.headlog import HeadVerifier, TransparencyLog
 
@@ -128,23 +137,26 @@ class TransactionGate:
                 self._cond.notify_all()
 
 
+def _has_image(untrusted) -> bool:
+    return any(untrusted.exists(name) for name in MASTER_FILES)
+
+
 def open_replica_database(
     directory: str,
-    counter_value: int,
     chunk_config: Optional[ChunkStoreConfig] = None,
     object_config: Optional[ObjectStoreConfig] = None,
     collection_config: Optional[CollectionStoreConfig] = None,
     registry=None,
 ) -> Database:
-    """Open a replica directory read-only against a mirrored counter.
+    """Open a replica directory read-only against its own one-way counter.
 
-    The replica has no counter hardware; ``counter_value`` is the value
-    the applier verified for the installed image (from the sidecar).
+    An image older than the counter (rolled back on the replica's disk)
+    raises :class:`~repro.errors.ReplayDetectedError`; one newer than it
+    (a crash between installing the files and advancing the counter)
+    raises :class:`~repro.errors.TamperDetectedError`.
     """
     return Database._assemble(
-        *Database._file_parts(
-            directory, counter=MirrorOneWayCounter(counter_value)
-        ),
+        *Database._file_parts(directory),
         chunk_config or ChunkStoreConfig(),
         object_config or ObjectStoreConfig(),
         collection_config or CollectionStoreConfig(),
@@ -159,15 +171,15 @@ def seed_replica(
     backup_names,
     archival=None,
     chunk_config: Optional[ChunkStoreConfig] = None,
-) -> ReplicaState:
+) -> MasterRecord:
     """Bootstrap a replica image from a backup chain (catch-up seeding).
 
-    Restores the chain into ``directory`` and records a ``seeded``
-    sidecar, so the replica can serve (stale) reads before its first
-    contact with the primary.  The restored store carries its own fresh
-    identity; the first successful sync notices the uuid mismatch —
-    allowed exactly because the sidecar says ``seeded`` — and replaces
-    the image with the primary's, adopting its identity.
+    Restores the chain into ``directory`` under the replica's own
+    one-way counter and returns the restored image's master record, so
+    the replica can serve (stale) reads before its first contact with
+    the primary.  The restored store carries its own fresh identity; the
+    first sync whose counter is not behind the replica's replaces the
+    image with the primary's, adopting its identity.
 
     ``secret.key`` must already be provisioned in ``directory`` and the
     backups must come from the same device secret, or the restore's MAC
@@ -176,26 +188,14 @@ def seed_replica(
     """
     from repro.backupstore import BackupStore
 
-    untrusted, secret, counter, own_archive = Database._file_parts(
-        directory, counter=MemoryOneWayCounter()
-    )
+    untrusted, secret, counter, own_archive = Database._file_parts(directory)
     if archival is None:
         archival = own_archive
     store = BackupStore(archival, secret).restore(
         list(backup_names), untrusted, secret, counter, chunk_config
     )
-    try:
-        state = ReplicaState(
-            db_uuid=store.db_uuid.hex(),
-            generation=store.generation,
-            commit_seqno=store.commit_seqno,
-            counter=store.stats().counter_value,
-            seeded=True,
-        )
-    finally:
-        store.close()
-    save_state(directory, state, secret)
-    return state
+    store.close()
+    return store.master_io.load_latest()
 
 
 def promote_replica(
@@ -207,30 +207,22 @@ def promote_replica(
 ) -> Database:
     """Open a replica for writes after the primary died.
 
-    Binds the image to a real :class:`~repro.platform.FileOneWayCounter`
-    seeded with the last verified counter value, then reopens writable —
-    the normal open's replay check now runs against local hardware, so
-    from this moment the node defends its own history.  The sidecar is
-    retired once the writable open succeeds; a failed promote leaves the
-    replica state untouched (the counter file, being one-way, may only
-    have moved forward).
+    The image already sits under the replica's own one-way counter, so
+    promotion is an ordinary writable open: from here on the node's
+    commits advance that counter, exactly as on any primary.
     """
-    _, secret, counter, _ = Database._file_parts(directory)
-    state = load_state(directory, secret)
-    if state is None:
+    untrusted, _, _, _ = Database._file_parts(directory)
+    if not _has_image(untrusted):
         raise ReplicationError(
-            f"nothing to promote: no verified replica state in {directory}"
+            f"nothing to promote: no replica image in {directory}"
         )
-    FileOneWayCounter.initialize(counter.path, state.counter)
-    db = Database.open_existing(
+    return Database.open_existing(
         directory,
         chunk_config,
         object_config,
         collection_config,
         registry,
     )
-    remove_state(directory)
-    return db
 
 
 class ReplicaApplier:
@@ -255,8 +247,8 @@ class ReplicaApplier:
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.directory = os.path.abspath(directory)
-        self.untrusted, self.secret_store, _, _ = Database._file_parts(
-            self.directory
+        self.untrusted, self.secret_store, self.counter, _ = (
+            Database._file_parts(self.directory)
         )
         self.chunk_config = chunk_config or ChunkStoreConfig()
         self.object_config = object_config or ObjectStoreConfig()
@@ -322,12 +314,13 @@ class ReplicaApplier:
         the replica was already current.  Raises (and installs nothing)
         when the shipment fails verification.
         """
-        state = load_state(self.directory, self.secret_store)
+        installed = self._installed()
         params: Dict[str, Any] = {}
-        if state is not None and not state.seeded:
+        if installed is not None:
             params = {
-                "last_generation": state.generation,
-                "last_seqno": state.commit_seqno,
+                "last_uuid": installed.db_uuid.hex(),
+                "last_generation": installed.generation,
+                "last_seqno": installed.commit_seqno,
             }
         try:
             manifest = self._call("repl.subscribe", **params)
@@ -335,10 +328,10 @@ class ReplicaApplier:
                 with self._lock:
                     self._up_to_date_polls += 1
                     self._primary_seqno = self._applied_seqno = int(
-                        manifest.get("commit_seqno") or state.commit_seqno
+                        manifest.get("commit_seqno") or 0
                     )
                 return False
-            self._verify_monotonic(state, manifest)
+            self._verify_monotonic(installed, manifest)
             candidate, reused = self._fetch_candidate(manifest)
             verified_root = self._verify_candidate(manifest, candidate)
             head_plan = self._verify_heads(manifest, verified_root)
@@ -358,38 +351,48 @@ class ReplicaApplier:
             self._applied_seqno = self._primary_seqno = manifest["commit_seqno"]
         return True
 
+    def _installed(self) -> Optional[ChunkStore]:
+        """The installed image's store, or ``None`` if none opens.
+
+        The image opens only against the replica's own counter, so a
+        missing, rolled-back or half-installed image leaves the counter
+        as the sync's only high-water mark.
+        """
+        try:
+            return self.open_serving_db().chunk_store
+        except TDBError:
+            return None
+
     def _verify_monotonic(
-        self, state: Optional[ReplicaState], manifest: Dict[str, Any]
+        self, installed: Optional[ChunkStore], manifest: Dict[str, Any]
     ) -> None:
-        if state is None:
-            return  # first contact: trust-on-first-use of the identity
-        if manifest["db_uuid"] != state.db_uuid:
-            if state.seeded:
-                return  # adopting the primary's identity over the seed
-            raise TamperDetectedError(
-                "shipment carries a different database identity "
-                f"({manifest['db_uuid'][:8]}... != {state.db_uuid[:8]}...)"
+        floor = self.counter.read()
+        if manifest["expected_counter"] < floor:
+            raise ReplayDetectedError(
+                f"shipment asserts counter {manifest['expected_counter']} but "
+                f"this replica's one-way counter is at {floor}: replayed "
+                "shipment"
             )
-        if manifest["generation"] < state.generation:
+        if installed is None or manifest["db_uuid"] != installed.db_uuid.hex():
+            return  # the counter floor is the only defense across identities
+        if manifest["generation"] < installed.generation:
             raise ReplayDetectedError(
                 f"shipment generation {manifest['generation']} is older than "
-                f"the verified generation {state.generation}: replayed shipment"
+                f"the installed generation {installed.generation}: replayed "
+                "shipment"
             )
-        if manifest["generation"] == state.generation and (
-            manifest["commit_seqno"] != state.commit_seqno
-            or manifest["expected_counter"] != state.counter
+        if manifest["generation"] == installed.generation and (
+            manifest["commit_seqno"] != installed.commit_seqno
+            or manifest["expected_counter"] != floor
         ):
             raise TamperDetectedError(
-                "shipment forks the verified generation "
-                f"{state.generation} with different seqno/counter"
+                "shipment forks the installed generation "
+                f"{installed.generation} with different seqno/counter"
             )
-        if (
-            manifest["commit_seqno"] < state.commit_seqno
-            or manifest["expected_counter"] < state.counter
-        ):
+        if manifest["commit_seqno"] < installed.commit_seqno:
             raise TamperDetectedError(
-                "shipment advances the generation while regressing "
-                "commit seqno or counter"
+                "shipment advances the generation while regressing the "
+                "commit seqno"
             )
 
     def _fetch_range(self, segment: int, offset: int, length: int) -> bytes:
@@ -612,89 +615,98 @@ class ReplicaApplier:
         candidate: MemoryUntrustedStore,
         head_plan=None,
     ) -> None:
-        keep = set(candidate.list_files())
-        new_state = ReplicaState(
-            db_uuid=manifest["db_uuid"],
-            generation=manifest["generation"],
-            commit_seqno=manifest["commit_seqno"],
-            counter=manifest["expected_counter"],
-            seeded=False,
-        )
         with self.gate.exclusive():
-            # Segments first, master after, stale files last: a crash in
-            # between leaves an image the next sync simply heals.
-            names = sorted(name for name in keep if name.startswith("seg-"))
-            names += [name for name in keep if name in MASTER_FILES]
-            for name in names:
-                data = candidate.read(name)
-                if self.untrusted.exists(name):
-                    if (
-                        self.untrusted.size(name) == len(data)
-                        and self.untrusted.read(name) == data
-                    ):
-                        continue
-                    self.untrusted.truncate(name, 0)
-                self.untrusted.write(name, 0, data)
-                self.untrusted.sync(name)
-            for name in self.untrusted.list_files():
-                stale = name.startswith("seg-") or name in MASTER_FILES
-                if stale and name not in keep:
-                    self.untrusted.delete(name)
-            # Mirror the primary's head log *after* the image files: a
-            # crash in between leaves the mirror lagging the image,
-            # which the next sync appends through — never leading it.
-            if head_plan is not None:
-                recreate, fresh = head_plan
-                uuid = bytes.fromhex(manifest["db_uuid"])
-                hash_size = create_hash_engine(
-                    self.chunk_config.security.hash_name
-                ).digest_size
-                if recreate:
-                    log = TransparencyLog.create(
-                        self.untrusted, self.secret_store, uuid, hash_size
-                    )
-                else:
-                    log = TransparencyLog.load(
-                        self.untrusted,
-                        self.secret_store,
-                        uuid,
-                        hash_size,
-                        writable=True,
-                    )
-                for raw in fresh:
-                    log.append_entry(raw)
-                with self._lock:
-                    self._heads_mirrored += len(fresh)
-            save_state(self.directory, new_state, self.secret_store)
-            old = self.db
-            self.db = open_replica_database(
-                self.directory,
-                new_state.counter,
-                self.chunk_config,
-                self.object_config,
-                self.collection_config,
+            # The files under the serving image are about to change: if
+            # the install fails part-way, nothing serves until a sync
+            # completes.
+            old, self.db = self.db, None
+            try:
+                self._write_image(manifest, candidate, head_plan)
+                # The counter last, as a primary advances it after its
+                # commit record: a crash before this line leaves an
+                # image ahead of the counter, which no read-only open
+                # serves and the next sync installs again.
+                FileOneWayCounter.initialize(
+                    self.counter.path, manifest["expected_counter"]
+                )
+                self.db = open_replica_database(
+                    self.directory,
+                    self.chunk_config,
+                    self.object_config,
+                    self.collection_config,
+                )
+                if self._server is not None:
+                    self._server.db = self.db
+                    self._server.register_data_model()
+            finally:
+                if old is not None:
+                    old.close()
+
+    def _write_image(self, manifest, candidate, head_plan) -> None:
+        keep = set(candidate.list_files())
+        # Segments first, master after, stale files last: a crash in
+        # between leaves an image the next sync simply heals.
+        names = sorted(name for name in keep if name.startswith("seg-"))
+        names += [name for name in keep if name in MASTER_FILES]
+        for name in names:
+            data = candidate.read(name)
+            if self.untrusted.exists(name):
+                if (
+                    self.untrusted.size(name) == len(data)
+                    and self.untrusted.read(name) == data
+                ):
+                    continue
+                self.untrusted.truncate(name, 0)
+            self.untrusted.write(name, 0, data)
+            self.untrusted.sync(name)
+        for name in self.untrusted.list_files():
+            stale = name.startswith("seg-") or name in MASTER_FILES
+            if stale and name not in keep:
+                self.untrusted.delete(name)
+        # Mirror the primary's head log *after* the image files: a crash
+        # in between leaves the mirror lagging the image, which the next
+        # sync appends through — never leading it.
+        if head_plan is None:
+            return
+        recreate, fresh = head_plan
+        uuid = bytes.fromhex(manifest["db_uuid"])
+        hash_size = create_hash_engine(
+            self.chunk_config.security.hash_name
+        ).digest_size
+        if recreate:
+            log = TransparencyLog.create(
+                self.untrusted, self.secret_store, uuid, hash_size
             )
-            if self._server is not None:
-                self._server.db = self.db
-                self._server.register_data_model()
-            if old is not None:
-                old.close()
+        else:
+            log = TransparencyLog.load(
+                self.untrusted,
+                self.secret_store,
+                uuid,
+                hash_size,
+                writable=True,
+            )
+        for raw in fresh:
+            log.append_entry(raw)
+        with self._lock:
+            self._heads_mirrored += len(fresh)
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
 
     def open_serving_db(self) -> Database:
-        """Open the serving database from the installed image, if absent."""
+        """Open the installed image read-only, if not open already.
+
+        Raises :class:`~repro.errors.ReplayDetectedError` for an image
+        rolled back behind the replica's counter.
+        """
         if self.db is None:
-            state = load_state(self.directory, self.secret_store)
-            if state is None:
+            if not _has_image(self.untrusted):
                 raise ReplicationError(
                     "replica has no installed image yet: sync or seed first"
                 )
             self.db = open_replica_database(
                 self.directory,
-                state.counter,
                 self.chunk_config,
                 self.object_config,
                 self.collection_config,

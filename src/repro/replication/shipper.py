@@ -66,14 +66,18 @@ class ReplicationShipper:
         session_id: Any,
         last_generation: Optional[int] = None,
         last_seqno: Optional[int] = None,
+        last_uuid: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Anchor a shipment for ``session_id``; returns the manifest.
 
         Passing the previously applied ``(last_generation, last_seqno)``
         acknowledges that shipment: its snapshot pins are dropped either
         way, and if the primary has not committed since, the reply is
-        ``{"up_to_date": true}`` with no new anchor.
+        ``{"up_to_date": true}`` with no new anchor.  A ``last_uuid``
+        naming another database (a seeded replica) gets a full shipment.
         """
+        if last_uuid is not None and last_uuid != self.store.db_uuid.hex():
+            last_generation = last_seqno = None
         anchor = self.store.begin_shipment(last_generation, last_seqno)
         with self._lock:
             previous = self._subs.pop(session_id, None)

@@ -39,7 +39,7 @@ verb                parameters                                    txn mode
 ``tenant.grant``    ``principal``, ``scope``, ``right``           admin, none
 ``tenant.revoke``   ``principal``, ``scope``, ``right``           admin, none
 ``tenant.meter``    —                                             admin, none
-``repl.subscribe``  ``last_generation``/``last_seqno`` (optional) admin, none
+``repl.subscribe``  ``last_*`` (optional, see below)              admin, none
 ``repl.segments``   ``segment``, ``offset``, ``length``           admin, none
 ``repl.master``     —                                             admin, none
 ``proof.read``      ``chunk_id``                                  admin, none
@@ -64,8 +64,9 @@ The ``repl.*`` verbs implement verified log shipping
 live segment in a snapshot, and returns the shipment manifest (database
 uuid, generation, commit seqno, expected counter, master-record file
 name and length, per-segment sizes and content digests) — or
-``{"up_to_date": true}`` when the primary has not committed past
-``last_generation``/``last_seqno``.  ``repl.segments`` returns raw
+``{"up_to_date": true}`` when the subscriber's image (all three
+optional: ``last_uuid`` identity, ``last_generation``, ``last_seqno``)
+is the primary's current one.  ``repl.segments`` returns raw
 segment bytes (base64, clipped to the manifest's recorded size) and
 ``repl.master`` the sealed master-record blob captured at subscribe
 time.  Re-subscribing acknowledges the previous shipment and releases

@@ -431,6 +431,7 @@ class TdbServer:
             state.id,
             param(request, "last_generation", int, None),
             param(request, "last_seqno", int, None),
+            param(request, "last_uuid", str, None),
         )
 
     def _op_repl_segments(self, state: SessionState, request) -> Dict[str, Any]:

@@ -426,10 +426,11 @@ class SessionCore:
         # Also tenant.revoke: the hub method is named by the verb.
         edit = getattr(self._require_hub(), request["op"].rpartition(".")[2])
         return edit(
-            state.identity,
+            state.identity.tenant,
             param(request, "principal", str),
             param(request, "scope", str),
             param(request, "right", str),
+            caller=state.identity,
         )
 
     _op_tenant_revoke = _op_tenant_grant

@@ -226,27 +226,33 @@ class TenancyHub:
         _policy.check(grants, identity.principal, scope, right)
 
     def grant(
-        self, identity: Identity, principal: str, scope: str, right: str
+        self,
+        tenant: str,
+        principal: str,
+        scope: str,
+        right: str,
+        caller: Optional[Identity] = None,
     ) -> Dict[str, Any]:
-        """Wire ``tenant.grant``: admin-gated; auto-creates the target
-        principal (its secret is returned exactly once, on creation)."""
+        """Grant ``right`` on ``scope``, creating the principal if needed
+        (its secret is returned exactly once, on creation).
+
+        The wire verb passes the calling identity and is admin-gated;
+        ``tools tenant grant`` passes none (the operator owns the root
+        directory) and is audited ``via: cli``.
+        """
         _policy.validate_grant(principal, scope, right)
-        with self.registry.using(identity.tenant) as state:
-            self._require_admin(state, identity)
+        with self.registry.using(tenant) as state:
+            self._require_admin(state, caller)
             secret, created = state.upsert_principal(principal)
             granted = state.insert_grant(principal, scope, right)
-            state.audit_event(
-                "grant",
-                identity.principal,
-                {
-                    "principal": principal,
-                    "scope": scope,
-                    "right": right,
-                    "created_principal": created,
-                },
-            )
+            self._audit_edit(state, "grant", caller, {
+                "principal": principal,
+                "scope": scope,
+                "right": right,
+                "created_principal": created,
+            })
             result = {
-                "tenant": identity.tenant,
+                "tenant": tenant,
                 "principal": principal,
                 "scope": scope,
                 "right": right,
@@ -258,80 +264,26 @@ class TenancyHub:
             return result
 
     def revoke(
-        self, identity: Identity, principal: str, scope: str, right: str
+        self,
+        tenant: str,
+        principal: str,
+        scope: str,
+        right: str,
+        caller: Optional[Identity] = None,
     ) -> Dict[str, Any]:
-        """Wire ``tenant.revoke``: admin-gated; effective next txn (the
-        policy cache is dropped here and on every commit)."""
+        """Revoke matching grants, gated and audited like :meth:`grant`;
+        effective next txn (the policy cache is dropped here and on
+        every commit)."""
         _policy.validate_grant(principal, scope, right)
-        with self.registry.using(identity.tenant) as state:
-            self._require_admin(state, identity)
+        with self.registry.using(tenant) as state:
+            self._require_admin(state, caller)
             removed = state.revoke_grants(principal, scope, right)
-            state.audit_event(
-                "revoke",
-                identity.principal,
-                {
-                    "principal": principal,
-                    "scope": scope,
-                    "right": right,
-                    "removed": removed,
-                },
-            )
-            return {
-                "tenant": identity.tenant,
+            self._audit_edit(state, "revoke", caller, {
                 "principal": principal,
                 "scope": scope,
                 "right": right,
                 "removed": removed,
-            }
-
-    def grant_offline(
-        self, tenant: str, principal: str, scope: str, right: str
-    ) -> Dict[str, Any]:
-        """CLI grant: no admin gate (the operator owns the root dir)."""
-        _policy.validate_grant(principal, scope, right)
-        with self.registry.using(tenant) as state:
-            secret, created = state.upsert_principal(principal)
-            granted = state.insert_grant(principal, scope, right)
-            state.audit_event(
-                "grant",
-                None,
-                {
-                    "principal": principal,
-                    "scope": scope,
-                    "right": right,
-                    "created_principal": created,
-                    "via": "cli",
-                },
-            )
-            result = {
-                "tenant": tenant,
-                "principal": principal,
-                "scope": scope,
-                "right": right,
-                "granted": granted,
-                "created_principal": created,
-            }
-            if created:
-                result["secret"] = secret
-            return result
-
-    def revoke_offline(
-        self, tenant: str, principal: str, scope: str, right: str
-    ) -> Dict[str, Any]:
-        _policy.validate_grant(principal, scope, right)
-        with self.registry.using(tenant) as state:
-            removed = state.revoke_grants(principal, scope, right)
-            state.audit_event(
-                "revoke",
-                None,
-                {
-                    "principal": principal,
-                    "scope": scope,
-                    "right": right,
-                    "removed": removed,
-                    "via": "cli",
-                },
-            )
+            })
             return {
                 "tenant": tenant,
                 "principal": principal,
@@ -341,7 +293,24 @@ class TenancyHub:
             }
 
     @staticmethod
-    def _require_admin(state: TenantState, identity: Identity) -> None:
+    def _audit_edit(
+        state: TenantState,
+        event: str,
+        caller: Optional[Identity],
+        detail: Dict[str, Any],
+    ) -> None:
+        if caller is None:
+            detail["via"] = "cli"
+        state.audit_event(
+            event, None if caller is None else caller.principal, detail
+        )
+
+    @staticmethod
+    def _require_admin(
+        state: TenantState, identity: Optional[Identity]
+    ) -> None:
+        if identity is None:
+            return  # the offline CLI: possession of the root is the credential
         grants = state.load_policy().get(identity.principal, ())
         if not _policy.grants_allow(grants, _policy.WILDCARD_SCOPE, "admin"):
             raise PermissionDeniedError(

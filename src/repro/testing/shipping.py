@@ -380,13 +380,10 @@ class ShipmentTamperMatrix:
 
     def _classify_accept(self, directory: str) -> ShipmentCaseResult:
         """A shipment was installed: identical to the primary, or corrupt?"""
-        from repro.db import Database
-        from repro.replication import load_state, open_replica_database
+        from repro.replication import open_replica_database
 
-        _, secret, _, _ = Database._file_parts(directory)
-        state = load_state(directory, secret)
         primary_master = self.server.db.chunk_store.master_io.load_latest()
-        db = open_replica_database(directory, state.counter, self.chunk_config)
+        db = open_replica_database(directory, self.chunk_config)
         try:
             replica_master = db.chunk_store.master_io.load_latest()
         finally:
@@ -455,7 +452,7 @@ class ShipmentTamperMatrix:
         result.name = "replay-shipment"
         if result.outcome == "accepted-identical":
             # Installing the *stale* image without an error is exactly
-            # the rollback the sidecar exists to stop.
+            # the rollback the replica's one-way counter exists to stop.
             result = ShipmentCaseResult(
                 "replay-shipment", "FAILED", "stale shipment was re-installed"
             )

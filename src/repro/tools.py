@@ -34,8 +34,8 @@ Subcommands over a file-backed database directory (the layout
   (``--once``), keep following, and optionally serve read-only clients
   (``--serve-port``); ``--seed`` bootstraps the image from the backup
   chain first.
-* ``promote`` — bind a replica image to a fresh local one-way counter
-  and open it writable (the primary is gone; this node takes over).
+* ``promote`` — open a replica image writable under the replica's own
+  one-way counter (the primary is gone; this node takes over).
 * ``stats`` — open read-only and print store statistics plus the
   current signed commit head (generation, seqno, root digest, head-log
   length) from the transparency log.
@@ -71,10 +71,12 @@ Usage::
 ``inspect``, ``verify``, ``scrub --salvage``, ``salvage-export``,
 ``stats``, ``heads`` and ``audit`` open their database read-only and
 write nothing to it, so they are safe to run against a served
-primary's live directory.  ``scrub`` without ``--salvage`` recovers
-and checkpoints like a writable open, ``repair`` rewrites the untrusted
-store, ``replicate`` maintains the replica image and ``promote``
-rewrites the replica's control files.
+primary's live directory and against a replica directory (which holds
+its image under its own one-way counter, like a primary).  ``scrub``
+without ``--salvage`` recovers and checkpoints like a writable open,
+``repair`` rewrites the untrusted store, ``replicate`` maintains the
+replica image and its counter, and ``promote`` opens the replica
+writable.
 """
 
 from __future__ import annotations
@@ -462,10 +464,10 @@ def replicate_database(
         print(f"--primary must be host:port, got {primary!r}", file=sys.stderr)
         return 2
     if seed:
-        state = seed_replica(directory, seed, chunk_config=config)
+        master = seed_replica(directory, seed, chunk_config=config)
         print(
             f"seeded from {len(seed)} backup(s): generation "
-            f"{state.generation}, commit seqno {state.commit_seqno}"
+            f"{master.generation}, commit seqno {master.commit_seqno}"
         )
     retry_policy = None
     if max_backoff > 0:
@@ -546,7 +548,7 @@ def promote_database(
             f"promoted {directory}: commit seqno {stats.commit_seqno}, "
             f"counter {stats.counter_value}"
         )
-        print("the replica sidecar is retired; serve this directory normally")
+        print("serve this directory normally")
     finally:
         db.close()
     return 0
@@ -748,7 +750,7 @@ def tenant_admin(args) -> int:
                 print(name)
             return 0
         if args.tenant_command == "grant":
-            result = hub.grant_offline(
+            result = hub.grant(
                 args.name, args.principal, args.scope, args.right
             )
             print(
@@ -760,7 +762,7 @@ def tenant_admin(args) -> int:
                 print("  (shown exactly once; store it now)")
             return 0
         if args.tenant_command == "revoke":
-            result = hub.revoke_offline(
+            result = hub.revoke(
                 args.name, args.principal, args.scope, args.right
             )
             print(

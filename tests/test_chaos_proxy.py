@@ -359,14 +359,9 @@ class TestReplicationFaults:
                     assert applier.sync_once() is False  # up to date
                 assert len(schedule.fired()) == 4
             master = db.chunk_store.master_io.load_latest()
-            from repro.platform import FileSecretStore
-            from repro.replication import load_state, open_replica_database
+            from repro.replication import open_replica_database
 
-            secret = FileSecretStore(
-                os.path.join(rdir, "secret.key"), create=False
-            )
-            state = load_state(rdir, secret)
-            rdb = open_replica_database(rdir, state.counter, CHUNK)
+            rdb = open_replica_database(rdir, CHUNK)
             try:
                 replica = rdb.chunk_store.master_io.load_latest()
                 assert replica.root == master.root

@@ -21,7 +21,6 @@ from repro.crypto import create_hash_engine, create_payload_cipher
 from repro.db import Database
 from repro.errors import (
     ChunkNotFoundError,
-    ConfigError,
     InvalidProofError,
     ProofError,
     TamperDetectedError,
@@ -39,7 +38,6 @@ from repro.proofs import (
     SignedHead,
     TransparencyLog,
     VerifyingClient,
-    resolve_head_scheme,
     verify_proof,
 )
 from repro.replication import ReplicaApplier
@@ -216,20 +214,15 @@ class TestHeadLog:
         assert store.read(ids[0])
         store.close()
 
-    def test_scheme_env_forces_hmac(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEAD_SCHEME", "hmac")
-        assert resolve_head_scheme() == "hmac"
+    def test_platform_without_ed25519_signs_hmac_only(self, monkeypatch):
+        monkeypatch.setattr("repro.proofs.headlog.HAVE_ED25519", False)
         store, untrusted, secret, counter = make_store()
         write_chunks(store, 3)
         store.checkpoint(force=True)
+        assert store.transparency.scheme == "hmac"
         tip = store.transparency.tip()
         assert not tip.has_ed_signature
         store.close()
-
-    def test_scheme_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEAD_SCHEME", "rsa")
-        with pytest.raises(ConfigError):
-            resolve_head_scheme()
 
     @pytest.mark.skipif(not HAVE_ED25519, reason="needs cryptography")
     def test_auto_scheme_uses_ed25519_when_available(self):

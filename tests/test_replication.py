@@ -21,15 +21,20 @@ from repro.db import Database
 from repro.errors import (
     ReadOnlyReplicaError,
     ReadOnlyStoreError,
+    ReplayDetectedError,
     ReplicationError,
     StoreError,
     TamperDetectedError,
 )
-from repro.platform import FileArchivalStore, FileSecretStore, MirrorOneWayCounter
+from repro.platform import (
+    FileArchivalStore,
+    FileOneWayCounter,
+    FileSecretStore,
+    MirrorOneWayCounter,
+)
 from repro.replication import (
     ReplicaApplier,
     TransactionGate,
-    load_state,
     open_replica_database,
     promote_replica,
     seed_replica,
@@ -77,12 +82,10 @@ def populate(server, count=25, start=0, size=400):
 
 
 def replica_master(rdir):
-    secret = FileSecretStore(os.path.join(rdir, "secret.key"), create=False)
-    state = load_state(rdir, secret)
-    assert state is not None
-    db = open_replica_database(rdir, state.counter, CHUNK)
+    """The installed image's master record and the replica's counter."""
+    db = open_replica_database(rdir, CHUNK)
     try:
-        return db.chunk_store.master_io.load_latest(), state
+        return db.chunk_store.master_io.load_latest(), db.chunk_store.counter.read()
     finally:
         db.close()
 
@@ -107,16 +110,16 @@ class TestCleanSync:
 
             # Reopen the replica store: root, identity, and counter state
             # must authenticate to exactly the primary's.
-            master, state = replica_master(rdir)
+            master, counter = replica_master(rdir)
             primary = db.chunk_store.master_io.load_latest()
             assert master.db_uuid == primary.db_uuid
             assert master.generation == primary.generation
             assert master.root == primary.root
             assert master.expected_counter == primary.expected_counter
-            assert state.counter == primary.expected_counter
+            assert counter == primary.expected_counter
 
             # And the data is readable through the replica stack.
-            rdb = open_replica_database(rdir, state.counter, CHUNK)
+            rdb = open_replica_database(rdir, CHUNK)
             rdb.register_class(RemoteRecord)
             try:
                 with rdb.transaction() as txn:
@@ -240,8 +243,7 @@ class TestReadOnlyServing:
             rdir = make_replica_dir(tmp_path, pdir)
             with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
                 app.sync_once()
-            _, state = replica_master(rdir)
-            rdb = open_replica_database(rdir, state.counter, CHUNK)
+            rdb = open_replica_database(rdir, CHUNK)
             rdb.register_class(RemoteRecord)
             try:
                 with pytest.raises(ReadOnlyStoreError):
@@ -257,16 +259,17 @@ class TestSeedAndPromote:
             populate(server, 20)
             db.backup_store().create_full(db.chunk_store, "full-0")
             rdir = make_replica_dir(tmp_path, pdir)
-            state = seed_replica(
+            seeded = seed_replica(
                 rdir,
                 ["full-0"],
                 archival=FileArchivalStore(os.path.join(pdir, "archive")),
                 chunk_config=CHUNK,
             )
-            assert state.seeded is True
+            primary_uuid = db.chunk_store.master_io.load_latest().db_uuid
+            assert seeded.db_uuid != primary_uuid
 
             # The seeded image serves stale reads before first contact.
-            rdb = open_replica_database(rdir, state.counter, CHUNK)
+            rdb = open_replica_database(rdir, CHUNK)
             try:
                 with rdb.transaction() as txn:
                     assert txn.lookup_name("obj-0") is not None
@@ -277,9 +280,8 @@ class TestSeedAndPromote:
             populate(server, 5, start=30)
             with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
                 assert app.sync_once() is True
-            master, state = replica_master(rdir)
-            assert state.seeded is False
-            assert master.db_uuid == db.chunk_store.master_io.load_latest().db_uuid
+            master, _ = replica_master(rdir)
+            assert master.db_uuid == primary_uuid
 
     def test_promote_opens_writable_and_defends_history(self, tmp_path):
         with running_primary(tmp_path) as (server, _db, pdir):
@@ -297,8 +299,6 @@ class TestSeedAndPromote:
                 txn.insert(RemoteRecord({"written": "post-promote"}))
         finally:
             db.close()
-        # The sidecar is retired; the counter file took over.
-        assert not os.path.exists(os.path.join(rdir, "replica.state"))
         assert os.path.exists(os.path.join(rdir, "counter"))
         # And the promoted node reopens like any primary.
         db = Database.open_existing(rdir, CHUNK)
@@ -311,21 +311,107 @@ class TestSeedAndPromote:
         with pytest.raises(ReplicationError):
             promote_replica(rdir, CHUNK)
 
-    def test_tampered_sidecar_is_fatal_not_ignored(self, tmp_path):
+
+def read_replica_object(app, oid):
+    db = app.open_serving_db()
+    db.register_class(RemoteRecord)
+    with db.transaction() as txn:
+        return txn.open_readonly(oid).value
+
+
+class TestReplicaCounter:
+    """The replica holds its image under its own one-way counter."""
+
+    def test_rolled_back_replica_refuses_to_serve_then_heals(self, tmp_path):
         with running_primary(tmp_path) as (server, _db, pdir):
-            populate(server, 5)
+            populate(server, 10)
             rdir = make_replica_dir(tmp_path, pdir)
             with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
                 app.sync_once()
-            path = os.path.join(rdir, "replica.state")
-            with open(path, "r+b") as fh:
-                fh.seek(10)
-                byte = fh.read(1)
-                fh.seek(10)
-                fh.write(bytes([byte[0] ^ 0xFF]))
+            stale = os.path.join(str(tmp_path), "stale")
+            shutil.copytree(rdir, stale)  # the attacker's copy
+            later = populate(server, 5, start=100)
             with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
-                with pytest.raises(TamperDetectedError):
+                assert app.sync_once() is True
+            # Roll back everything but the counter, which no attacker
+            # can rewind.
+            for name in os.listdir(stale):
+                if name == "counter":
+                    continue
+                here, there = os.path.join(rdir, name), os.path.join(stale, name)
+                if os.path.isdir(there):
+                    shutil.rmtree(here)
+                    shutil.copytree(there, here)
+                else:
+                    shutil.copy2(there, here)
+            with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
+                with pytest.raises(ReplayDetectedError):
+                    app.open_serving_db()
+                assert app.sync_once() is True
+                assert read_replica_object(app, later[100])["n"] == 100
+
+    def test_crash_before_counter_advance_refuses_then_heals(
+        self, tmp_path, monkeypatch
+    ):
+        with running_primary(tmp_path) as (server, db, pdir):
+            populate(server, 10)
+            rdir = make_replica_dir(tmp_path, pdir)
+            with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
+                app.sync_once()
+            later = populate(server, 5, start=100)
+
+            def lose_power(cls, path, value):
+                raise OSError("power lost before the counter advanced")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    FileOneWayCounter, "initialize", classmethod(lose_power)
+                )
+                with ReplicaApplier(
+                    rdir, *server.address, chunk_config=CHUNK
+                ) as app:
+                    with pytest.raises(OSError):
+                        app.sync_once()
+                    with pytest.raises(TamperDetectedError):
+                        app.open_serving_db()
+            # The new image is on disk but its counter is not.
+            with pytest.raises(TamperDetectedError):
+                open_replica_database(rdir, CHUNK)
+            counter = FileOneWayCounter(os.path.join(rdir, "counter")).read()
+            assert counter < db.chunk_store.stats().counter_value
+            with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
+                assert app.sync_once() is True
+                assert read_replica_object(app, later[100])["n"] == 100
+
+    def test_other_identity_must_not_be_behind_the_counter(self, tmp_path):
+        with running_primary(tmp_path) as (server, _db, pdir):
+            for batch in range(3):
+                populate(server, 5, start=10 * batch)
+            rdir = make_replica_dir(tmp_path, pdir)
+            with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
+                app.sync_once()
+            floor = FileOneWayCounter(os.path.join(rdir, "counter")).read()
+        # A genuine database of another identity under the same device
+        # secret, whose counter is behind the replica's: a replay.
+        odir = make_replica_dir(tmp_path, pdir, name="other")
+        other = Database.create(odir, CHUNK)
+        oserver = TdbServer(other).start()
+        try:
+            assert other.chunk_store.stats().counter_value < floor
+            with ReplicaApplier(rdir, *oserver.address, chunk_config=CHUNK) as app:
+                with pytest.raises(ReplayDetectedError):
                     app.sync_once()
+                app.open_serving_db()  # the installed image still serves
+            # Once its counter is not behind, the identity may change.
+            while other.chunk_store.stats().counter_value < floor:
+                populate(oserver, 1, start=1000)
+            with ReplicaApplier(rdir, *oserver.address, chunk_config=CHUNK) as app:
+                assert app.sync_once() is True
+            master, _ = replica_master(rdir)
+            assert master.db_uuid == other.chunk_store.db_uuid
+        finally:
+            oserver.stop()
+            other.close()
 
 
 class TestTransactionGate:

@@ -320,7 +320,7 @@ class TestThreadedHub:
 
     def test_policy_gates_and_revocation_next_txn(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, hub, secrets):
-            writer_secret = hub.grant_offline(
+            writer_secret = hub.grant(
                 "acme", "writer", "docs", "write"
             )["secret"]
             with connect(server, "acme", "admin", secrets["acme"]) as admin:
@@ -347,7 +347,7 @@ class TestThreadedHub:
 
     def test_admin_gate_on_tenant_verbs(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, hub, secrets):
-            reader_secret = hub.grant_offline(
+            reader_secret = hub.grant(
                 "acme", "reader", "docs", "read"
             )["secret"]
             with connect(server, "acme", "reader", reader_secret) as c:

@@ -347,6 +347,37 @@ class TestReplicationCommands:
             txn.insert(RemoteRecord({"written": "after promote"}))
         db.close()
 
+    def test_stats_and_inspect_open_a_replica_directory(self, tmp_path, capsys):
+        import os
+        import shutil
+
+        from repro.replication import ReplicaApplier
+        from repro.server import TdbClient, TdbServer
+
+        pdir = str(tmp_path / "primary")
+        db = Database.create(pdir)
+        server = TdbServer(db).start()
+        rdir = str(tmp_path / "replica")
+        os.makedirs(rdir)
+        shutil.copy(
+            os.path.join(pdir, "secret.key"), os.path.join(rdir, "secret.key")
+        )
+        try:
+            with TdbClient(*server.address) as client:
+                with client.transaction() as txn:
+                    txn.bind("k", txn.put({"n": 1}))
+            with ReplicaApplier(rdir, *server.address) as app:
+                assert app.sync_once() is True
+            seqno = db.chunk_store.commit_seqno
+        finally:
+            server.stop()
+            db.close()
+        capsys.readouterr()
+        for command in ("stats", "inspect"):
+            assert tools_main([command, rdir]) == 0
+            out = capsys.readouterr().out
+            assert f"commit seqno    : {seqno}" in out
+
     def test_replicate_follow_serves_read_only(self, tmp_path):
         import os
         import shutil
