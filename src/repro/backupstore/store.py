@@ -89,7 +89,7 @@ class BackupStore:
         header = BackupHeader(
             backup_type=BACKUP_FULL,
             backup_uuid=os.urandom(16),
-            db_uuid=store._db_uuid,
+            db_uuid=store.db_uuid,
             base_uuid=_ZERO_UUID,
             sequence=self._next_sequence,
             commit_seqno=snapshot.commit_seqno,
@@ -124,7 +124,7 @@ class BackupStore:
         header = BackupHeader(
             backup_type=BACKUP_INCREMENTAL,
             backup_uuid=os.urandom(16),
-            db_uuid=store._db_uuid,
+            db_uuid=store.db_uuid,
             base_uuid=self._last_backup_uuid,
             sequence=self._next_sequence,
             commit_seqno=snapshot.commit_seqno,

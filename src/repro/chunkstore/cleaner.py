@@ -20,6 +20,11 @@ Key mechanics:
   if an attacker corrupted the segment so badly that live data became
   unreachable, the mismatch leaves the segment in place rather than
   destroying data silently.
+
+The cleaner also owns the store's space policy: the grow-or-clean
+decision after each commit, idle-time maintenance, returning surplus
+free slots, and the deferral of dead-space credits that a nondurable
+commit or a live snapshot still holds back.
 """
 
 from __future__ import annotations
@@ -29,13 +34,18 @@ from typing import List, Set, Tuple
 
 from repro.chunkstore.format import (
     CommitBody,
+    Locator,
     MapNodeBody,
     RecordKind,
 )
 from repro.chunkstore.segments import SegmentInfo, segment_file_name
 from repro.errors import ChunkStoreError
 
-__all__ = ["Cleaner", "CleanerStats"]
+__all__ = ["CLEANER_SEGMENTS_PER_PASS", "Cleaner", "CleanerStats", "RetireEvent"]
+
+#: Victim segments one cleaning pass may process, bounding per-commit
+#: cleaning latency.
+CLEANER_SEGMENTS_PER_PASS = 4
 
 
 @dataclass
@@ -48,6 +58,17 @@ class CleanerStats:
     chunks_relocated: int = 0
     map_nodes_relocated: int = 0
     victims_skipped: int = 0
+
+
+class RetireEvent:
+    """A dead-space credit waiting on snapshot releases / durability."""
+
+    __slots__ = ("segment", "nbytes", "refs")
+
+    def __init__(self, segment: int, nbytes: int, refs: int) -> None:
+        self.segment = segment
+        self.nbytes = nbytes
+        self.refs = refs
 
 
 @dataclass
@@ -63,6 +84,7 @@ class Cleaner:
     def __init__(self, store) -> None:
         self.store = store
         self.stats = CleanerStats()
+        self._nondurable_pending: List[RetireEvent] = []
 
     def clean_pass(self, max_segments: int) -> int:
         """Attempt to recycle up to ``max_segments`` victims; return count freed."""
@@ -103,6 +125,120 @@ class Cleaner:
                 self.stats.victims_skipped += 1
         self.stats.segments_freed += freed
         return freed
+
+    # -- space policy ----------------------------------------------------------------
+
+    def space_policy(self) -> None:
+        """The grow-or-clean decision of section 3.2.1, run after a commit.
+
+        Keep at least one free slot ready for the next tail switch.  When
+        utilization is below the configured maximum, bounded cleaning
+        recycles dead space; when it is above, the store grows instead
+        (a new slot is allocated implicitly at the next tail switch),
+        which bounds per-commit cleaning cost.
+        """
+        segments, config = self.store.segments, self.store.config
+        if segments.free_slot_count() == 0:
+            if segments.utilization() < config.max_utilization:
+                self.clean_pass(CLEANER_SEGMENTS_PER_PASS)
+            return
+        # Compaction: while utilization sits below the bound there is
+        # reclaimable dead space; bounded cleaning squeezes it out so the
+        # database size tracks live / max_utilization (Figure 11).  The
+        # work is rate-limited by the classic LFS write-amplification
+        # budget: packing segments to density u costs about u/(1-u) bytes
+        # of copying per byte of application data, so that is the copy
+        # allowance the target utilization earns.  Targets the workload's
+        # hot/cold mix cannot reach simply exhaust their allowance instead
+        # of thrashing.
+        if segments.utilization() < config.max_utilization * 0.95:
+            target = min(config.max_utilization, 0.95)
+            amplification = target / max(0.05, 1.0 - target)
+            allowance = amplification * self.store._app_payload_bytes
+            if self.stats.bytes_copied >= allowance:
+                return
+            best_dead = max(
+                (info.dead_bytes for info in segments.cleanable_segments()),
+                default=0,
+            )
+            if best_dead >= config.segment_size // 4:
+                self.clean_pass(CLEANER_SEGMENTS_PER_PASS)
+        self.shrink_free_slots()
+
+    def idle_maintenance(self, max_passes: int) -> dict:
+        """Checkpoint, then clean until the utilization bound is met,
+        nothing is reclaimable, or ``max_passes`` runs out."""
+        store = self.store
+        segments = store.segments
+        report = {"checkpointed": False, "segments_freed": 0, "passes": 0}
+        if store.location_map.has_dirty_nodes() or store._residual_bytes:
+            store.checkpoint()
+            report["checkpointed"] = True
+        for _ in range(max_passes):
+            if segments.utilization() >= store.config.max_utilization:
+                break
+            if not any(info.dead_bytes > 0 for info in segments.cleanable_segments()):
+                break
+            freed = self.clean_pass(CLEANER_SEGMENTS_PER_PASS)
+            report["passes"] += 1
+            report["segments_freed"] += freed
+            self.shrink_free_slots()
+            if freed == 0:
+                break
+        self.shrink_free_slots()
+        return report
+
+    def shrink_free_slots(self) -> None:
+        """Return excess free slots while the database would stay within
+        its utilization bound, so total size tracks
+        live / max_utilization (the trade-off Figure 11 sweeps)."""
+        segments, config = self.store.segments, self.store.config
+        live = segments.live_bytes()
+        while segments.free_slot_count() > 1:
+            capacity_after = segments.capacity_bytes() - config.segment_size
+            if capacity_after <= 0 or live / capacity_after > config.max_utilization:
+                break
+            if len(segments.segments) <= max(2, config.initial_segments):
+                break
+            segments.drop_slot(
+                max(info.number for info in segments.segments.values() if info.is_free)
+            )
+
+    # -- dead-space deferral ---------------------------------------------------------
+
+    def retire(self, locator: Locator, commit_durable: bool) -> None:
+        """Account an obsolete payload, honouring deferral rules.
+
+        Space obsoleted by a nondurable commit stays unreclaimable until
+        a durable commit (section 3.2.2); space a snapshot can still
+        reach stays unreclaimable until the snapshot is released.
+        """
+        pinning = [
+            snap
+            for snap in self.store.active_snapshots()
+            if locator.segment in snap.pinned_segments
+        ]
+        refs = len(pinning) + (0 if commit_durable else 1)
+        if refs == 0:
+            self.store.segments.mark_dead(locator.segment, locator.length)
+            return
+        event = RetireEvent(locator.segment, locator.length, refs)
+        if not commit_durable:
+            self._nondurable_pending.append(event)
+        for snap in pinning:
+            snap.deferred.append(event)
+
+    def release(self, events: List[RetireEvent]) -> None:
+        """Drop one reference from each event; credit those that hit zero."""
+        for event in events:
+            event.refs -= 1
+            if event.refs == 0:
+                self.store.segments.mark_dead(event.segment, event.nbytes)
+
+    def flush_nondurable(self) -> None:
+        """A durability barrier passed: release nondurable deferrals."""
+        pending, self._nondurable_pending = self._nondurable_pending, []
+        self.release(pending)
 
     # -- victim selection ----------------------------------------------------------
 

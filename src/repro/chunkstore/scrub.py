@@ -114,8 +114,10 @@ def scrub_store(
 ) -> Tuple[DamageReport, Dict[int, bytes]]:
     """Walk the store's Merkle tree verifying every node and payload.
 
-    ``store`` is a :class:`~repro.chunkstore.store.ChunkStore` (the caller
-    holds its lock).  Map nodes are re-loaded *from media* via the store's
+    The one body behind ``ChunkStore.scrub`` and ``export_surviving``.
+    A writable store is checkpointed first so the on-disk tree equals
+    the logical tree; a salvage or read-only store is walked as
+    reconstructed.  Map nodes are re-loaded *from media* via the store's
     node I/O — the cache is bypassed so the scrub verifies the bytes that
     would survive a restart, except for dirty nodes (salvage replay
     state), which exist only in memory and are walked as-is.
@@ -127,6 +129,14 @@ def scrub_store(
     Nothing is taken on trust from an earlier pass: every clean node and
     every payload is re-read and re-hashed from media, as a read would.
     """
+    with store._lock:
+        store._check_open()
+        if not store.salvage and not store.read_only:
+            store.checkpoint(force=True)
+        return _walk(store, collect)
+
+
+def _walk(store, collect: bool) -> Tuple[DamageReport, Dict[int, bytes]]:
     lmap = store.location_map
     fanout = lmap.fanout
     report = DamageReport()

@@ -6,6 +6,14 @@ consistent past state as long as the cleaner does not recycle the
 segments it references — so a snapshot pins the set of segments that
 existed when it was taken (the cleaner skips them).
 
+A snapshot is the store's one pin type.  Besides the frozen map it
+captures, at the same instant, what the checkpoint that anchors it
+wrote: its generation and expected counter, the master record's file
+name and sealed bytes, and every live segment's extent.  Bytes below an
+extent are immutable while the pin lives (sealed segments never change,
+the tail only grows past it), so replication ships them and the proof
+service proves against them without holding the store lock.
+
 Snapshots are how the backup store works (section 3.2.1 of the paper):
 
 * a **full backup** streams every chunk reachable from one snapshot,
@@ -19,8 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Set, Tuple
 
+from repro.chunkstore.cleaner import RetireEvent
 from repro.chunkstore.format import Locator
 from repro.chunkstore.locmap import LocationMap, MapNode
+from repro.chunkstore.master import MASTER_FILES
+from repro.chunkstore.segments import SegmentInfo
 from repro.errors import ChunkNotFoundError, SnapshotError
 
 __all__ = ["Snapshot", "SnapshotDiff"]
@@ -38,21 +49,30 @@ class SnapshotDiff:
 
 
 class Snapshot:
-    """A read-only view of the database at one commit point."""
+    """A read-only view of the database at one checkpoint."""
 
-    def __init__(
-        self,
-        store,
-        snapshot_id: int,
-        root: Optional[Locator],
-        depth: int,
-        pinned_segments: Set[int],
-        commit_seqno: int,
-    ) -> None:
+    def __init__(self, store, snapshot_id: int) -> None:
+        """Pin ``store`` as of the checkpoint it has just written.
+
+        ``ChunkStore.snapshot`` holds the store lock across that
+        checkpoint and this constructor, so everything captured here
+        describes the same instant.
+        """
         self._store = store
         self.snapshot_id = snapshot_id
-        self.commit_seqno = commit_seqno
-        self.pinned_segments = set(pinned_segments)
+        self.commit_seqno = store._seqno
+        self.generation = store._generation
+        self.expected_counter = store._counter_value
+        self.master_name = MASTER_FILES[self.generation % 2]
+        self.master_blob = store.untrusted.read(self.master_name)
+        #: Copies of every live segment's table entry; ``file_bytes`` is
+        #: the extent that stays immutable while the pin lives.
+        self.segments: List[SegmentInfo] = [
+            info for info in store.segments.snapshot_infos() if not info.is_free
+        ]
+        self.pinned_segments: Set[int] = {info.number for info in self.segments}
+        #: Dead-space credits this pin holds back from the cleaner.
+        self.deferred: List[RetireEvent] = []
         self.released = False
         self.map = LocationMap(
             node_io=store.node_io,
@@ -60,8 +80,8 @@ class Snapshot:
             hash_size=store.hash_size,
             cache=store.cache,
             namespace=f"snap-{snapshot_id}",
-            depth=depth,
-            root_locator=root,
+            depth=store.location_map.depth,
+            root_locator=store.location_map.root_locator,
             frozen=True,
         )
 
@@ -103,8 +123,14 @@ class Snapshot:
 
     def release(self) -> None:
         """Unpin the snapshot; its segments become cleanable again."""
-        if not self.released:
-            self._store.release_snapshot(self)
+        store = self._store
+        with store._lock:
+            if self.released:
+                return
+            self.released = True
+            store._snapshots.pop(self.snapshot_id, None)
+            store.cleaner.release(self.deferred)
+            store.cache.clear_namespace(f"snap-{self.snapshot_id}")
 
     def __enter__(self) -> "Snapshot":
         return self

@@ -9,10 +9,19 @@ without trusting the server:
 * :mod:`repro.proofs.merkle` — inclusion and non-membership proofs
   built from and verified against the map's own node payloads;
 * :mod:`repro.proofs.service` — server-side proof generation over
-  pinned snapshots (shared with the replication shipper's pins);
+  pinned snapshots (``ChunkStore.snapshot()``, the same pin replication
+  shipping and backups take);
 * :mod:`repro.proofs.client` — :class:`VerifyingClient`, the thin
   client that checks every read and refuses rollbacks and forks.
+
+The chunk store imports :mod:`repro.proofs.headlog` (every checkpoint
+signs a head), and importing a submodule runs this ``__init__`` first.
+So only ``headlog`` is imported eagerly here; ``merkle``, ``service``
+and ``client`` load on first attribute access, which keeps them out of
+the chunk store's trusted core.
 """
+
+import importlib
 
 from repro.proofs.headlog import (
     HAVE_ED25519,
@@ -21,8 +30,6 @@ from repro.proofs.headlog import (
     SignedHead,
     TransparencyLog,
 )
-from repro.proofs.merkle import ChunkProof, build_proof, verify_proof
-from repro.proofs.service import ProofService
 
 __all__ = [
     "HAVE_ED25519",
@@ -38,11 +45,17 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # VerifyingClient pulls in the server package; import it lazily so
-    # `repro.chunkstore` → `repro.proofs.headlog` stays cycle-free.
-    if name == "VerifyingClient":
-        from repro.proofs.client import VerifyingClient
+_LAZY = {
+    "ChunkProof": "repro.proofs.merkle",
+    "build_proof": "repro.proofs.merkle",
+    "verify_proof": "repro.proofs.merkle",
+    "ProofService": "repro.proofs.service",
+    "VerifyingClient": "repro.proofs.client",
+}
 
-        return VerifyingClient
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -7,8 +7,8 @@ proof, current signed head, and head-log consistency range — for one
 Proofs must be *stable*: the cleaner relocates payloads and concurrent
 commits advance the root, so walking the live tree would hand clients
 paths that stop verifying mid-flight.  On a primary the service anchors
-itself with the same pin machinery replication shipping uses
-(:meth:`ChunkStore.begin_shipment`): a forced checkpoint plus a pinned
+itself with the pin replication shipping and backups use
+(:meth:`ChunkStore.snapshot`): a forced checkpoint plus a pinned
 snapshot freezes a ``(generation, root, depth)`` triple whose segments
 the cleaner will not touch, and — because the checkpoint appended a
 head — the log's tip signs exactly that root.  The anchor is re-taken
@@ -23,7 +23,7 @@ the mirrored head log has not caught up to the installed image.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ProofError
 from repro.proofs.headlog import SignedHead
@@ -43,7 +43,7 @@ class ProofService:
             )
         self.store = store
         self._lock = threading.Lock()
-        self._anchor = None  # primary mode: ShipmentAnchor owning a pin
+        self._anchor = None  # primary mode: the Snapshot proofs are built on
         self.proofs_served = 0
         self.absences_served = 0
         self.anchors_created = 0
@@ -56,7 +56,7 @@ class ProofService:
     def _anchored_state(self) -> Tuple[SignedHead, object, int]:
         """``(signed head, root locator, depth)`` of a stable tree.
 
-        Primary: refresh the shipment anchor when the store moved.
+        Primary: re-pin when the store moved since the current pin.
         Replica / read-only: the live root is already frozen between
         applier installs; require the mirrored log to agree with it.
         """
@@ -75,14 +75,13 @@ class ProofService:
             if self._closed:
                 raise ProofError("proof service is closed")
             anchor = self._anchor
-            current = (
-                anchor.generation if anchor is not None else None,
-                anchor.commit_seqno if anchor is not None else None,
-            )
-            fresh = store.begin_shipment(*current)
-            if fresh is not None:
+            # Generation first, then seqno: both only grow, so a match
+            # means nothing committed since the pin was taken.
+            current = (store.generation, store.commit_seqno)
+            if anchor is None or (anchor.generation, anchor.commit_seqno) != current:
+                fresh = store.snapshot()
                 if anchor is not None:
-                    store.release_snapshot(anchor.snapshot)
+                    anchor.release()
                 self._anchor = anchor = fresh
                 self.anchors_created += 1
             # Concurrent commits may have checkpointed again since the
@@ -94,8 +93,7 @@ class ProofService:
                 raise ProofError(
                     "head log has no entry for the anchored generation"
                 )
-            snap_map = anchor.snapshot.map
-            return head, snap_map.root_locator, snap_map.depth
+            return head, anchor.map.root_locator, anchor.map.depth
 
     # -- proofs ------------------------------------------------------------
 
@@ -181,7 +179,4 @@ class ProofService:
             self._closed = True
             anchor, self._anchor = self._anchor, None
         if anchor is not None:
-            try:
-                self.store.release_snapshot(anchor.snapshot)
-            except Exception:
-                pass
+            anchor.release()

@@ -136,7 +136,7 @@ class RepairEngine:
 
     def _selective(self, store: ChunkStore, report: DamageReport) -> RepairResult:
         state, db_uuid = self.backup_store.load_chain_state(self.backup_names)
-        if db_uuid != store._db_uuid:
+        if db_uuid != store.db_uuid:
             raise RepairError("backup chain belongs to a different database")
 
         # Detach every damaged map node from its (verified) parent; the

@@ -1,14 +1,14 @@
 """Primary-side shipment server: :class:`ReplicationShipper`.
 
 The shipper owns one subscription per server session.  A subscription is
-anchored in a pinned chunk-store snapshot
-(:meth:`~repro.chunkstore.store.ChunkStore.begin_shipment`), which makes
-the shipped byte ranges stable without holding any lock while streaming:
+anchored in a chunk-store snapshot
+(:meth:`~repro.chunkstore.store.ChunkStore.snapshot`), which makes the
+shipped byte ranges stable without holding any lock while streaming:
 
 * the snapshot's ``pinned_segments`` stop the cleaner from recycling any
   shipped segment while a (possibly slow) replica is still fetching it,
-* the anchoring checkpoint's segment table records each segment's size
-  at that instant; sealed segments are immutable and the tail only ever
+* the snapshot's ``segments`` record each segment's size as of its
+  checkpoint; sealed segments are immutable and the tail only ever
   *grows past* the recorded size, so ``[0, file_bytes)`` cannot change
   underneath the stream even while new commits land.
 
@@ -24,7 +24,7 @@ import hashlib
 import threading
 from typing import Any, Dict, Optional
 
-from repro.chunkstore import ChunkStore, ShipmentAnchor
+from repro.chunkstore import ChunkStore, Snapshot
 from repro.errors import ReplicationError
 
 __all__ = ["ReplicationShipper"]
@@ -36,12 +36,10 @@ MAX_SHIP_BYTES = 4 * 1024 * 1024
 
 
 class _Subscription:
-    def __init__(self, anchor: ShipmentAnchor, manifest: Dict[str, Any]) -> None:
-        self.anchor = anchor
+    def __init__(self, snapshot: Snapshot, manifest: Dict[str, Any]) -> None:
+        self.snapshot = snapshot
         self.manifest = manifest
-        self.extents = {
-            info.number: info.file_bytes for info in anchor.segments
-        }
+        self.extents = {info.number: info.file_bytes for info in snapshot.segments}
 
 
 class ReplicationShipper:
@@ -76,14 +74,21 @@ class ReplicationShipper:
         ``{"up_to_date": true}`` with no new anchor.  A ``last_uuid``
         naming another database (a seeded replica) gets a full shipment.
         """
-        if last_uuid is not None and last_uuid != self.store.db_uuid.hex():
+        store = self.store
+        if last_uuid is not None and last_uuid != store.db_uuid.hex():
             last_generation = last_seqno = None
-        anchor = self.store.begin_shipment(last_generation, last_seqno)
+        # Generation first, then seqno: both only grow, so if both still
+        # match, nothing committed since the acknowledged shipment, and
+        # no checkpoint is spent on the poll.
+        up_to_date = last_generation is not None and (
+            (last_generation, last_seqno) == (store.generation, store.commit_seqno)
+        )
+        snapshot = None if up_to_date else store.snapshot()
         with self._lock:
             previous = self._subs.pop(session_id, None)
             if last_seqno is not None:
                 self._acked_seqno[session_id] = last_seqno
-            if anchor is None:
+            if snapshot is None:
                 self._up_to_date += 1
                 manifest: Dict[str, Any] = {
                     "up_to_date": True,
@@ -91,16 +96,16 @@ class ReplicationShipper:
                     "commit_seqno": last_seqno,
                 }
             else:
-                manifest = self._build_manifest(anchor)
-                self._subs[session_id] = _Subscription(anchor, manifest)
+                manifest = self._build_manifest(snapshot)
+                self._subs[session_id] = _Subscription(snapshot, manifest)
                 self._shipments += 1
         if previous is not None:
-            previous.anchor.snapshot.release()
+            previous.snapshot.release()
         return manifest
 
-    def _build_manifest(self, anchor: ShipmentAnchor) -> Dict[str, Any]:
+    def _build_manifest(self, snapshot: Snapshot) -> Dict[str, Any]:
         segments = []
-        for info in anchor.segments:
+        for info in snapshot.segments:
             # Hashing happens outside the store lock: the range below
             # the recorded size is immutable (see module docstring).
             data = self.store.read_segment_bytes(info.number, 0, info.file_bytes)
@@ -118,12 +123,12 @@ class ReplicationShipper:
             )
         return {
             "up_to_date": False,
-            "db_uuid": anchor.db_uuid.hex(),
-            "generation": anchor.generation,
-            "commit_seqno": anchor.commit_seqno,
-            "expected_counter": anchor.expected_counter,
-            "master_name": anchor.master_name,
-            "master_bytes": len(anchor.master_blob),
+            "db_uuid": self.store.db_uuid.hex(),
+            "generation": snapshot.generation,
+            "commit_seqno": snapshot.commit_seqno,
+            "expected_counter": snapshot.expected_counter,
+            "master_name": snapshot.master_name,
+            "master_bytes": len(snapshot.master_blob),
             "segments": segments,
         }
 
@@ -158,16 +163,16 @@ class ReplicationShipper:
     def master_blob(self, session_id: Any) -> Dict[str, Any]:
         """The sealed master record captured when the shipment was anchored.
 
-        Served from the anchor, not from disk: two checkpoints after the
-        anchor the alternating-slot scheme overwrites the same file.
+        Served from the snapshot, not from disk: two checkpoints after it
+        the alternating-slot scheme overwrites the same file.
         """
         with self._lock:
             sub = self._subs.get(session_id)
             if sub is None:
                 raise ReplicationError("no active shipment; subscribe first")
-            blob = sub.anchor.master_blob
+            blob = sub.snapshot.master_blob
             self._bytes_streamed += len(blob)
-        return {"name": sub.anchor.master_name, "blob": blob}
+        return {"name": sub.snapshot.master_name, "blob": blob}
 
     # ------------------------------------------------------------------
     # Lifecycle / stats
@@ -179,7 +184,7 @@ class ReplicationShipper:
             sub = self._subs.pop(session_id, None)
             self._acked_seqno.pop(session_id, None)
         if sub is not None:
-            sub.anchor.snapshot.release()
+            sub.snapshot.release()
 
     def close(self) -> None:
         with self._lock:
@@ -187,7 +192,7 @@ class ReplicationShipper:
             self._subs.clear()
             self._acked_seqno.clear()
         for sub in subs:
-            sub.anchor.snapshot.release()
+            sub.snapshot.release()
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """Replication counters plus per-subscriber lag in commit seqnos."""

@@ -415,7 +415,6 @@ class TdbClient:
         fn: Callable[["RemoteTransaction"], Any],
         mode: str = "object",
         attempts: int = 5,
-        retry_delay: Optional[float] = None,
     ) -> Any:
         """Run ``fn(txn)`` in a transaction, retrying transient failures.
 
@@ -433,15 +432,6 @@ class TdbClient:
         if attempts < 1:
             raise ValueError("attempts must be at least 1")
         policy = self.retry_policy
-        if retry_delay is not None:
-            # Legacy knob: honored as the backoff base, still capped.
-            policy = RetryPolicy(
-                max_attempts=policy.max_attempts,
-                base_delay=retry_delay,
-                max_delay=policy.max_delay,
-                jitter=policy.jitter,
-                seed=policy.seed,
-            )
         self._op_counter += 1
         op_id = self._op_counter
         last_error: Optional[Exception] = None

@@ -10,12 +10,11 @@ database or tenancy hub alike.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.collectionstore import Indexer
+from repro.collectionstore.jsonrecord import JsonRecord, field_index_name, json_field_indexer
 from repro.errors import ProtocolError, SchemaError, SessionStateError
-from repro.objectstore import BufferReader, BufferWriter, Persistent
 
 __all__ = [
     "RemoteRecord",
@@ -26,63 +25,21 @@ __all__ = [
 ]
 
 
-class RemoteRecord(Persistent):
+class RemoteRecord(JsonRecord):
     """A JSON value as a persistent object (the service's data model)."""
 
     class_id = "server.record"
 
-    def __init__(self, value: Any = None) -> None:
-        self.value = value
-
-    def pickle(self) -> bytes:
-        body = json.dumps(self.value, separators=(",", ":")).encode("utf-8")
-        return BufferWriter().write_bytes(body).getvalue()
-
-    @classmethod
-    def unpickle(cls, data: bytes) -> "RemoteRecord":
-        reader = BufferReader(data)
-        value = json.loads(reader.read_bytes().decode("utf-8"))
-        reader.expect_end()
-        return cls(value)
-
-    def cache_charge(self) -> int:
-        return 96 + 8 * len(json.dumps(self.value, separators=(",", ":")))
-
-
-class _FieldKey:
-    """Pure extractor pulling one field out of a RemoteRecord value."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: str) -> None:
-        self.field = field
-
-    def __call__(self, record: RemoteRecord) -> Any:
-        value = record.value
-        if not isinstance(value, dict) or self.field not in value:
-            raise SchemaError(
-                f"record value must be an object with field {self.field!r}"
-            )
-        return value[self.field]
-
 
 def _index_name(collection: str, field: str) -> str:
-    return f"field:{collection}:{field}"
+    return field_index_name("field", collection, field)
 
 
 def field_indexer(
     collection: str, field: str, kind: str = "btree", unique: bool = False
 ) -> Indexer:
     """Indexer over ``RemoteRecord`` keyed by one field of the value."""
-    if ":" in field:
-        raise SchemaError("field names must not contain ':'")
-    return Indexer(
-        name=_index_name(collection, field),
-        schema_class=RemoteRecord,
-        extractor=_FieldKey(field),
-        unique=unique,
-        kind=kind,
-    )
+    return json_field_indexer(RemoteRecord, "field", collection, field, kind, unique)
 
 
 #: Every data verb the executor handles.  The session core routes on

@@ -33,12 +33,8 @@ mix even at the index layer.
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
 from repro.collectionstore import Indexer
-from repro.errors import SchemaError
-from repro.objectstore import BufferReader, BufferWriter, Persistent
+from repro.collectionstore.jsonrecord import JsonRecord, field_index_name, json_field_indexer
 
 __all__ = [
     "TenancyRecord",
@@ -64,7 +60,7 @@ META_NAME = "_tenant"
 METER_NAME = "_meter"
 
 
-class TenancyRecord(Persistent):
+class TenancyRecord(JsonRecord):
     """A JSON value owned by the tenancy control plane.
 
     Same payload model as ``RemoteRecord``, different class identity —
@@ -74,58 +70,16 @@ class TenancyRecord(Persistent):
 
     class_id = "tenancy.record"
 
-    def __init__(self, value: Any = None) -> None:
-        self.value = value
-
-    def pickle(self) -> bytes:
-        body = json.dumps(self.value, separators=(",", ":")).encode("utf-8")
-        return BufferWriter().write_bytes(body).getvalue()
-
-    @classmethod
-    def unpickle(cls, data: bytes) -> "TenancyRecord":
-        reader = BufferReader(data)
-        value = json.loads(reader.read_bytes().decode("utf-8"))
-        reader.expect_end()
-        return cls(value)
-
-    def cache_charge(self) -> int:
-        return 96 + 8 * len(json.dumps(self.value, separators=(",", ":")))
-
-
-class _FieldKey:
-    """Extractor pulling one field out of a TenancyRecord value."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: str) -> None:
-        self.field = field
-
-    def __call__(self, record: TenancyRecord) -> Any:
-        value = record.value
-        if not isinstance(value, dict) or self.field not in value:
-            raise SchemaError(
-                f"tenancy record must be an object with field {self.field!r}"
-            )
-        return value[self.field]
-
 
 def index_name(collection: str, field: str) -> str:
-    return f"tfield:{collection}:{field}"
+    return field_index_name("tfield", collection, field)
 
 
 def tenancy_indexer(
     collection: str, field: str, kind: str = "btree", unique: bool = False
 ) -> Indexer:
     """Indexer over ``TenancyRecord`` keyed by one field of the value."""
-    if ":" in field:
-        raise SchemaError("field names must not contain ':'")
-    return Indexer(
-        name=index_name(collection, field),
-        schema_class=TenancyRecord,
-        extractor=_FieldKey(field),
-        unique=unique,
-        kind=kind,
-    )
+    return json_field_indexer(TenancyRecord, "tfield", collection, field, kind, unique)
 
 
 def control_plane_indexers():

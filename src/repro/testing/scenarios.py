@@ -6,7 +6,7 @@ family) against a :class:`~repro.chunkstore.ChunkStore`, reporting every
 durability barrier to the sweep's :class:`~repro.testing.sweeper.CommitLedger`.
 
 Durability bookkeeping mirrors the store's recovery contract
-(`store._replay`): recovery rolls back to the last *durable* commit or
+(`chunkstore.recovery`): recovery rolls back to the last *durable* commit or
 checkpoint, so nondurable commits are only acknowledged once a later
 durable commit, explicit/auto checkpoint, or cleaner pass folds them in.
 Barriers are detected from ``stats()`` deltas (``durable_commits_total``,

@@ -571,7 +571,7 @@ def stats_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     log = getattr(store, "transparency", None)
     if log is None or log.tip() is None:
         print("  signed head     : none "
-              "(insecure profile or pre-upgrade image)")
+              "(insecure profile, or head.log deleted: a writable open refuses it)")
     else:
         tip = log.tip()
         print(f"  head log length : {len(log)} (scheme {log.scheme})")
@@ -588,7 +588,8 @@ def heads_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     try:
         log = getattr(store, "transparency", None)
         if log is None:
-            print("no head log (insecure profile or pre-upgrade image)")
+            print("no head log (insecure profile, or head.log deleted: "
+                  "a writable open refuses it)")
             return 1
         print(f"head log: {len(log)} signed head(s), scheme {log.scheme}")
         for head in log.heads():
@@ -620,8 +621,8 @@ def audit_database(
     try:
         log = getattr(store, "transparency", None)
         if log is None:
-            print("no head log to audit (insecure profile or "
-                  "pre-upgrade image)")
+            print("no head log to audit (insecure profile, or head.log "
+                  "deleted: a writable open refuses it)")
             return 1
         print(f"head log: {len(log)} signed head(s) verified "
               f"(scheme {log.scheme})")

@@ -45,7 +45,7 @@ def fresh_store(**overrides):
 
 def capture_anchor(store):
     """Anchor a shipment and copy every anchored prefix."""
-    anchor = store.begin_shipment()
+    anchor = store.snapshot()
     assert anchor is not None
     frozen = {
         info.number: store.read_segment_bytes(info.number, 0, info.file_bytes)
@@ -106,7 +106,7 @@ class TestPinProperty:
                         store.checkpoint(force=True)
                     check_anchor_intact(store, anchor, frozen)
             finally:
-                anchor.snapshot.release()
+                anchor.release()
 
             # With the pin gone, churn plus cleaning must be able to
             # reclaim: run a few rounds and require no pin-skip stalls.
@@ -171,7 +171,7 @@ class TestPinsUnderConcurrentCommits:
                     thread.join(timeout=30)
             assert not errors, errors
             check_anchor_intact(store, anchor, frozen)
-            anchor.snapshot.release()
+            anchor.release()
 
             # Release + churn: previously pinned segments become fair
             # game again (they at least may be freed; no assertion that
@@ -210,7 +210,7 @@ class TestPinsUnderConcurrentCommits:
             assert still_held == pinned
 
             # ...and reclaims once released.
-            anchor.snapshot.release()
+            anchor.release()
             freed_total = 0
             for _ in range(8):
                 freed_total += store.clean(max_segments=16)

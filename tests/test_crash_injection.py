@@ -191,9 +191,9 @@ def test_mutation_guard_sweep_catches_lost_commits(monkeypatch):
     the classic lost-commit recovery bug.  If the sweep passes with this
     bug active, the harness has no teeth and this test fails.
     """
-    import repro.chunkstore.store as store_mod
+    import repro.chunkstore.recovery as recovery_mod
 
-    real_scan = store_mod.scan_residual_log
+    real_scan = recovery_mod.scan_residual_log
 
     def lossy_scan(*args, **kwargs):
         scan = real_scan(*args, **kwargs)
@@ -201,7 +201,7 @@ def test_mutation_guard_sweep_catches_lost_commits(monkeypatch):
             scan.records = scan.records[:-1]
         return scan
 
-    monkeypatch.setattr(store_mod, "scan_residual_log", lossy_scan)
+    monkeypatch.setattr(recovery_mod, "scan_residual_log", lossy_scan)
     report = make_sweeper(True).sweep()
     assert report.failures, (
         "sweep accepted a recovery that drops the last log record — "

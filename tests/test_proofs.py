@@ -155,16 +155,21 @@ class TestHeadLog:
         with pytest.raises(TamperDetectedError):
             ChunkStore.open(untrusted, secret, counter)
 
-    def test_missing_log_is_recreated_from_the_master(self):
-        # Upgrade path: a database formatted before head logging.
+    def test_deleted_log_is_tampering_not_an_upgrade(self):
+        # format() writes head.log before the first master, so a master
+        # without a log means the signed history was deleted.  A writable
+        # open must refuse rather than start a fresh log; a read-only
+        # open still loads the image (a replica's staged copy).
         store, untrusted, secret, counter = make_store()
         write_chunks(store, 5)
         store.close()
         untrusted.delete(HEAD_LOG_FILE)
-        store = ChunkStore.open(untrusted, secret, counter)
-        tip = store.transparency.tip()
-        assert tip is not None
-        assert tip.generation == store.generation
+        with pytest.raises(TamperDetectedError, match="head log is missing"):
+            ChunkStore.open(untrusted, secret, counter)
+        assert not untrusted.exists(HEAD_LOG_FILE)
+        store = ChunkStore.open(untrusted, secret, counter, read_only=True)
+        assert store.transparency is None
+        assert len(store.chunk_ids()) == 5
         store.close()
 
     def test_rollback_without_matching_history_is_detected(self):

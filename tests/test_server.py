@@ -347,7 +347,6 @@ class TestBackpressure:
                 oid = client.run_transaction(
                     lambda txn: txn.put({"made": "it"}),
                     attempts=30,
-                    retry_delay=0.05,
                 )
             assert isinstance(oid, int)
 
