@@ -149,7 +149,6 @@ def run_server_load(
     clients: int = 8,
     warmup_txns: int = 5,
     duration_s: float = 2.0,
-    max_batch: int = 32,
     max_delay: float = 0.01,
     payload_fields: int = 4,
     directory: Optional[str] = None,
@@ -174,7 +173,6 @@ def run_server_load(
         server = TdbServer(
             db,
             backpressure=backpressure,
-            max_batch=max_batch,
             max_delay=max_delay,
         ).start()
         io_before = db.io_stats().snapshot()
@@ -231,14 +229,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--warmup-txns", type=int, default=5)
     parser.add_argument("--duration", type=float, default=2.0)
-    parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--max-delay", type=float, default=0.01)
     args = parser.parse_args(argv)
     result = run_server_load(
         clients=args.clients,
         warmup_txns=args.warmup_txns,
         duration_s=args.duration,
-        max_batch=args.max_batch,
         max_delay=args.max_delay,
     )
     print(json.dumps(result.as_dict(), indent=2))

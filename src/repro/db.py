@@ -318,10 +318,7 @@ class Database:
         return self._group_commit
 
     def enable_group_commit(
-        self,
-        max_batch: int = 32,
-        max_delay: float = 0.005,
-        max_pending: int = 256,
+        self, max_delay: float = 0.005, max_pending: int = 256
     ):
         """Route transaction commits through a group-commit coordinator.
 
@@ -338,7 +335,6 @@ class Database:
         store = self._require_objects()
         coordinator = GroupCommitCoordinator(
             self.chunk_store,
-            max_batch=max_batch,
             max_delay=max_delay,
             max_pending=max_pending,
         )

@@ -4,13 +4,15 @@ The embedded stack (chunk store -> object store -> collection store)
 serves one process; this package turns it into a small multi-client
 service:
 
-* :mod:`repro.server.protocol` — length-prefixed JSON frame protocol,
+* :mod:`repro.server.protocol` — length-prefixed JSON frame protocol
+  and the verb table, which declares each of the 28 verbs once,
 * :mod:`repro.server.verbs` — the JSON data model, the data-verb
   executor and the typed request-parameter helper,
-* :mod:`repro.server.session` — the session core: the one definition
-  of the wire contract (auth gates, begin/commit/abort, commit tokens
-  over :mod:`repro.server.commitcache`, request replay, park/resume,
-  tenant verbs, ``hello``) as plain calls into the server,
+* :mod:`repro.server.session` — the session core: the one dispatch
+  point and the one definition of the wire contract (auth gates, the
+  transaction lifecycle, commit tokens over
+  :mod:`repro.server.commitcache`, request replay, park/resume, tenant
+  verbs, ``hello``),
 * :mod:`repro.server.server` — the threaded server: one session
   thread per connection over one database (or a tenancy hub), plus
   the per-store ``repl.*`` / ``proof.*`` / ``log.*`` verbs,

@@ -14,9 +14,10 @@ The coordinator implements the leader/follower discipline:
 
 * the first committer to arrive becomes the **leader** of the open
   batch and waits up to ``max_delay`` for followers (skipped when the
-  concurrency hint says nobody else is connected),
+  concurrency hint says nobody else commits),
 * followers merge their write sets into the open batch and block,
-* once the batch is full (``max_batch``) or the window closes, the
+* once the batch is full (:data:`MAX_BATCH`, or every possible
+  committer is aboard) or the window closes, the
   leader seals it, performs **one** ``ChunkStore.commit`` for the whole
   batch, and wakes every member.
 
@@ -44,7 +45,11 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.errors import ServerBusyError, TDBError
 
-__all__ = ["GroupCommitCoordinator", "GroupCommitStats"]
+__all__ = ["GroupCommitCoordinator", "GroupCommitStats", "MAX_BATCH"]
+
+#: Most members one batch takes.  The concurrency hint seals a batch
+#: long before this with fewer committers.
+MAX_BATCH = 32
 
 
 @dataclass
@@ -121,29 +126,25 @@ class GroupCommitCoordinator:
     def __init__(
         self,
         chunk_store,
-        max_batch: int = 32,
         max_delay: float = 0.005,
         max_pending: int = 256,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         if max_delay < 0:
             raise ValueError("max_delay cannot be negative")
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         self.chunk_store = chunk_store
-        self.max_batch = max_batch
         self.max_delay = max_delay
         self.max_pending = max_pending
-        #: How many potential committers exist right now (the server
-        #: keeps this at its active-session count).  Below 2 the leader
-        #: skips the batching window — group commit never taxes a lone
-        #: client with ``max_delay`` of pure latency.  From 2 up, a
-        #: batch seals as soon as every live session has joined it
-        #: instead of waiting out ``max_delay``: with N active sessions
-        #: and N < ``max_batch`` the batch can never grow past N, so
-        #: once all N are aboard further waiting is pure latency — at
-        #: 8 clients that dead wait cost ~40% of throughput.
+        #: How many potential committers exist right now (the session
+        #: core keeps this at the number of sessions that have begun a
+        #: transaction).  Below 2 the leader skips the batching window —
+        #: group commit never taxes a lone client with ``max_delay`` of
+        #: pure latency.  From 2 up, a batch seals as soon as every
+        #: committer has joined it instead of waiting out ``max_delay``:
+        #: with N committers and N < ``MAX_BATCH`` the batch can never
+        #: grow past N, so once all N are aboard further waiting is pure
+        #: latency — at 8 clients that dead wait cost ~40% of throughput.
         self.concurrency_hint = 0
         self.stats = GroupCommitStats()
         self._mutex = threading.Lock()
@@ -190,7 +191,7 @@ class GroupCommitCoordinator:
             if len(batch.members) >= self._seal_threshold():
                 batch.sealed = True
                 self._open = None
-                if len(batch.members) < self.max_batch:
+                if len(batch.members) < MAX_BATCH:
                     self.stats.quorum_seals += 1
                 self._filled.notify_all()
         try:
@@ -207,16 +208,15 @@ class GroupCommitCoordinator:
     def _seal_threshold(self) -> int:
         """Batch size that seals immediately (caller holds ``_mutex``).
 
-        A leader whose batch never reaches ``max_batch`` would
+        A leader whose batch never reaches ``MAX_BATCH`` would
         otherwise wait out the whole ``max_delay`` window — at 8
-        clients against the default ``max_batch=32`` every batch of 8
-        slept the full 5 ms.  The session count
-        bounds how many committers *can* join, so once that many are in
-        the batch there is nobody left to wait for.
+        clients every batch of 8 slept the full 5 ms.  The committer
+        count bounds how many *can* join, so once that many are in the
+        batch there is nobody left to wait for.
         """
         if self.concurrency_hint < 2:
-            return self.max_batch
-        return min(self.max_batch, self.concurrency_hint)
+            return MAX_BATCH
+        return min(MAX_BATCH, self.concurrency_hint)
 
     # ------------------------------------------------------------------
     # Leader path

@@ -15,38 +15,11 @@ clients that do not know the class name.
 Verbs
 -----
 
-==================  ============================================  ===========
-verb                parameters                                    txn mode
-==================  ============================================  ===========
-``hello``           —                                             admin, any
-``auth``            ``tenant``, ``principal``, ``proof`` (opt.)   none open
-``begin``           ``mode`` ("object" | "collection")            none open
-``commit``          ``durable`` (default true), ``token``         any
-``commit.result``   ``token``                                     admin, any
-``session.resume``  ``session``                                   none open
-``abort``           —                                             any
-``obj.put``         ``oid`` (null inserts), ``value``             object
-``obj.get``         ``oid``                                       object
-``obj.remove``      ``oid``                                       object
-``name.bind``       ``name``, ``oid``                             object
-``name.lookup``     ``name``                                      object
-``col.create``      ``name``, ``field``, ``kind``, ``unique``     collection
-``col.insert``      ``name``, ``value`` (object with ``field``)   collection
-``col.get``         ``name``, ``key``, ``field`` (optional)       collection
-``col.remove``      ``name``, ``key``, ``field`` (optional)       collection
-``col.iterate``     ``name``, ``field``/``lo``/``hi``/``limit``   collection
-``stats``           —                                             admin, any
-``tenant.grant``    ``principal``, ``scope``, ``right``           admin, none
-``tenant.revoke``   ``principal``, ``scope``, ``right``           admin, none
-``tenant.meter``    —                                             admin, none
-``repl.subscribe``  ``last_*`` (optional, see below)              admin, none
-``repl.segments``   ``segment``, ``offset``, ``length``           admin, none
-``repl.master``     —                                             admin, none
-``proof.read``      ``chunk_id``                                  admin, none
-``proof.absent``    ``chunk_id``                                  admin, none
-``log.head``        —                                             admin, none
-``log.consistency`` ``from_index``, ``to_index``                  admin, none
-==================  ============================================  ===========
+The verbs are :data:`VERBS`, the one verb table: each row names the
+verb, its handler, its class (session, data, store or admin verb),
+whether a multi-tenant hub answers it before ``auth``, and for a data
+verb the tenancy scope kind and right it needs (the right also says
+whether it writes).  Its parameters are noted beside the row.
 
 Exactly-once commits: ``begin`` returns a ``session`` resume token and
 the server's boot ``epoch``.  A client that loses its connection
@@ -98,6 +71,7 @@ import json
 import socket
 import struct
 import time
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Type
 
 from repro import errors as _errors
@@ -117,6 +91,7 @@ __all__ = [
     "recv_exact",
     "error_payload",
     "exception_from_payload",
+    "Verb",
     "VERBS",
 ]
 
@@ -131,36 +106,77 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: unchanged.  No version 1 server exists, so clients carry no fallback.
 PROTOCOL_VERSION = 2
 
-VERBS = (
-    "hello",
-    "auth",
-    "begin",
-    "commit",
-    "commit.result",
-    "session.resume",
-    "abort",
-    "obj.put",
-    "obj.get",
-    "obj.remove",
-    "name.bind",
-    "name.lookup",
-    "col.create",
-    "col.insert",
-    "col.get",
-    "col.remove",
-    "col.iterate",
-    "stats",
-    "tenant.grant",
-    "tenant.revoke",
-    "tenant.meter",
-    "repl.subscribe",
-    "repl.segments",
-    "repl.master",
-    "proof.read",
-    "proof.absent",
-    "log.head",
-    "log.consistency",
-)
+# ---------------------------------------------------------------------------
+# The verb table
+# ---------------------------------------------------------------------------
+
+#: Verb classes: ``session`` verbs run the session contract, ``data``
+#: verbs the open transaction, ``store`` verbs belong to one database
+#: (a multi-tenant hub has none), ``admin`` verbs report and administer.
+SESSION, DATA, STORE, ADMIN = "session", "data", "store", "admin"
+
+#: A data verb's tenancy scope kind: the ``"objects"`` pseudo-scope, or
+#: the collection its ``name`` parameter names.
+OBJECTS, COLLECTION = "objects", "collection"
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One row of :data:`VERBS`.  ``handler`` names the method that
+    answers the verb: on ``SessionCore`` for session and admin verbs,
+    ``VerbExecutor`` for data verbs, ``TdbServer`` for store verbs.
+    ``preauth`` verbs are answered on a hub before ``auth``; only data
+    verbs have a ``scope`` and ``right``."""
+
+    name: str
+    kind: str
+    handler: str
+    preauth: bool = False
+    scope: Optional[str] = None
+    right: Optional[str] = None
+
+    @property
+    def mutating(self) -> bool:
+        """Writes data: refused on a replica, metered on a hub."""
+        return self.right in ("write", "admin")
+
+
+_R, _W, _A = "read", "write", "admin"
+
+#: verb name -> :class:`Verb`.  The comment on a row lists the verb's
+#: parameters; ``?`` marks an optional one.
+VERBS: Dict[str, Verb] = {verb.name: verb for verb in (
+    Verb("hello", SESSION, "_op_hello", preauth=True),
+    Verb("auth", SESSION, "_op_auth", preauth=True),  # tenant principal proof?
+    Verb("begin", SESSION, "_op_begin"),  # mode? ("object" | "collection")
+    Verb("commit", SESSION, "_op_commit"),  # durable? (default true) token?
+    Verb("commit.result", SESSION, "_op_commit_result", preauth=True),  # token
+    Verb("session.resume", SESSION, "_op_session_resume", preauth=True),  # session
+    Verb("abort", SESSION, "_op_abort"),
+    Verb("obj.put", DATA, "_op_obj_put", scope=OBJECTS, right=_W),  # oid (null inserts) value
+    Verb("obj.get", DATA, "_op_obj_get", scope=OBJECTS, right=_R),  # oid
+    Verb("obj.remove", DATA, "_op_obj_remove", scope=OBJECTS, right=_W),  # oid
+    Verb("name.bind", DATA, "_op_name_bind", scope=OBJECTS, right=_W),  # name oid
+    Verb("name.lookup", DATA, "_op_name_lookup", scope=OBJECTS, right=_R),  # name
+    # col.create: name field kind? unique?
+    Verb("col.create", DATA, "_op_col_create", scope=COLLECTION, right=_A),
+    Verb("col.insert", DATA, "_op_col_insert", scope=COLLECTION, right=_W),  # name value
+    Verb("col.get", DATA, "_op_col_get", scope=COLLECTION, right=_R),  # name key field?
+    Verb("col.remove", DATA, "_op_col_remove", scope=COLLECTION, right=_W),  # name key field?
+    # col.iterate: name field? lo? hi? limit?
+    Verb("col.iterate", DATA, "_op_col_iterate", scope=COLLECTION, right=_R),
+    Verb("stats", ADMIN, "_op_stats", preauth=True),
+    Verb("tenant.grant", ADMIN, "_op_tenant_edit"),  # principal scope right
+    Verb("tenant.revoke", ADMIN, "_op_tenant_edit"),  # principal scope right
+    Verb("tenant.meter", ADMIN, "_op_tenant_meter"),
+    Verb("repl.subscribe", STORE, "_op_repl_subscribe"),  # last_uuid? last_generation? last_seqno?
+    Verb("repl.segments", STORE, "_op_repl_segments"),  # segment offset length
+    Verb("repl.master", STORE, "_op_repl_master"),
+    Verb("proof.read", STORE, "_op_proof_read"),  # chunk_id
+    Verb("proof.absent", STORE, "_op_proof_read"),  # chunk_id
+    Verb("log.head", STORE, "_op_log_head"),
+    Verb("log.consistency", STORE, "_op_log_consistency"),  # from_index to_index
+)}
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:

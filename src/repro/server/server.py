@@ -6,10 +6,9 @@ connections under admission control, and each connection gets a
 :class:`Session` — a thread that reads protocol frames and hands them
 to the shared :class:`~repro.server.session.SessionCore`, which owns
 the session contract (one open transaction, exactly-once commits,
-request replay, park/resume, hub auth).  The core calls back into
-:class:`TdbServer` for everything that touches the store: verbs map
-straight onto ``Database.transaction()`` / ``ctransaction()`` under the
-existing strict-2PL locks, on the session's own thread.
+request replay, park/resume, hub auth) and the transaction lifecycle:
+verbs map straight onto ``Database.transaction()`` / ``ctransaction()``
+under the existing strict-2PL locks, on the session's own thread.
 
 Concurrency model:
 
@@ -43,24 +42,12 @@ import socket
 import threading
 from typing import Any, Dict, Optional
 
-from repro.errors import (
-    ConfigError,
-    ProtocolError,
-    ReadOnlyReplicaError,
-    ReplicationError,
-    TDBError,
-)
+from repro.errors import ConfigError, ProtocolError, ReplicationError
 from repro.server.backpressure import AdmissionControl, BackpressureConfig
 from repro.server.groupcommit import GroupCommitCoordinator
 from repro.server import protocol
 from repro.server.session import SessionCore, SessionState
-from repro.server.verbs import (
-    MUTATING_DATA_VERBS,
-    RemoteRecord,
-    VerbExecutor,
-    field_indexer,
-    param,
-)
+from repro.server.verbs import RemoteRecord, field_indexer, param
 
 __all__ = ["RemoteRecord", "TdbServer", "field_indexer"]
 
@@ -149,7 +136,6 @@ class TdbServer:
         host: str = "127.0.0.1",
         port: int = 0,
         backpressure: Optional[BackpressureConfig] = None,
-        max_batch: int = 32,
         max_delay: float = 0.005,
         max_results: int = 1000,
         read_only: bool = False,
@@ -182,7 +168,6 @@ class TdbServer:
         self.txn_gate = txn_gate
         self.replication_stats = replication_stats
         self.admission = AdmissionControl(self.backpressure.max_sessions)
-        self.executor = VerbExecutor(max_results=max_results)
         self.core = SessionCore(self)
         if read_only or tenancy is not None:
             # A replica commits nothing, so there is nothing to batch —
@@ -193,7 +178,6 @@ class TdbServer:
             self.shipper = None
         else:
             self.coordinator = db.enable_group_commit(
-                max_batch=max_batch,
                 max_delay=max_delay,
                 max_pending=self.backpressure.max_pending_commits,
             )
@@ -311,8 +295,6 @@ class TdbServer:
                 self._next_session_id += 1
                 session = Session(self, sock, session_id)
                 self._sessions[session_id] = session
-            if self.coordinator is not None:
-                self.coordinator.concurrency_hint = self.admission.active
             session.thread.start()
 
     def _reject(self, sock: socket.socket) -> None:
@@ -332,8 +314,6 @@ class TdbServer:
         if self.shipper is not None:
             self.shipper.release(session.session_id)
         self.admission.release()
-        if self.coordinator is not None:
-            self.coordinator.concurrency_hint = self.admission.active
 
     def _reaper_loop(self) -> None:
         """The timer behind the core's parked-session expiry sweep."""
@@ -344,78 +324,8 @@ class TdbServer:
             self.core.expire_parked()
 
     # ------------------------------------------------------------------
-    # What the session core calls for store access
+    # Store verbs (the verb table's ``store`` rows)
     # ------------------------------------------------------------------
-
-    def _session_db(self, state: SessionState):
-        """The database a session's verbs run against, read per call."""
-        if self.tenancy is not None:
-            return self.tenancy.session_db(state.identity)
-        return self.db
-
-    def _release_gate(self) -> None:
-        if self.txn_gate is not None:
-            self.txn_gate.release_shared()
-
-    def begin_txn(self, state: SessionState, mode: str):
-        if self.txn_gate is not None:
-            # Replica mode: the transaction pins the current image so the
-            # applier cannot swap it mid-transaction.  The gate is held
-            # exactly as long as the transaction is open.
-            self.txn_gate.acquire_shared()
-        try:
-            db = self._session_db(state)
-            return db.transaction() if mode == "object" else db.ctransaction()
-        except BaseException:
-            self._release_gate()
-            raise
-
-    def execute(self, state: SessionState, request) -> Dict[str, Any]:
-        if self.read_only and request["op"] in MUTATING_DATA_VERBS:
-            # ``begin`` / ``commit`` / ``abort`` stay allowed: a
-            # read-only transaction's commit carries no writes, so it
-            # never reaches the chunk store's commit path.
-            raise ReadOnlyReplicaError(
-                f"verb {request['op']!r} refused: this server is a "
-                "read-only replica; write to the primary or promote this node"
-            )
-        return self.executor.execute(
-            self._session_db(state), request, state.txn, state.mode
-        )
-
-    def commit_txn(self, txn, durable: bool) -> Dict[str, Any]:
-        """Commit ``txn`` (already detached from its session).  The
-        transaction is over either way: a failed commit has released its
-        locks before the error propagates."""
-        try:
-            txn.commit(durable=durable)
-        except TDBError:
-            # Release the locks so the failed session cannot wedge its
-            # neighbours.
-            try:
-                if getattr(txn, "active", False):
-                    txn.abort()
-            except TDBError:
-                pass
-            raise
-        finally:
-            self._release_gate()
-        return {"durable": durable}
-
-    def abort_txn(self, txn) -> None:
-        try:
-            txn.abort()
-        finally:
-            self._release_gate()
-
-    def serve_verb(self, state: SessionState, request) -> Dict[str, Any]:
-        # The core has checked the verb against protocol.VERBS and kept
-        # its own, so what arrives here is stats or a per-store verb.
-        handler = getattr(self, "_op_" + request["op"].replace(".", "_"))
-        return handler(state, request)
-
-    def _op_stats(self, state: SessionState, request) -> Dict[str, Any]:
-        return self.stats_payload()
 
     # -- replication -------------------------------------------------------
 
@@ -463,9 +373,8 @@ class TdbServer:
             ),
         }
 
-    # Same walk as proof.read; kept as its own verb so audits can ask
-    # "prove you do NOT have this" without ambiguity.
-    _op_proof_absent = _op_proof_read
+    # proof.absent runs the same walk; it is its own verb so audits can
+    # ask "prove you do NOT have this" without ambiguity.
 
     def _op_log_head(self, state: SessionState, request) -> Dict[str, Any]:
         head, length = self.proof_service().head()
@@ -519,32 +428,21 @@ class TdbServer:
 
     def stats_payload(self) -> Dict[str, Any]:
         """The admin ``stats`` verb: one JSON-able view of the stack."""
-        if self.tenancy is not None:
-            payload: Dict[str, Any] = {
-                "chunk_store": None,
-                "io": None,
-                "group_commit": None,
-                "sessions": self.admission.as_dict(),
-                "read_only": self.read_only,
-                "tenancy": self.tenancy.stats(),
-            }
-        else:
-            chunk = dataclasses.asdict(self.db.stats())
-            payload = {
-                "chunk_store": chunk,
-                "io": self.db.io_stats().as_dict(),
-                "group_commit": (
-                    self.coordinator.stats_snapshot().as_dict()
-                    if self.coordinator is not None
-                    else None
-                ),
-                "sessions": self.admission.as_dict(),
-                "read_only": self.read_only,
-            }
+        hub, coordinator = self.tenancy, self.coordinator
+        payload: Dict[str, Any] = {
+            "chunk_store": None if hub else dataclasses.asdict(self.db.stats()),
+            "io": None if hub else self.db.io_stats().as_dict(),
+            "group_commit": (
+                coordinator.stats_snapshot().as_dict() if coordinator else None
+            ),
+            "sessions": self.admission.as_dict(),
+            "read_only": self.read_only,
+        }
+        if hub is not None:
+            payload["tenancy"] = hub.stats()
         payload["resilience"] = self.core.resilience_snapshot()
-        if self.tenancy is not None:
-            payload["replication"] = None
-            payload["head"] = None
+        payload["replication"] = payload["head"] = None
+        if hub is not None:
             return payload
         replication: Dict[str, Any] = {"role": "replica" if self.read_only else "primary"}
         if self.shipper is not None:
@@ -552,12 +450,10 @@ class TdbServer:
         if self.replication_stats is not None:
             replication["applier"] = self.replication_stats()
         payload["replication"] = replication
-        head: Optional[Dict[str, Any]] = None
-        store = self.db.chunk_store
-        log = getattr(store, "transparency", None)
+        log = getattr(self.db.chunk_store, "transparency", None)
         if log is not None:
             tip = log.tip()
-            head = {
+            head = payload["head"] = {
                 "log_length": len(log),
                 "scheme": log.scheme,
                 "generation": tip.generation if tip else None,
@@ -567,5 +463,4 @@ class TdbServer:
             with self._proof_lock:
                 if self._proof_service is not None:
                     head["proofs"] = self._proof_service.stats_snapshot()
-        payload["head"] = head
         return payload

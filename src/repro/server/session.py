@@ -17,13 +17,16 @@ contract it serves is written down only here:
   transaction, locks and identity for a bounded grace window, and
   ``session.resume`` hands the parked state to the connection that
   presents its token;
+* the transaction lifecycle: opening, running, committing and aborting
+  transactions (with the replica's ``txn_gate`` and a hub session's
+  tenant database), and the group-commit quorum;
 * ``hello``, the tenant verbs, and the session-level ``resilience``
   counters of ``stats``.
 
-Every handler is a plain method that runs on the session's own thread
-and calls the :class:`~repro.server.server.TdbServer` directly for what
-touches the store: opening, running, committing and aborting
-transactions, and the ``stats`` and per-store verbs.  A
+Every request goes through one dispatch point, :meth:`SessionCore._dispatch`,
+which finds the verb's row in :data:`repro.server.protocol.VERBS`,
+applies the gates the row implies and calls the handler it names.  A
+handler is a plain method run on the session's own thread.  A
 :class:`~repro.errors.TDBError` is the client's answer; anything else
 escaping a verb ends the session, and a commit it interrupted leaves
 its token pending, because that commit's outcome is genuinely unknown.
@@ -41,6 +44,7 @@ from repro.errors import (
     AuthRequiredError,
     FeatureUnavailableError,
     ProtocolError,
+    ReadOnlyReplicaError,
     SessionStateError,
     TDBError,
     TransientStoreError,
@@ -48,28 +52,11 @@ from repro.errors import (
 from repro.server import protocol
 from repro.server.backpressure import BackpressureConfig
 from repro.server.commitcache import CommitResultCache
-from repro.server.verbs import DATA_VERBS, MUTATING_DATA_VERBS, param
+from repro.server.protocol import DATA, STORE, VERBS, Verb
+from repro.server.verbs import VerbExecutor, param
 from repro.tenancy import value_bytes as _tenant_value_bytes
 
 __all__ = ["SessionCore", "SessionState", "failed_outcome"]
-
-#: Verbs a multi-tenant hub answers before ``auth`` binds an identity.
-#: Everything else on a hub requires an authenticated session.
-_PREAUTH_VERBS = ("hello", "auth", "stats", "commit.result", "session.resume")
-
-#: Verbs that are inherently per-database: replication streams and
-#: transparency heads belong to one store.  A multi-tenant hub has none
-#: (per-tenant heads are a roadmap item), so it advertises these as
-#: ``absent_verbs`` in ``hello``.
-PER_STORE_VERBS = (
-    "repl.subscribe",
-    "repl.segments",
-    "repl.master",
-    "proof.read",
-    "proof.absent",
-    "log.head",
-    "log.consistency",
-)
 
 
 def failed_outcome(exc: TDBError) -> Dict[str, Any]:
@@ -93,7 +80,7 @@ class SessionState:
 
     __slots__ = (
         "id", "resume_token", "txn", "mode", "txn_bytes", "identity",
-        "pending_auth", "last_request", "last_response", "deadline",
+        "pending_auth", "last_request", "last_response", "deadline", "began",
     )
 
     def __init__(self, session_id: int) -> None:
@@ -121,14 +108,17 @@ class SessionState:
         self.last_request: Optional[Dict[str, Any]] = None
         self.last_response: Optional[Dict[str, Any]] = None
         self.deadline = 0.0  # parked-until, set when parked
+        #: Counted in the group-commit quorum: set by the first
+        #: ``begin``, cleared when the session ends for good.
+        self.began = False
 
 
 class SessionCore:
     """The server-wide half of the session contract (see module docstring)."""
 
     def __init__(self, server) -> None:
-        #: The :class:`~repro.server.server.TdbServer` whose store the
-        #: handlers reach.
+        #: The :class:`~repro.server.server.TdbServer`: its database,
+        #: replica gate, group-commit coordinator and store verbs.
         self.server = server
         self.backpressure: BackpressureConfig = server.backpressure
         #: Optional :class:`repro.tenancy.TenancyHub`.  When set, every
@@ -140,11 +130,15 @@ class SessionCore:
         #: token cache" — the latter makes an unknown token *in doubt*.
         self.epoch = secrets.token_hex(8)
         self.commit_results = CommitResultCache()
+        self.executor = VerbExecutor(max_results=server.max_results)
         # Guards the parked registry and the counters: the threaded
         # server reaches both from every session thread.
         self._lock = threading.Lock()
         self._parked: Dict[str, SessionState] = {}
         self._closed = False
+        # Sessions that have begun a transaction and not ended: the
+        # group-commit quorum (see _add_committer).
+        self._committers = 0
         self._counters: Dict[str, int] = {
             "sessions_parked": 0,
             "sessions_resumed": 0,
@@ -197,44 +191,54 @@ class SessionCore:
     def _dispatch(
         self, state: SessionState, request: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], SessionState]:
+        """The one dispatch point: find the verb's row, apply the gates
+        it implies, call the handler it names."""
         op = request.get("op")
         if not isinstance(op, str):
             raise ProtocolError("request needs a string 'op' field")
-        hub = self.tenancy
-        if hub is not None:
-            if state.identity is None and op not in _PREAUTH_VERBS:
+        verb = VERBS.get(op)
+        if self.tenancy is not None:
+            if state.identity is None and not (verb and verb.preauth):
                 raise AuthRequiredError(
                     "this server is a multi-tenant hub; bind an identity "
                     "with the auth challenge-response first"
                 )
-            if op in PER_STORE_VERBS:
+            if verb and verb.kind == STORE:
                 raise FeatureUnavailableError(
                     f"verb {op!r} is unavailable on a multi-tenant hub: it "
                     "is per-database (no single replication stream or "
                     "transparency head spans tenants; per-tenant heads are "
                     "a roadmap item)"
                 )
-        if op in DATA_VERBS:
-            if hub is not None:
-                hub.check(state.identity, op, request)
-            result = self.server.execute(state, request)
-            if hub is not None and op in MUTATING_DATA_VERBS:
-                state.txn_bytes += _tenant_value_bytes(request)
-            return result, state
-        if op == "session.resume":
-            state = self._resume(state, request)
-            return {
-                "resumed": True,
-                "txn_open": state.txn is not None,
-                "mode": state.mode,
-                "epoch": self.epoch,
-            }, state
-        if op not in protocol.VERBS:
+        if verb is None:
             raise ProtocolError(f"unknown verb {op!r}")
-        handler = getattr(self, "_op_" + op.replace(".", "_"), None)
-        if handler is None:  # stats and the per-store verbs
-            handler = self.server.serve_verb
+        if verb.kind == DATA:
+            return self._run_data_verb(verb, state, request), state
+        handler = getattr(self.server if verb.kind == STORE else self, verb.handler)
+        if op == "session.resume":  # the one verb that swaps the state
+            return handler(state, request)
         return handler(state, request), state
+
+    def _run_data_verb(
+        self, verb: Verb, state: SessionState, request
+    ) -> Dict[str, Any]:
+        hub = self.tenancy
+        if hub is not None:
+            hub.check(state.identity, verb, request)
+        if verb.mutating and self.server.read_only:
+            # ``begin`` / ``commit`` / ``abort`` stay allowed: a
+            # read-only transaction's commit carries no writes, so it
+            # never reaches the chunk store's commit path.
+            raise ReadOnlyReplicaError(
+                f"verb {verb.name!r} refused: this server is a read-only "
+                "replica; write to the primary or promote this node"
+            )
+        result = self.executor.execute(
+            verb, self._session_db(state), request, state.txn, state.mode
+        )
+        if hub is not None and verb.mutating:
+            state.txn_bytes += _tenant_value_bytes(request)
+        return result
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -252,9 +256,23 @@ class SessionCore:
             # Tenancy: charge the tenant's txn/s token bucket first; a
             # refused begin opens nothing.
             self.tenancy.on_begin(state.identity)
-        state.txn = self.server.begin_txn(state, mode)
+        gate = self.server.txn_gate
+        if gate is not None:
+            # Replica mode: the transaction pins the current image so the
+            # applier cannot swap it mid-transaction.  The gate is held
+            # exactly as long as the transaction is open.
+            gate.acquire_shared()
+        try:
+            db = self._session_db(state)
+            state.txn = db.transaction() if mode == "object" else db.ctransaction()
+        except BaseException:
+            self._release_gate()
+            raise
         state.mode = mode
         state.txn_bytes = 0
+        if not state.began:
+            state.began = True
+            self._add_committer(1)
         return {
             "mode": mode,
             "session": state.resume_token,
@@ -273,8 +291,7 @@ class SessionCore:
             if token is not None:
                 cache.cancel(token)
             raise SessionStateError("no open transaction to commit")
-        txn, state.txn, state.mode = state.txn, None, None
-        txn_bytes, state.txn_bytes = state.txn_bytes, 0
+        txn, txn_bytes = self._detach(state)
         hub, identity = self.tenancy, state.identity
         quota_held = False
         committed = False
@@ -287,10 +304,10 @@ class SessionCore:
                 try:
                     hub.on_commit_start(identity, txn_bytes)
                 except Exception:
-                    self.server.abort_txn(txn)
+                    self._abort_txn(txn)
                     raise
                 quota_held = True
-            result = self.server.commit_txn(txn, durable)
+            self._commit_txn(txn, durable)
             committed = True
         except TDBError as exc:
             # The commit failed (queue full, store fault, deferred index
@@ -309,10 +326,8 @@ class SessionCore:
                 # metering is accounting, not a ledger.)
                 hub.on_commit_end(identity, txn_bytes, committed)
         if token is not None:
-            cache.resolve(
-                token, {"status": "committed", "durable": result["durable"]}
-            )
-        return result
+            cache.resolve(token, {"status": "committed", "durable": durable})
+        return {"durable": durable}
 
     def _replay_commit_outcome(self, prior: Dict[str, Any]) -> Dict[str, Any]:
         """A commit re-sent with an already-seen token: replay, never re-run."""
@@ -342,10 +357,63 @@ class SessionCore:
     def _op_abort(self, state: SessionState, request) -> Dict[str, Any]:
         if state.txn is None:
             raise SessionStateError("no open transaction to abort")
-        txn, state.txn, state.mode = state.txn, None, None
-        state.txn_bytes = 0
-        self.server.abort_txn(txn)
+        self._abort_txn(self._detach(state)[0])
         return {}
+
+    @staticmethod
+    def _detach(state: SessionState) -> Tuple[Any, int]:
+        """Take the open transaction and its accounted bytes off the
+        session: whatever happens to it next, the session has none."""
+        taken = state.txn, state.txn_bytes
+        state.txn, state.mode, state.txn_bytes = None, None, 0
+        return taken
+
+    def _session_db(self, state: SessionState):
+        """The database a session's verbs run against, read per call:
+        a replica applier swaps ``server.db``, and a hub session's
+        tenant database is looked up from its leased identity."""
+        if self.tenancy is not None:
+            return self.tenancy.session_db(state.identity)
+        return self.server.db
+
+    def _commit_txn(self, txn, durable: bool) -> None:
+        """Commit ``txn`` (already detached from its session).  The
+        transaction is over either way: a failed commit has released its
+        locks before the error propagates."""
+        try:
+            txn.commit(durable=durable)
+        except TDBError:
+            # Release the locks so the failed session cannot wedge its
+            # neighbours.
+            try:
+                if getattr(txn, "active", False):
+                    txn.abort()
+            except TDBError:
+                pass
+            raise
+        finally:
+            self._release_gate()
+
+    def _abort_txn(self, txn) -> None:
+        try:
+            txn.abort()
+        finally:
+            self._release_gate()
+
+    def _release_gate(self) -> None:
+        if self.server.txn_gate is not None:
+            self.server.txn_gate.release_shared()
+
+    def _add_committer(self, delta: int) -> None:
+        """Keep the group-commit quorum at the sessions that have begun a
+        transaction and not ended: a ``stats`` poller, replica follower
+        or proof client never commits, so no batch waits for it.  A
+        parked session keeps its place, so a resumed one counts once."""
+        with self._lock:
+            self._committers += delta
+            coordinator = self.server.coordinator
+            if coordinator is not None:
+                coordinator.concurrency_hint = self._committers
 
     # ------------------------------------------------------------------
     # hello / tenancy
@@ -359,10 +427,12 @@ class SessionCore:
         route around a capability gap before tripping over it.
         """
         features = ["resume", "commit-tokens"]
-        absent: Tuple[str, ...] = ()
+        absent = []
         if self.tenancy is not None:
+            # Replication streams and transparency heads belong to one
+            # store; a hub has none (per-tenant heads are a roadmap item).
             features.append("tenancy")
-            absent = PER_STORE_VERBS
+            absent = [verb.name for verb in VERBS.values() if verb.kind == STORE]
         else:
             features.append("proofs")
             if self.server.shipper is not None:
@@ -373,7 +443,7 @@ class SessionCore:
             "mode": "replica" if self.server.read_only else "primary",
             "epoch": self.epoch,
             "features": features,
-            "absent_verbs": list(absent),
+            "absent_verbs": absent,
         }
 
     def _require_hub(self):
@@ -422,8 +492,8 @@ class SessionCore:
             "principal": identity.principal,
         }
 
-    def _op_tenant_grant(self, state: SessionState, request):
-        # Also tenant.revoke: the hub method is named by the verb.
+    def _op_tenant_edit(self, state: SessionState, request):
+        # tenant.grant and tenant.revoke: the hub method is named by the verb.
         edit = getattr(self._require_hub(), request["op"].rpartition(".")[2])
         return edit(
             state.identity.tenant,
@@ -433,10 +503,11 @@ class SessionCore:
             caller=state.identity,
         )
 
-    _op_tenant_revoke = _op_tenant_grant
-
     def _op_tenant_meter(self, state: SessionState, request):
         return self._require_hub().meter(state.identity.tenant)
+
+    def _op_stats(self, state: SessionState, request) -> Dict[str, Any]:
+        return self.server.stats_payload()
 
     # ------------------------------------------------------------------
     # Park / resume / end
@@ -465,7 +536,9 @@ class SessionCore:
         self.count("sessions_parked")
         return True
 
-    def _resume(self, state: SessionState, request) -> SessionState:
+    def _op_session_resume(
+        self, state: SessionState, request
+    ) -> Tuple[Dict[str, Any], SessionState]:
         """``session.resume``: adopt the parked session wholesale."""
         token = param(request, "session", str)
         if state.txn is not None:
@@ -480,25 +553,32 @@ class SessionCore:
                 "unknown, expired, or already-resumed session token"
             )
         self.count("sessions_resumed")
-        # Identity and quota lease ride along with the parked state (the
-        # resume token is the bearer credential); an identity the fresh
-        # connection bound itself is dropped.
-        self.release_identity(state)
-        return parked
+        # Identity, quota lease and quorum place ride along with the
+        # parked state (the resume token is the bearer credential); what
+        # the fresh connection held itself is dropped.
+        self.end(state)
+        return {
+            "resumed": True,
+            "txn_open": parked.txn is not None,
+            "mode": parked.mode,
+            "epoch": self.epoch,
+        }, parked
 
     def end(self, state: SessionState) -> None:
         """A session is over for good (closed, timed out, grace expired,
         server stopping): abort what it left open — releasing its locks
         so other sessions stop blocking on a dead client — and drop its
-        hub identity."""
-        txn, state.txn, state.mode = state.txn, None, None
-        state.txn_bytes = 0
+        hub identity and its place in the group-commit quorum."""
+        txn = self._detach(state)[0]
         if txn is not None:
             try:
-                self.server.abort_txn(txn)
+                self._abort_txn(txn)
             except TDBError:
                 pass
         self.release_identity(state)
+        if state.began:
+            state.began = False
+            self._add_committer(-1)
 
     @property
     def sweep_interval(self) -> float:

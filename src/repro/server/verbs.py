@@ -15,13 +15,12 @@ from typing import Any, Dict, List, Optional
 from repro.collectionstore import Indexer
 from repro.collectionstore.jsonrecord import JsonRecord, field_index_name, json_field_indexer
 from repro.errors import ProtocolError, SchemaError, SessionStateError
+from repro.server.protocol import Verb
 
 __all__ = [
     "RemoteRecord",
     "VerbExecutor",
     "field_indexer",
-    "DATA_VERBS",
-    "MUTATING_DATA_VERBS",
 ]
 
 
@@ -40,36 +39,6 @@ def field_indexer(
 ) -> Indexer:
     """Indexer over ``RemoteRecord`` keyed by one field of the value."""
     return json_field_indexer(RemoteRecord, "field", collection, field, kind, unique)
-
-
-#: Every data verb the executor handles.  The session core routes on
-#: this set: anything here needs an open transaction.
-DATA_VERBS = frozenset(
-    {
-        "obj.put",
-        "obj.get",
-        "obj.remove",
-        "name.bind",
-        "name.lookup",
-        "col.create",
-        "col.insert",
-        "col.get",
-        "col.remove",
-        "col.iterate",
-    }
-)
-
-#: Data verbs refused on a read-only replica.
-MUTATING_DATA_VERBS = frozenset(
-    {
-        "obj.put",
-        "obj.remove",
-        "name.bind",
-        "col.create",
-        "col.insert",
-        "col.remove",
-    }
-)
 
 
 _REQUIRED = object()
@@ -125,13 +94,10 @@ class VerbExecutor:
         self.max_results = max_results
 
     def execute(
-        self, db, request: Dict[str, Any], txn, mode: Optional[str]
+        self, verb: Verb, db, request: Dict[str, Any], txn, mode: Optional[str]
     ) -> Dict[str, Any]:
-        op = request.get("op")
-        handler = self._HANDLERS.get(op)
-        if handler is None:
-            raise ProtocolError(f"unknown data verb {op!r}")
-        return handler(self, db, request, txn, mode)
+        """Run data verb ``verb`` (a row of the verb table)."""
+        return getattr(self, verb.handler)(db, request, txn, mode)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -290,16 +256,3 @@ class VerbExecutor:
             iterator = handle.query(indexer)
         values = self._drain(iterator, limit)
         return {"values": values, "count": handle.count}
-
-    _HANDLERS = {
-        "obj.put": _op_obj_put,
-        "obj.get": _op_obj_get,
-        "obj.remove": _op_obj_remove,
-        "name.bind": _op_name_bind,
-        "name.lookup": _op_name_lookup,
-        "col.create": _op_col_create,
-        "col.insert": _op_col_insert,
-        "col.get": _op_col_get,
-        "col.remove": _op_col_remove,
-        "col.iterate": _op_col_iterate,
-    }

@@ -218,9 +218,10 @@ class TenancyHub:
     # Policy
     # ------------------------------------------------------------------
 
-    def check(self, identity: Identity, op: str, request: Dict[str, Any]) -> None:
-        """Gate one data verb; raises PermissionDeniedError on refusal."""
-        scope, right = _policy.required_access(op, request)
+    def check(self, identity: Identity, verb, request: Dict[str, Any]) -> None:
+        """Gate one data verb (its verb-table row); raises
+        PermissionDeniedError on refusal."""
+        scope, right = _policy.required_access(verb, request)
         with self.registry.using(identity.tenant) as state:
             grants = state.load_policy().get(identity.principal, ())
         _policy.check(grants, identity.principal, scope, right)

@@ -18,9 +18,10 @@ right
 
 Evaluation order for a data verb:
 
-1. Classify the verb into ``(scope, right)`` — reserved *mutations*
-   (and any ``name.*`` touching a ``_``-prefixed name) are refused
-   here, before policy is even consulted.
+1. Classify the verb into ``(scope, right)`` from its row of the verb
+   table (:data:`repro.server.protocol.VERBS`: scope kind and right) —
+   reserved *mutations* (and any ``name.*`` touching a ``_``-prefixed
+   name) are refused here, before policy is even consulted.
 2. Look for a grant of the principal whose right implies the required
    right and whose scope matches: exact scope first, then ``"*"``
    (skipped for reserved scopes).
@@ -53,49 +54,30 @@ _IMPLIES = {
     "admin": frozenset({"read", "write", "admin"}),
 }
 
-#: data verb → (scope kind, required right).  Scope kind ``objects``
-#: maps to the pseudo-scope; ``collection`` takes the verb's ``name``.
-_VERB_ACCESS = {
-    "obj.get": (OBJECT_SCOPE, "read"),
-    "obj.put": (OBJECT_SCOPE, "write"),
-    "obj.remove": (OBJECT_SCOPE, "write"),
-    "name.lookup": (OBJECT_SCOPE, "read"),
-    "name.bind": (OBJECT_SCOPE, "write"),
-    "col.get": ("collection", "read"),
-    "col.iterate": ("collection", "read"),
-    "col.insert": ("collection", "write"),
-    "col.remove": ("collection", "write"),
-    "col.create": ("collection", "admin"),
-}
-
-#: Reserved-scope verbs a read grant does permit (inspection only).
-_RESERVED_READ_VERBS = frozenset({"col.get", "col.iterate"})
-
-
 def reserved(scope: str) -> bool:
     return scope.startswith("_")
 
 
-def required_access(op: str, request: Dict[str, Any]) -> Tuple[str, str]:
+def required_access(verb, request: Dict[str, Any]) -> Tuple[str, str]:
     """Classify a data verb into the ``(scope, right)`` it requires.
 
-    Raises :class:`PermissionDeniedError` outright for operations no
-    grant can permit (mutating reserved collections or names).
+    ``verb`` is the verb's row of the verb table; its scope kind
+    ``objects`` maps to the pseudo-scope, ``collection`` takes the
+    request's ``name``.  Raises :class:`PermissionDeniedError` outright
+    for operations no grant can permit (mutating reserved collections
+    or names): a reserved collection admits read verbs only.
     """
-    access = _VERB_ACCESS.get(op)
-    if access is None:
-        raise ProtocolError(f"unknown data verb {op!r}")
-    kind, right = access
-    if kind == OBJECT_SCOPE:
+    right = verb.right
+    if verb.scope == OBJECT_SCOPE:
         name = request.get("name")
-        if op.startswith("name.") and isinstance(name, str) and reserved(name):
+        if verb.name.startswith("name.") and isinstance(name, str) and reserved(name):
             raise PermissionDeniedError(
                 f"names starting with '_' are reserved for the tenancy "
                 f"control plane ({name!r})"
             )
         return OBJECT_SCOPE, right
     name = str(request.get("name"))
-    if reserved(name) and op not in _RESERVED_READ_VERBS:
+    if reserved(name) and right != "read":
         raise PermissionDeniedError(
             f"collection {name!r} is reserved for the tenancy control "
             "plane; it is read-only over the wire"

@@ -22,8 +22,8 @@ Subcommands over a file-backed database directory (the layout
   directory, with a manifest.
 * ``serve`` — open the database and serve it over the TCP wire
   protocol (:mod:`repro.server`) until interrupted; group-commit and
-  backpressure tuning via ``--max-batch`` / ``--max-delay`` /
-  ``--max-pending`` / ``--max-results``.
+  backpressure tuning via ``--max-delay`` / ``--max-pending`` /
+  ``--max-results``.
   ``--tenants`` turns the server into a multi-tenant hub
   (:mod:`repro.tenancy`): sessions must authenticate as a
   ``(tenant, principal)`` pair and data verbs are policy-gated and
@@ -204,16 +204,14 @@ def verify_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
         return 1
     print("master record, residual log, and counter: OK (validated at open)")
 
-    chunk_ids = chunk_store.chunk_ids()
-    checked = 0
-    for chunk_id in chunk_ids:
-        try:
-            chunk_store.read(chunk_id)
-            checked += 1
-        except TDBError as exc:
-            failures += 1
-            print(f"FAIL chunk {chunk_id}: {type(exc).__name__}: {exc}")
-    print(f"chunks: {checked}/{len(chunk_ids)} validated")
+    report = chunk_store.scrub()
+    if not report.clean:
+        _print_report(report)
+        failures += (
+            len(report.damaged_chunks) + len(report.damaged_nodes) + report.root_lost
+        )
+    checked = report.verified_chunks
+    print(f"chunks: {checked}/{checked + len(report.damaged_chunks)} validated")
 
     backups = BackupStore(archival, chunk_store.secret_store)
     streams = archival.list_streams()
@@ -352,7 +350,6 @@ def serve_database(
     max_sessions: int = 64,
     idle_timeout: float = 30.0,
     resume_grace: float = 2.0,
-    max_batch: int = 32,
     max_delay: float = 0.005,
     max_pending: int = 256,
     max_results: int = 1000,
@@ -395,7 +392,6 @@ def serve_database(
             host=host,
             port=port,
             backpressure=backpressure,
-            max_batch=max_batch,
             max_delay=max_delay,
             max_results=max_results,
             tenancy=hub,
@@ -407,7 +403,6 @@ def serve_database(
             host=host,
             port=port,
             backpressure=backpressure,
-            max_batch=max_batch,
             max_delay=max_delay,
             max_results=max_results,
         )
@@ -833,8 +828,6 @@ def main(argv=None) -> int:
             cmd.add_argument("--resume-grace", type=float, default=2.0,
                              help="seconds a dropped session stays resumable "
                                   "(0 disables session parking)")
-            cmd.add_argument("--max-batch", type=int, default=32,
-                             help="group-commit batch-size cap")
             cmd.add_argument("--max-delay", type=float, default=0.005,
                              help="group-commit batching window in seconds")
             cmd.add_argument("--max-pending", type=int, default=256,
@@ -930,7 +923,6 @@ def main(argv=None) -> int:
                 max_sessions=args.max_sessions,
                 idle_timeout=args.idle_timeout,
                 resume_grace=args.resume_grace,
-                max_batch=args.max_batch,
                 max_delay=args.max_delay,
                 max_pending=args.max_pending,
                 max_results=args.max_results,

@@ -64,8 +64,8 @@ def _fresh_store(schedule=None):
 def _run_merged_batch(coordinator, chunk_ids, payloads=None, durable=True):
     """Push one commit per chunk id through the coordinator, all at once.
 
-    ``max_batch`` equal to the member count plus a barrier guarantees a
-    single merged batch.  Returns the per-member exception list.
+    A concurrency hint equal to the member count plus a barrier
+    guarantees a single merged batch.  Returns the per-member exception list.
     """
     n = len(chunk_ids)
     payloads = payloads or [_member_payload(i) for i in range(n)]
@@ -95,7 +95,7 @@ class TestBatching:
     def test_concurrent_commits_share_one_chunk_commit(self):
         untrusted, counter, store = _fresh_store()
         ids = [store.allocate_chunk_id() for _ in range(4)]
-        coordinator = GroupCommitCoordinator(store, max_batch=4, max_delay=30.0)
+        coordinator = GroupCommitCoordinator(store, max_delay=30.0)
         coordinator.concurrency_hint = 4
 
         commits_before = store.stats().commits_total
@@ -126,7 +126,7 @@ class TestBatching:
     def test_lone_committer_skips_the_batching_window(self):
         untrusted, counter, store = _fresh_store()
         chunk_id = store.allocate_chunk_id()
-        coordinator = GroupCommitCoordinator(store, max_batch=8, max_delay=10.0)
+        coordinator = GroupCommitCoordinator(store, max_delay=10.0)
         coordinator.concurrency_hint = 1  # nobody to wait for
 
         started = time.monotonic()
@@ -137,14 +137,14 @@ class TestBatching:
         store.close()
 
     def test_quorum_seals_without_waiting_out_the_window(self):
-        # 4 active sessions against max_batch=32: the batch can never
+        # 4 committers against MAX_BATCH=32: the batch can never
         # grow past 4, so the leader must seal the moment the 4th
         # member joins instead of sleeping max_delay (the 8-client
         # throughput dip).  The long window makes the test fail loudly
         # if sealing regresses.
         untrusted, counter, store = _fresh_store()
         ids = [store.allocate_chunk_id() for _ in range(4)]
-        coordinator = GroupCommitCoordinator(store, max_batch=32, max_delay=30.0)
+        coordinator = GroupCommitCoordinator(store, max_delay=30.0)
         coordinator.concurrency_hint = 4
 
         started = time.monotonic()
@@ -170,7 +170,7 @@ class TestBatching:
         untrusted, counter, store = _fresh_store()
         good_id = store.allocate_chunk_id()
         bad_id = 999_999  # never allocated: the chunk store rejects it
-        coordinator = GroupCommitCoordinator(store, max_batch=2, max_delay=30.0)
+        coordinator = GroupCommitCoordinator(store, max_delay=30.0)
         coordinator.concurrency_hint = 2
 
         errors = _run_merged_batch(
@@ -247,6 +247,99 @@ class TestDatabaseIntegration:
         db.close()  # still fine afterwards
 
 
+def wait_until(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+class TestServedQuorum:
+    def test_idle_connection_does_not_hold_a_batch_open(self):
+        # Only sessions that have begun a transaction count toward the
+        # quorum.  A connection that never begins one (a stats poller, a
+        # replica follower, a proof client) cannot join a batch, so a
+        # lone writer beside it must not wait out the 10 s window.
+        from repro.server import TdbClient, TdbServer
+
+        db = Database.in_memory()
+        server = TdbServer(db, max_delay=10.0).start()
+        try:
+            with TdbClient(*server.address) as idle, \
+                    TdbClient(*server.address) as writer:
+                idle.hello()
+                writer.call("begin", mode="object")
+                writer.call("obj.put", oid=None, value={"n": 1})
+                started = time.monotonic()
+                writer.call("commit")
+                elapsed = time.monotonic() - started
+                assert elapsed < 2.0, "the commit waited for an idle connection"
+                assert server.coordinator.concurrency_hint == 1
+        finally:
+            server.stop()
+            db.close()
+
+
+    def test_quorum_counts_each_session_once_and_returns_to_zero(self):
+        # More sessions than cores begin, commit and leave at once, with
+        # a short switch interval: a lost update would leave the count
+        # off zero.  A session that parks and is resumed by a fresh
+        # connection keeps its one place.
+        import socket
+        import struct
+        import sys
+
+        from repro.server import BackpressureConfig, TdbClient, TdbServer, protocol
+
+        db = Database.in_memory()
+        server = TdbServer(
+            db, backpressure=BackpressureConfig(resume_grace=5.0), max_delay=0.001
+        ).start()
+        coordinator = server.coordinator
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def writer(i):
+                with TdbClient(*server.address) as client:
+                    for n in range(5):
+                        with client.transaction() as txn:
+                            txn.put({"writer": i, "n": n})
+
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a writer never finished"
+            wait_until(lambda: server.admission.active == 0)
+            assert coordinator.concurrency_hint == 0
+
+            def rpc(sock, op, **params):
+                protocol.write_frame(sock, {"id": 1, "op": op, **params})
+                return protocol.read_frame(sock, 10.0, 10.0)
+
+            dropped = socket.create_connection(server.address, timeout=10.0)
+            token = rpc(dropped, "begin", mode="object")["result"]["session"]
+            assert coordinator.concurrency_hint >= 1
+            dropped.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            dropped.close()
+            wait_until(
+                lambda: server.core.resilience_snapshot()["parked_sessions"] == 1
+            )
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                assert rpc(sock, "session.resume", session=token)["ok"]
+                assert rpc(sock, "commit")["ok"]
+                assert coordinator.concurrency_hint == 1
+            wait_until(lambda: server.admission.active == 0)
+            assert coordinator.concurrency_hint == 0
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+            db.close()
+
+
 # ---------------------------------------------------------------------------
 # Crash-during-group-commit sweep
 # ---------------------------------------------------------------------------
@@ -269,7 +362,7 @@ def _batched_workload(schedule=None):
     )
     marker = (untrusted.total_writes, untrusted.total_syncs)
     batch_ids = [store.allocate_chunk_id() for _ in range(4)]
-    coordinator = GroupCommitCoordinator(store, max_batch=4, max_delay=30.0)
+    coordinator = GroupCommitCoordinator(store, max_delay=30.0)
     coordinator.concurrency_hint = 4
     errors = _run_merged_batch(coordinator, batch_ids)
     return untrusted, counter, setup_ids, batch_ids, errors, marker

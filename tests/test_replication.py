@@ -40,6 +40,7 @@ from repro.replication import (
     seed_replica,
 )
 from repro.server import TdbClient, TdbServer
+from repro.server.protocol import VERBS
 from repro.server.server import RemoteRecord
 
 # Small segments so modest workloads span several of them and the
@@ -187,15 +188,17 @@ class TestReadOnlyServing:
                     with client.transaction() as txn:
                         assert txn.lookup("obj-3") == oids[3]
                         assert txn.get(oids[3])["n"] == 3
-                    for verb, params in [
-                        ("obj.put", {"oid": None, "value": {"v": 1}}),
-                        ("obj.remove", {"oid": oids[3]}),
-                        ("name.bind", {"name": "x", "oid": oids[3]}),
-                        ("col.create", {"name": "c", "field": "k"}),
-                    ]:
-                        client.call("begin", mode="object")
+                    # Every writing data verb of the verb table.
+                    for verb in VERBS.values():
+                        if not verb.mutating:
+                            continue
+                        mode = "object" if verb.scope == "objects" else "collection"
+                        client.call("begin", mode=mode)
                         with pytest.raises(ReadOnlyReplicaError):
-                            client.call(verb, **params)
+                            client.call(
+                                verb.name, oid=oids[3], name="c", field="k",
+                                key=1, value={"k": 1},
+                            )
                         client.call("abort")
 
     def test_replica_stats_report_role_and_lag(self, tmp_path):

@@ -363,7 +363,7 @@ class TestGroupCommitAcceptance:
         db = Database.in_memory(chunk_config=ChunkStoreConfig(fsync=True))
         config = BackpressureConfig(max_sessions=64)
         with running_server(
-            db=db, backpressure=config, max_batch=32, max_delay=0.05
+            db=db, backpressure=config, max_delay=0.05
         ) as server:
             io_before = db.io_stats().snapshot()
             counter_before = db.stats().counter_value

@@ -21,6 +21,7 @@ from repro.errors import (
     TenancyError,
 )
 from repro.server import TdbClient, TdbServer
+from repro.server.protocol import DATA, STORE, VERBS
 from repro.tenancy import (
     Identity,
     QuotaState,
@@ -31,6 +32,9 @@ from repro.tenancy import (
     value_bytes,
 )
 from repro.tenancy import policy as tenancy_policy
+
+DATA_VERBS = [verb for verb in VERBS.values() if verb.kind == DATA]
+STORE_VERBS = {verb.name for verb in VERBS.values() if verb.kind == STORE}
 
 
 @contextlib.contextmanager
@@ -138,21 +142,45 @@ class TestPolicy:
     def test_reserved_mutation_refused_outright(self):
         with pytest.raises(PermissionDeniedError):
             tenancy_policy.required_access(
-                "col.insert", {"name": "_audit", "value": {}}
+                VERBS["col.insert"], {"name": "_audit", "value": {}}
             )
         with pytest.raises(PermissionDeniedError):
-            tenancy_policy.required_access("name.bind", {"name": "_tenant"})
+            tenancy_policy.required_access(VERBS["name.bind"], {"name": "_tenant"})
         # Reads of reserved collections classify fine.
         scope, right = tenancy_policy.required_access(
-            "col.iterate", {"name": "_audit"}
+            VERBS["col.iterate"], {"name": "_audit"}
         )
         assert (scope, right) == ("_audit", "read")
+        # Every data verb of the table: a reserved collection admits
+        # read verbs only, a reserved name no name verb at all.
+        for verb in DATA_VERBS:
+            request = {"name": "_audit", "value": {}}
+            if verb.name.startswith("name.") or (
+                verb.scope == "collection" and verb.mutating
+            ):
+                with pytest.raises(PermissionDeniedError):
+                    tenancy_policy.required_access(verb, request)
+            else:
+                assert tenancy_policy.required_access(verb, request)[1] == verb.right
 
     def test_verb_classification(self):
-        assert tenancy_policy.required_access("obj.put", {}) == ("objects", "write")
         assert tenancy_policy.required_access(
-            "col.create", {"name": "docs"}
+            VERBS["obj.put"], {}
+        ) == ("objects", "write")
+        assert tenancy_policy.required_access(
+            VERBS["col.create"], {"name": "docs"}
         ) == ("docs", "admin")
+        # Every data verb of the table is policed on its row's scope and
+        # right; the writing ones are exactly the six that store data.
+        for verb in DATA_VERBS:
+            scope = "objects" if verb.scope == "objects" else "docs"
+            assert tenancy_policy.required_access(
+                verb, {"name": "docs"}
+            ) == (scope, verb.right), verb.name
+        assert {verb.name for verb in DATA_VERBS if verb.mutating} == {
+            "obj.put", "obj.remove", "name.bind",
+            "col.create", "col.insert", "col.remove",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +284,7 @@ class TestThreadedHub:
                 hello = client.hello()
                 assert "tenancy" in hello["features"]
                 assert "repl.subscribe" in hello["absent_verbs"]
+                assert set(hello["absent_verbs"]) == STORE_VERBS
 
     def test_preauth_verbs_refused(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, _hub, _):
@@ -267,14 +296,31 @@ class TestThreadedHub:
                 # hello and stats remain answerable pre-auth.
                 assert "tenancy" in client.hello()["features"]
                 assert client.stats()["tenancy"]["open"] >= 0
+                # Every verb of the table: a pre-auth verb is answered
+                # (perhaps with a parameter error), any other is refused.
+                for verb in VERBS.values():
+                    try:
+                        client.call(verb.name)
+                        refused = False
+                    except AuthRequiredError:
+                        refused = True
+                    except TDBError:
+                        refused = False
+                    assert refused is not verb.preauth, verb.name
+        assert {verb.name for verb in VERBS.values() if verb.preauth} == {
+            "hello", "auth", "stats", "commit.result", "session.resume",
+        }
 
     def test_per_store_verbs_unavailable(self, tmp_path):
         with running_hub(tmp_path, [("acme", None)]) as (server, _, secrets):
             with connect(server, "acme", "admin", secrets["acme"]) as client:
-                with pytest.raises(FeatureUnavailableError):
-                    client.call("repl.master")
-                with pytest.raises(FeatureUnavailableError):
-                    client.call("log.head")
+                for name in sorted(STORE_VERBS):
+                    with pytest.raises(FeatureUnavailableError):
+                        client.call(name)
+        assert STORE_VERBS == {
+            "repl.subscribe", "repl.segments", "repl.master",
+            "proof.read", "proof.absent", "log.head", "log.consistency",
+        }
 
     def test_three_tenant_isolation(self, tmp_path):
         tenants = [("acme", None), ("globex", None), ("initech", None)]

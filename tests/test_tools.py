@@ -275,7 +275,7 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             tools_main(["serve", "--help"])
         out = capsys.readouterr().out
-        assert "--max-batch" in out
+        assert "--max-delay" in out
         assert "--idle-timeout" in out
 
 
