@@ -164,17 +164,23 @@ class SharedLruCache:
         self.stats.entries = len(self._entries)
 
     def _evict_to_budget(self, protect: Optional[Tuple[str, Any]] = None) -> None:
-        if self.stats.charged_bytes <= self.budget_bytes:
+        excess = self.stats.charged_bytes - self.budget_bytes
+        if excess <= 0:
             return
-        # Walk from the cold end; pinned entries are skipped, so a cache
-        # full of pinned entries may legitimately exceed its budget (the
-        # no-steal policy forbids dropping dirty objects mid-transaction).
-        for full_key in list(self._entries):
-            if self.stats.charged_bytes <= self.budget_bytes:
-                break
-            entry = self._entries[full_key]
+        # Walk from the cold end only as far as the budget needs; pinned
+        # entries are skipped, so a cache full of pinned entries may
+        # legitimately exceed its budget (the no-steal policy forbids
+        # dropping dirty objects mid-transaction).  Victims are chosen
+        # first and dropped after, as the walk cannot outlive a mutation.
+        victims = []
+        for full_key, entry in self._entries.items():
             if entry.pins > 0 or full_key == protect:
                 continue
+            victims.append((full_key, entry))
+            excess -= entry.charge
+            if excess <= 0:
+                break
+        for full_key, entry in victims:
             del self._entries[full_key]
             self.stats.charged_bytes -= entry.charge
             self.stats.evictions += 1

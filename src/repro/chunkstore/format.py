@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import ChunkStoreError, TamperDetectedError
 
@@ -63,13 +63,16 @@ FLAG_DURABLE = 0x01
 FLAG_CLEANER = 0x02  # relocation commit produced by the log cleaner
 
 
-@dataclass(frozen=True)
-class Locator:
+class Locator(NamedTuple):
     """Where a payload lives in the log, plus its digest.
 
     ``hash_value`` is empty when the security profile is off; with
     security on it is the digest of the (encrypted) payload bytes and a
     Merkle leaf/child hash at the same time.
+
+    A tuple rather than a dataclass: a map node decodes its fanout's
+    worth of locators at once, and a tuple is built in C with no
+    per-instance ``__dict__``.
     """
 
     segment: int

@@ -27,7 +27,16 @@ __all__ = ["MapNode", "NodeIO", "LocationMap"]
 
 _NODE_MAGIC = b"MN"  # rejects zero-filled or foreign buffers in insecure mode
 _NODE_HEAD = struct.Struct(">2sBQH")
-_SLOT = struct.Struct(">H")
+_ENTRIES: Dict[int, struct.Struct] = {}
+_new_locator = tuple.__new__
+
+
+def _entry_struct(hash_size: int) -> struct.Struct:
+    """One map-node entry: slot, then the locator's fields and digest."""
+    entry = _ENTRIES.get(hash_size)
+    if entry is None:
+        entry = _ENTRIES[hash_size] = struct.Struct(f">HIQI{hash_size}s")
+    return entry
 
 
 class MapNode:
@@ -48,12 +57,16 @@ class MapNode:
         self.dirty = False
 
     def serialize(self, hash_size: int) -> bytes:
-        parts = [
-            _NODE_HEAD.pack(_NODE_MAGIC, self.level, self.index, len(self.children))
-        ]
-        for slot in sorted(self.children):
-            parts.append(_SLOT.pack(slot))
-            parts.append(self.children[slot].encode(hash_size))
+        children = self.children
+        pack = _entry_struct(hash_size).pack
+        parts = [_NODE_HEAD.pack(_NODE_MAGIC, self.level, self.index, len(children))]
+        for slot, (segment, offset, length, digest) in sorted(children.items()):
+            # ``struct`` would pad or cut a digest of the wrong size.
+            if len(digest) != hash_size:
+                raise ChunkStoreError(
+                    f"locator hash is {len(digest)} bytes, expected {hash_size}"
+                )
+            parts.append(pack(slot, segment, offset, length, digest))
         return b"".join(parts)
 
     @classmethod
@@ -64,16 +77,19 @@ class MapNode:
             raise ChunkStoreError(f"malformed map node: {exc}") from exc
         if magic != _NODE_MAGIC:
             raise ChunkStoreError("bad map node magic (corrupt or foreign data)")
+        entry = _entry_struct(hash_size)
+        body = memoryview(data)[_NODE_HEAD.size:]
+        if len(body) != count * entry.size:
+            raise ChunkStoreError(
+                f"malformed map node: {len(body)} body bytes for {count}"
+                f" entries of {entry.size}"
+            )
         node = cls(level, index)
-        offset = _NODE_HEAD.size
-        for _ in range(count):
-            try:
-                (slot,) = _SLOT.unpack_from(data, offset)
-            except struct.error as exc:
-                raise ChunkStoreError(f"malformed map node slot: {exc}") from exc
-            offset += _SLOT.size
-            locator, offset = Locator.decode(data, offset, hash_size)
-            node.children[slot] = locator
+        # One C-level unpack for the whole body; each row becomes a
+        # Locator without running a Python constructor.
+        node.children = {
+            row[0]: _new_locator(Locator, row[1:]) for row in entry.iter_unpack(body)
+        }
         return node
 
     def charge_estimate(self) -> int:

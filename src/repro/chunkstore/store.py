@@ -466,6 +466,7 @@ class ChunkStore:
                 self.checkpoint()
                 self.segments.sync_dirty()
             self._closed = True
+            self.untrusted.close()
 
     def __enter__(self) -> "ChunkStore":
         return self

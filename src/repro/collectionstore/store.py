@@ -70,6 +70,9 @@ class CollectionStore:
         self._indexers[indexer.name] = indexer
         return indexer
 
+    def has_indexer(self, name: str) -> bool:
+        return name in self._indexers
+
     def indexer(self, name: str) -> Indexer:
         indexer = self._indexers.get(name)
         if indexer is None:

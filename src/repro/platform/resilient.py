@@ -159,3 +159,6 @@ class ResilientUntrustedStore(UntrustedStore):
 
     def sync(self, name: str) -> None:
         self._run(f"sync({name!r})", lambda: self.inner.sync(name))
+
+    def close(self) -> None:
+        self.inner.close()

@@ -17,8 +17,9 @@ import errno
 import os
 import threading
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StoreError, TransientStoreError
 from repro.platform.iostats import IOStats
@@ -27,6 +28,7 @@ __all__ = [
     "UntrustedStore",
     "MemoryUntrustedStore",
     "FileUntrustedStore",
+    "MAX_OPEN_FILES",
     "TRANSIENT_ERRNOS",
     "classify_os_error",
 ]
@@ -44,6 +46,13 @@ TRANSIENT_ERRNOS = frozenset(
         errno.EIO,
     }
 )
+
+
+#: Most descriptors one :class:`FileUntrustedStore` keeps open.  The
+#: chunk store touches a handful of files at a time (the master record,
+#: the head segment, the segments being read), and a hub serving many
+#: tenants multiplies this by its open databases.
+MAX_OPEN_FILES = 16
 
 
 def classify_os_error(exc: OSError, context: str) -> StoreError:
@@ -112,6 +121,13 @@ class UntrustedStore(ABC):
     @abstractmethod
     def sync(self, name: str) -> None:
         """Flush ``name`` through any caches to stable storage."""
+
+    def close(self) -> None:
+        """Release any operating-system resources the store holds.
+
+        The store stays usable: a later call acquires what it needs
+        again.
+        """
 
     # -- conveniences ------------------------------------------------------
 
@@ -197,26 +213,78 @@ class FileUntrustedStore(UntrustedStore):
     are rejected to keep the namespace flat like the paper's file-system
     interface.
 
+    ``read``, ``write`` and ``sync`` go through descriptors the store
+    keeps open, at most :data:`MAX_OPEN_FILES` of them in LRU order, so
+    a read is one ``pread`` rather than an open, seek, read and close.
+    A file is opened for writing only by ``write``; ``delete`` and
+    ``truncate`` drop the file's descriptor, and :meth:`close` drops
+    them all.
+
     All operations — metadata probes included — run under one lock, so a
-    concurrent ``write``/``truncate`` cannot interleave with the
-    existence probe another thread's ``write`` bases its open mode on,
-    and ``list_files``/``exists``/``size`` observe a consistent
-    namespace.  Raw ``OSError`` is translated to
+    concurrent ``write``/``truncate`` cannot interleave with another
+    thread's ``write``, and ``list_files``/``exists``/``size`` observe a
+    consistent namespace.  Raw ``OSError`` is translated to
     :class:`StoreError`/:class:`TransientStoreError` at every entry
     point.
     """
 
     def __init__(self, root: str) -> None:
         super().__init__()
+        self._lock = threading.Lock()
+        #: name -> (descriptor, opened for writing), coldest first
+        self._fds: "OrderedDict[str, Tuple[int, bool]]" = OrderedDict()
         with _translating(f"creating store directory {root!r}"):
             self.root = os.path.abspath(root)
             os.makedirs(self.root, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, name: str) -> str:
         if not name or "/" in name or os.sep in name or name in (".", ".."):
             raise StoreError(f"invalid untrusted-store file name: {name!r}")
         return os.path.join(self.root, name)
+
+    # -- descriptors (caller holds the lock) --------------------------------
+
+    def _fd(self, name: str, writable: bool) -> int:
+        """A held descriptor of ``name``; ``writable`` creates the file.
+
+        Raises :class:`StoreError` when a read-only open finds no file.
+        """
+        held = self._fds.get(name)
+        if held is not None:
+            if held[1] or not writable:
+                self._fds.move_to_end(name)
+                return held[0]
+            self._drop(name)
+        path = self._path(name)
+        if writable:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        else:
+            try:
+                fd = os.open(path, os.O_RDONLY)
+            except FileNotFoundError:
+                raise StoreError(f"no such file in untrusted store: {name!r}") from None
+        self._fds[name] = (fd, writable)
+        if len(self._fds) > MAX_OPEN_FILES:
+            _, (coldest, _) = self._fds.popitem(last=False)
+            os.close(coldest)
+        return fd
+
+    def _drop(self, name: str) -> None:
+        held = self._fds.pop(name, None)
+        if held is not None:
+            os.close(held[0])
+
+    def close(self) -> None:
+        with self._lock, _translating("closing store descriptors"):
+            while self._fds:
+                _, (fd, _) = self._fds.popitem()
+                os.close(fd)
+
+    def __del__(self) -> None:
+        # A store dropped without close() must not leak its descriptors.
+        self.close()
+
+    # -- namespace --------------------------------------------------------
 
     def list_files(self) -> List[str]:
         with self._lock, _translating("listing store directory"):
@@ -242,33 +310,25 @@ class FileUntrustedStore(UntrustedStore):
         with self._lock, _translating(f"deleting {name!r}"):
             if not os.path.isfile(path):
                 raise StoreError(f"no such file in untrusted store: {name!r}")
+            self._drop(name)
             os.remove(path)
 
+    # -- data -------------------------------------------------------------
+
     def read(self, name: str, offset: int = 0, length: Optional[int] = None) -> bytes:
-        path = self._path(name)
         with self._lock, _translating(f"reading {name!r}"):
-            if not os.path.isfile(path):
-                raise StoreError(f"no such file in untrusted store: {name!r}")
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read() if length is None else handle.read(length)
+            fd = self._fd(name, writable=False)
+            if length is None:
+                length = max(0, os.fstat(fd).st_size - offset)
+            # A regular file's pread comes back short only at its end.
+            data = os.pread(fd, length, offset)
         self.stats.record_read(len(data))
         return data
 
     def write(self, name: str, offset: int, data: bytes) -> None:
-        path = self._path(name)
         with self._lock, _translating(f"writing {name!r}"):
-            # The mode probe must sit inside the lock: another thread's
-            # write may create the file between probe and open, and
-            # "w+b" would then truncate its data away.
-            mode = "r+b" if os.path.isfile(path) else "w+b"
-            with open(path, mode) as handle:
-                handle.seek(0, os.SEEK_END)
-                end = handle.tell()
-                if offset > end:
-                    handle.write(b"\x00" * (offset - end))
-                handle.seek(offset)
-                handle.write(data)
+            # Writing past the end leaves a gap that reads back as zeros.
+            os.pwrite(self._fd(name, writable=True), data, offset)
         self.stats.record_write(len(data), name, offset)
 
     def truncate(self, name: str, size: int) -> None:
@@ -276,13 +336,13 @@ class FileUntrustedStore(UntrustedStore):
         with self._lock, _translating(f"truncating {name!r}"):
             if not os.path.isfile(path):
                 raise StoreError(f"no such file in untrusted store: {name!r}")
-            with open(path, "r+b") as handle:
-                handle.truncate(size)
+            self._drop(name)
+            os.truncate(path, size)
 
     def sync(self, name: str) -> None:
         path = self._path(name)
         with self._lock, _translating(f"syncing {name!r}"):
-            if os.path.isfile(path):
-                with open(path, "rb") as handle:
-                    os.fsync(handle.fileno())
+            # A file never written has nothing to flush.
+            if name in self._fds or os.path.isfile(path):
+                os.fsync(self._fd(name, writable=False))
         self.stats.record_sync()

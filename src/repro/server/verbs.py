@@ -108,11 +108,13 @@ class VerbExecutor:
         handle = (
             ct.write_collection(name) if writable else ct.read_collection(name)
         )
-        # Re-register field indexers for descriptors created in earlier
-        # server lifetimes: the descriptor name encodes the field, so
-        # the extractor can always be reconstructed.
+        # Register field indexers for descriptors created in earlier
+        # server lifetimes, once per database: the descriptor name
+        # encodes the field, so the extractor can always be rebuilt.
         store = db.collection_store
         for descriptor in handle.collection.indexes:
+            if store.has_indexer(descriptor.name):
+                continue
             parts = descriptor.name.split(":", 2)
             if len(parts) == 3 and parts[0] == "field":
                 store.register_indexer(

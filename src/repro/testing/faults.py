@@ -337,6 +337,9 @@ class FaultyUntrustedStore(UntrustedStore):
         self.total_reads += 1
         return self.inner.read(name, offset, length)
 
+    def close(self) -> None:
+        self.inner.close()
+
     # -- offline manipulation (does not count as operations) ---------------
 
     def save_image(self) -> Dict[str, bytes]:

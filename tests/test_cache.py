@@ -185,3 +185,73 @@ class TestMaintenance:
         )
         assert cache.stats.charged_bytes == total
         assert cache.stats.charged_bytes <= 64  # nothing pinned here
+
+
+class TestEvictionWalk:
+    """Eviction walks from the cold end and stops at the budget."""
+
+    def fill(self, cache, count, charge=10, log=None):
+        on_evict = None if log is None else (lambda k, v: log.append(k))
+        for key in range(count):
+            cache.put("obj", key, f"v{key}", charge, on_evict=on_evict)
+
+    def test_cold_first_and_stops_at_budget(self):
+        cache = SharedLruCache(50)
+        self.fill(cache, 5)
+        cache.get("obj", 0)  # 0 turns hot: cold order is now 1, 2, 3, 4, 0
+        cache.put("obj", 9, "big", 25)
+        # 75 charged bytes: dropping 1, 2 and 3 reaches the budget, and
+        # the walk goes no further.
+        assert [cache.peek("obj", k) is not None for k in (0, 1, 2, 3, 4, 9)] == [
+            True, False, False, False, True, True,
+        ]
+        assert cache.stats.charged_bytes == 45
+        assert cache.stats.evictions == 3
+
+    def test_pinned_cold_entry_is_skipped(self):
+        cache = SharedLruCache(30)
+        self.fill(cache, 3)
+        cache.pin("obj", 0)
+        cache.put("obj", 3, "d", 10)
+        assert cache.peek("obj", 0) == "v0"
+        assert cache.peek("obj", 1) is None
+        assert cache.stats.charged_bytes == 30
+
+    def test_pins_may_hold_the_cache_over_budget(self):
+        cache = SharedLruCache(20)
+        self.fill(cache, 2)
+        cache.pin("obj", 0)
+        cache.pin("obj", 1)
+        cache.put("obj", 2, "c", 10)
+        # Nothing is evictable but the protected newcomer.
+        assert cache.stats.charged_bytes == 30
+        assert cache.stats.evictions == 0
+        assert [cache.peek("obj", k) for k in range(3)] == ["v0", "v1", "c"]
+
+    def test_protected_newcomer_survives_its_own_insert(self):
+        cache = SharedLruCache(20)
+        self.fill(cache, 2)
+        cache.put("obj", 2, "huge", 100)
+        assert cache.peek("obj", 2) == "huge"
+        assert cache.peek("obj", 0) is None and cache.peek("obj", 1) is None
+        assert cache.stats.charged_bytes == 100
+
+    def test_on_evict_runs_once_per_victim_in_order(self):
+        log = []
+        cache = SharedLruCache(40)
+        self.fill(cache, 4, log=log)
+        cache.put("obj", 4, "e", 30, on_evict=lambda k, v: log.append(k))
+        assert log == [0, 1, 2]
+        cache.put("obj", 5, "f", 10)
+        assert log == [0, 1, 2, 3]
+        assert cache.stats.evictions == 4
+
+    def test_unpin_drains_the_overshoot(self):
+        cache = SharedLruCache(20)
+        self.fill(cache, 2)
+        cache.pin("obj", 0)
+        cache.pin("obj", 1)
+        cache.put("obj", 2, "c", 10)
+        cache.unpin("obj", 0)
+        assert cache.peek("obj", 0) is None
+        assert cache.stats.charged_bytes == 20

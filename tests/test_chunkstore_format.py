@@ -16,6 +16,8 @@ from repro.chunkstore.format import (
     RecordKind,
     SegHeaderBody,
 )
+from repro.chunkstore.locmap import MapNode
+from repro.config import SecurityProfile
 from repro.crypto import create_hash_engine, create_mac
 from repro.errors import ChunkStoreError, TamperDetectedError
 
@@ -199,3 +201,85 @@ class TestInsecureCodec:
         kind, parsed = insecure_codec().verify_and_advance(record)
         assert kind == RecordKind.MAP_NODE
         assert MapNodeBody.decode(parsed, 8).payload == payload
+
+
+#: The digest size of the shipping security profile's hash engine.
+ENGINE_HASH_SIZE = create_hash_engine(SecurityProfile().hash_name).digest_size
+
+
+def sample_node(hash_size: int) -> MapNode:
+    """A map node whose slots were set out of order, with edge values."""
+    node = MapNode(1, 3)
+    node.children[63] = Locator(7, 2**40 + 5, 4096, bytes(range(hash_size)))
+    node.children[0] = Locator(1, 0, 17, b"\xff" * hash_size)
+    node.children[5] = Locator(2**32 - 1, 123456, 2**32 - 1, b"\x5a" * hash_size)
+    return node
+
+
+class TestMapNodeCodec:
+    #: What the per-field encoder wrote for :func:`sample_node`: the
+    #: one-struct encoder must produce the same bytes, so images written
+    #: before and after it open alike.
+    PINNED = {
+        0: "4d4e01000000000000000300030000000000010000000000000000000000110005"
+        "ffffffff000000000001e240ffffffff003f000000070000010000000005"
+        "00001000",
+        20: "4d4e0100000000000000030003000000000001000000000000000000000011"
+        "ffffffffffffffffffffffffffffffffffffffff0005ffffffff000000000001e240"
+        "ffffffff5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a003f0000000700000100"
+        "0000000500001000000102030405060708090a0b0c0d0e0f10111213",
+    }
+
+    def test_engine_digest_is_pinned(self):
+        assert ENGINE_HASH_SIZE == 20
+
+    @pytest.mark.parametrize("hash_size", sorted(PINNED))
+    def test_serialize_bytes_are_pinned(self, hash_size):
+        assert sample_node(hash_size).serialize(hash_size).hex() == self.PINNED[hash_size]
+
+    @pytest.mark.parametrize("hash_size", [0, ENGINE_HASH_SIZE])
+    def test_roundtrip(self, hash_size):
+        node = sample_node(hash_size)
+        decoded = MapNode.deserialize(node.serialize(hash_size), hash_size)
+        assert (decoded.level, decoded.index) == (1, 3)
+        assert decoded.children == node.children
+        assert sorted(decoded.children) == [0, 5, 63]
+
+    def test_empty_node_roundtrips(self):
+        decoded = MapNode.deserialize(MapNode(0, 9).serialize(0), 0)
+        assert (decoded.level, decoded.index, decoded.children) == (0, 9, {})
+
+    @pytest.mark.parametrize("hash_size", [0, ENGINE_HASH_SIZE])
+    def test_truncated_body_rejected(self, hash_size):
+        data = sample_node(hash_size).serialize(hash_size)
+        for cut in (1, 2, len(data) - 12):
+            with pytest.raises(ChunkStoreError):
+                MapNode.deserialize(data[:-cut], hash_size)
+
+    @pytest.mark.parametrize("hash_size", [0, ENGINE_HASH_SIZE])
+    def test_extra_bytes_rejected(self, hash_size):
+        data = sample_node(hash_size).serialize(hash_size)
+        with pytest.raises(ChunkStoreError):
+            MapNode.deserialize(data + b"\x00", hash_size)
+
+    def test_short_header_rejected(self):
+        with pytest.raises(ChunkStoreError):
+            MapNode.deserialize(b"MN\x01", 0)
+
+    def test_wrong_digest_size_rejected_on_serialize(self):
+        with pytest.raises(ChunkStoreError):
+            sample_node(ENGINE_HASH_SIZE).serialize(ENGINE_HASH_SIZE + 1)
+
+    def test_decoded_locator_equals_and_hashes_like_original(self):
+        node = sample_node(ENGINE_HASH_SIZE)
+        decoded = MapNode.deserialize(node.serialize(ENGINE_HASH_SIZE), ENGINE_HASH_SIZE)
+        for slot, original in node.children.items():
+            locator = decoded.children[slot]
+            assert type(locator) is Locator
+            assert locator == original
+            assert hash(locator) == hash(original)
+            assert locator.hash_value == original.hash_value
+            assert {locator: slot}[original] == slot
+
+    def test_locator_has_no_instance_dict(self):
+        assert not hasattr(Locator(1, 2, 3), "__dict__")

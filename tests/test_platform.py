@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import threading
-
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.collectionstore.jsonrecord import JsonRecord
 from repro.errors import StoreError
 from repro.platform import (
     Attacker,
@@ -20,6 +21,7 @@ from repro.platform import (
     MemorySecretStore,
     MemoryUntrustedStore,
 )
+from repro.platform.untrusted import MAX_OPEN_FILES
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -120,6 +122,143 @@ class TestUntrustedStore:
             model[offset:offset + len(data)] = data
         if ops:
             assert store.read("f") == bytes(model)
+
+
+_PROC_FD = "/proc/self/fd"
+
+
+class _Record(JsonRecord):
+    class_id = "test.platform.record"
+
+
+def held_descriptors(root: str):
+    """``(path, writable)`` of every descriptor this process holds under ``root``."""
+    held = []
+    prefix = os.path.realpath(root) + os.sep
+    for fd in os.listdir(_PROC_FD):
+        try:
+            target = os.readlink(os.path.join(_PROC_FD, fd))
+            with open(f"/proc/self/fdinfo/{fd}") as info:
+                flags = next(
+                    int(line.split()[1], 8) for line in info if line.startswith("flags:")
+                )
+        except OSError:
+            continue  # closed meanwhile (the listing's own descriptor)
+        if target.startswith(prefix):
+            held.append((target, flags & os.O_ACCMODE != os.O_RDONLY))
+    return held
+
+
+@pytest.mark.skipif(not os.path.isdir(_PROC_FD), reason="needs /proc/self/fd")
+class TestHeldDescriptors:
+    """FileUntrustedStore serves I/O through a bounded set of open files."""
+
+    def test_cap_holds_with_more_files_than_the_cap(self, tmp_path):
+        store = FileUntrustedStore(str(tmp_path / "u"))
+        names = [f"seg-{n:08d}" for n in range(MAX_OPEN_FILES + 8)]
+        for name in names:
+            store.write(name, 0, name.encode())
+            assert len(held_descriptors(store.root)) <= MAX_OPEN_FILES
+        for name in reversed(names):
+            assert store.read(name) == name.encode()
+            store.sync(name)
+            assert len(held_descriptors(store.root)) <= MAX_OPEN_FILES
+        store.close()
+        assert held_descriptors(store.root) == []
+
+    def test_read_after_delete_raises(self, tmp_path):
+        store = FileUntrustedStore(str(tmp_path / "u"))
+        store.write("f", 0, b"abc")
+        assert store.read("f") == b"abc"
+        store.delete("f")
+        assert held_descriptors(store.root) == []
+        with pytest.raises(StoreError):
+            store.read("f")
+        with pytest.raises(StoreError):
+            store.read("f", 0, 1)
+
+    def test_read_after_truncate_sees_new_size(self, tmp_path):
+        store = FileUntrustedStore(str(tmp_path / "u"))
+        store.write("f", 0, b"abcdef")
+        assert store.read("f") == b"abcdef"
+        store.truncate("f", 2)
+        assert store.read("f") == b"ab"
+        store.truncate("f", 4)
+        assert store.read("f") == b"ab\x00\x00"
+        assert store.read("f", 1, 10) == b"b\x00\x00"
+
+    def test_write_past_end_through_held_descriptor_zero_fills(self, tmp_path):
+        store = FileUntrustedStore(str(tmp_path / "u"))
+        store.write("f", 0, b"ab")
+        assert store.read("f") == b"ab"
+        store.write("f", 6, b"yz")
+        assert store.read("f") == b"ab\x00\x00\x00\x00yz"
+        assert store.size("f") == 8
+        assert store.read("f", 8) == b""
+
+    def test_read_of_a_removed_file_raises_and_creates_nothing(self, tmp_path):
+        store = FileUntrustedStore(str(tmp_path / "u"))
+        store.write("f", 0, b"abc")
+        store.close()
+        os.remove(os.path.join(store.root, "f"))
+        with pytest.raises(StoreError):
+            store.read("f")
+        assert not store.exists("f")
+
+    def test_reads_never_open_for_writing(self, tmp_path):
+        writer = FileUntrustedStore(str(tmp_path / "u"))
+        for n in range(3):
+            writer.write(f"f{n}", 0, b"data")
+        writer.close()
+        reader = FileUntrustedStore(str(tmp_path / "u"))
+        for n in range(3):
+            assert reader.read(f"f{n}") == b"data"
+            reader.sync(f"f{n}")
+        held = held_descriptors(reader.root)
+        assert len(held) == 3
+        assert not any(writable for _, writable in held)
+        reader.close()
+
+    def test_read_only_database_opens_nothing_for_writing(self, tmp_path):
+        from repro import Database
+        from repro.replication import open_replica_database
+
+        directory = str(tmp_path / "db")
+        with Database.create(directory) as db:
+            db.register_class(_Record)
+            with db.transaction() as txn:
+                txn.bind_name("k", txn.insert(_Record({"n": 1})))
+        data = os.path.join(directory, "data")
+        db = open_replica_database(directory)
+        db.register_class(_Record)
+        try:
+            with db.transaction() as txn:
+                assert txn.open_readonly(txn.lookup_name("k")).deref().value == {"n": 1}
+            db.scrub()
+            held = held_descriptors(data)
+            assert held
+            assert not any(writable for _, writable in held)
+        finally:
+            db.close()
+        assert held_descriptors(data) == []
+
+    def test_database_close_releases_every_descriptor(self, tmp_path):
+        from repro import Database
+
+        directory = str(tmp_path / "db")
+        db = Database.create(directory)
+        db.register_class(_Record)
+        with db.transaction() as txn:
+            txn.bind_name("k", txn.insert(_Record({"n": 1})))
+        assert held_descriptors(directory)
+        db.close()
+        assert held_descriptors(directory) == []
+        db = Database.open_existing(directory)
+        db.register_class(_Record)
+        with db.transaction() as txn:
+            assert txn.open_readonly(txn.lookup_name("k")).deref().value == {"n": 1}
+        db.close()
+        assert held_descriptors(directory) == []
 
 
 class TestSecretStore:

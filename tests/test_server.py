@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.collectionstore import CollectionStore
 from repro.config import ChunkStoreConfig, ObjectStoreConfig
 from repro.db import Database
 from repro.errors import (
@@ -21,7 +22,7 @@ from repro.errors import (
     SessionStateError,
     TransientStoreError,
 )
-from repro.server import BackpressureConfig, TdbClient, TdbServer
+from repro.server import BackpressureConfig, RemoteRecord, TdbClient, TdbServer, field_indexer
 from repro.server import protocol
 
 
@@ -115,6 +116,33 @@ class TestCollectionVerbs:
                     ]
                     ct.insert("meters", {"device": "m2", "count": 9})
                     assert len(ct.iterate("meters")) == 2
+
+
+    def test_field_indexers_register_once_per_descriptor(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "db")
+        with Database.create(directory) as db:
+            db.register_class(RemoteRecord)
+            with db.ctransaction() as ct:
+                handle = ct.create_collection("tracks", field_indexer("tracks", "title"))
+                handle.create_index(field_indexer("tracks", "plays"))
+                handle.insert(RemoteRecord({"title": "a", "plays": 3}))
+        registered = []
+        original = CollectionStore.register_indexer
+
+        def counting(store, indexer):
+            registered.append(indexer.name)
+            return original(store, indexer)
+
+        monkeypatch.setattr(CollectionStore, "register_indexer", counting)
+        with running_server(db=Database.open_existing(directory)) as server:
+            with connect(server) as client:
+                with client.transaction("collection") as ct:
+                    for n in range(25):
+                        assert ct.get_match("tracks", "a") == [{"title": "a", "plays": 3}]
+                        assert ct.get_match("tracks", 3, field="plays") == [
+                            {"title": "a", "plays": 3}
+                        ]
+        assert sorted(registered) == ["field:tracks:plays", "field:tracks:title"]
 
 
 class TestProtocolErrors:
