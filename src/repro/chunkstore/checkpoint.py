@@ -34,7 +34,7 @@ from repro.chunkstore.locmap import LocationMap, MapNode, NodeIO
 from repro.chunkstore.master import MasterRecord
 from repro.chunkstore.segments import SegmentManager
 from repro.errors import TamperDetectedError
-from repro.proofs.headlog import TransparencyLog
+from repro.proofs.headlog import TIP_AHEAD, TIP_LAGS, TransparencyLog, bind_tip
 
 __all__ = [
     "StoreNodeIO",
@@ -174,10 +174,8 @@ def write_checkpoint(store, force: bool) -> None:
         segments=store.segments.snapshot_infos(),
     )
     store.master_io.write(master, sync=config.fsync)
-    # The head goes to the log only after the master is on the media: a
-    # crash between the two leaves the log *lagging*, which the next
-    # open heals by catching up from the master — a log ahead of the
-    # master can then only mean rollback.
+    # The head goes to the log only after the master is on the media, so
+    # a crash leaves the log lagging by one generation at most (bind_tip).
     if store.transparency is not None:
         _append_head(store, master)
     store.segments.end_checkpoint()
@@ -193,17 +191,16 @@ def write_checkpoint(store, force: bool) -> None:
 def attach_head_log(store, master: MasterRecord) -> None:
     """Load, verify, and catch up the signed head log at open.
 
-    The head is appended *after* the master reaches the media, so a
-    crash can only leave the log lagging (or with a torn tail) — never
-    ahead.  A writable open therefore treats a tip newer than the master
-    as a rolled-back database image, a same-generation tip must match
-    the master exactly, and a missing log is tampering: :func:`format_image`
+    A writable open acts on :func:`~repro.proofs.headlog.bind_tip`: a
+    tip that lags by one generation is caught up from the authenticated
+    master, the dual-master fallback drops the orphaned newer heads, and
+    anything else raises.  A missing log is tampering too: :func:`format_image`
     creates it before the first master, so no master this code wrote
     lacks one, and recreating it would let the device owner erase the
     signed history.  Read-only opens (replicas serving verified shipped
-    images, tools reading a directory) only load: the applier mirrors
-    the primary's log and cross-checks it itself, and a replica image
-    staged without a log is still bound by the counter check.
+    images, tools reading a directory) only load: the applier binds the
+    primary's log itself, and a replica image staged without a log is
+    still bound by the counter check.
     """
     if not store.secure:
         return
@@ -224,48 +221,13 @@ def attach_head_log(store, master: MasterRecord) -> None:
         writable=not read_only,
     )
     store.transparency = log
-    tip = log.tip()
     if read_only:
         return
-    if tip is not None and tip.generation > master.generation:
-        # Two ways the log can lead the master: the image was rolled
-        # back (tampering), or the newest master copy was lost and the
-        # dual-master fallback engaged.  The counter check already ruled
-        # out lost commits, so if this exact master is on the signed
-        # history the fallback is benign — drop the orphaned newer heads
-        # and re-sign from here.
-        anchor = log.entry_for_generation(master.generation)
-        if anchor is None or not _head_signs(anchor, master, store.hash_size):
-            raise TamperDetectedError(
-                f"head log tip is generation {tip.generation} but the "
-                f"master record is generation {master.generation}: the "
-                "database image was rolled back"
-            )
-        log.truncate_to(anchor.index)
-        return
-    if tip is not None and tip.generation == master.generation:
-        if not _head_signs(tip, master, store.hash_size):
-            raise TamperDetectedError(
-                f"head log tip for generation {tip.generation} does "
-                "not match the master record it claims to sign"
-            )
-        return
-    # The log lags (crash between master write and head append, or a
-    # torn head append): catch up from the authenticated master.
-    _append_head(store, master)
-
-
-def _head_signs(head, master: MasterRecord, hash_size: int) -> bool:
-    """Whether a signed head names exactly this master's tree."""
-    root = master.root
-    return (
-        head.seqno == master.commit_seqno
-        and head.depth == master.depth
-        and head.root_digest == (
-            root.hash_value if root is not None else bytes(hash_size)
-        )
-        and head.empty_root == (root is None)
-    )
+    outcome, head = bind_tip(log.heads(), master, store.hash_size)
+    if outcome == TIP_AHEAD:
+        log.truncate_to(head.index)
+    elif outcome == TIP_LAGS:
+        _append_head(store, master)
 
 
 def _append_head(store, master: MasterRecord) -> None:

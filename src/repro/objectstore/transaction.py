@@ -38,7 +38,9 @@ class Transaction:
         self._inserted: Dict[int, Persistent] = {}
         self._written: Dict[int, Persistent] = {}
         self._removed: Set[int] = set()
-        self._read_oids: Set[int] = set()
+        # The strongest lock held per object: a repeat open that the held
+        # mode covers skips the lock manager.
+        self._locks: Dict[int, LockMode] = {}
         self._pinned: Set[int] = set()
         # Pickled state captured when an object is first opened writable;
         # commit skips objects whose pickle did not actually change, so a
@@ -60,7 +62,7 @@ class Transaction:
         # Fail fast on unregistered classes, before any state changes.
         self._store.registry.lookup(type(obj).class_id)
         oid = self._store.chunk_store.allocate_chunk_id()
-        self._store.locks.acquire(self.txn_id, oid, LockMode.EXCLUSIVE)
+        self._lock(oid, LockMode.EXCLUSIVE)
         with self._store.mutex:
             self._store.cache.put(_OBJ_NS, oid, obj, obj.cache_charge())
             self._pin(oid)
@@ -72,11 +74,10 @@ class Transaction:
     ) -> ReadonlyRef:
         """Return a read-only view of the named object (shared lock)."""
         self._check_active()
-        self._store.locks.acquire(self.txn_id, oid, LockMode.SHARED)
+        self._lock(oid, LockMode.SHARED)
         obj = self._fetch(oid, expected_type)
         with self._store.mutex:
             self._pin(oid)  # refs protect cached objects against eviction
-            self._read_oids.add(oid)
         return ReadonlyRef(self, oid, obj)
 
     def open_writable(
@@ -84,7 +85,7 @@ class Transaction:
     ) -> WritableRef:
         """Return a writable view of the named object (exclusive lock)."""
         self._check_active()
-        self._store.locks.acquire(self.txn_id, oid, LockMode.EXCLUSIVE)
+        self._lock(oid, LockMode.EXCLUSIVE)
         obj = self._fetch(oid, expected_type)
         with self._store.mutex:
             if oid not in self._inserted:
@@ -97,7 +98,7 @@ class Transaction:
     def remove(self, oid: int) -> None:
         """Remove the named object and free its id for reuse."""
         self._check_active()
-        self._store.locks.acquire(self.txn_id, oid, LockMode.EXCLUSIVE)
+        self._lock(oid, LockMode.EXCLUSIVE)
         self._fetch(oid, None)  # existence check under the lock
         with self._store.mutex:
             if oid in self._inserted:
@@ -220,6 +221,13 @@ class Transaction:
             raise TransactionInactiveError(
                 "transaction already committed or aborted"
             )
+
+    def _lock(self, oid: int, mode: LockMode) -> None:
+        held = self._locks.get(oid)
+        if held is LockMode.EXCLUSIVE or held is mode:
+            return  # shared is covered by either mode, exclusive by itself
+        self._store.locks.acquire(self.txn_id, oid, mode)
+        self._locks[oid] = mode
 
     def _fetch(self, oid: int, expected_type: Optional[Type[Persistent]]):
         with self._store.mutex:

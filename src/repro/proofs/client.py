@@ -6,20 +6,11 @@ and the store configuration (fanout, hash, cipher) — in TDB's model the
 client *is* the trusted device; the server, the storage under it, and
 the network in between are not.
 
-Every response that names a signed commit head goes through one
-reconciliation step against the client's *pinned* head (the newest it
-has ever verified):
-
-* first contact — fetch the full head chain and verify it from the
-  per-database genesis before trusting anything;
-* same index — the raw bytes must match the pin exactly, anything else
-  is equivocation (:class:`~repro.errors.ForkDetectedError`);
-* newer index — fetch the consistency range from the pin, verify the
-  chain extends it, advance the pin;
-* older index — the server must *prove ancestry* by producing the chain
-  from that head up to the pin; a server that cannot (because its log
-  was truncated to an older state) is rolled back
-  (:class:`~repro.errors.RollbackDetectedError`).
+Every response that names a signed commit head goes through
+:func:`reconcile_heads` against the client's *pinned* head (the newest
+it has ever verified).  The same function reconciles the replica
+applier's mirrored log and ``tools audit --primary``'s local log with
+the chain a server serves.
 
 Reads and absence checks then verify a Merkle proof against the
 reconciled head (:mod:`repro.proofs.merkle`), so a tampered payload,
@@ -29,7 +20,7 @@ a forged absence, or a stale tree all fail with a typed error.
 from __future__ import annotations
 
 import base64
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.config import ChunkStoreConfig
 from repro.crypto import create_hash_engine, create_payload_cipher
@@ -46,7 +37,73 @@ from repro.server.client import TdbClient
 from repro.proofs.headlog import HeadVerifier, SignedHead
 from repro.proofs.merkle import ChunkProof, verify_proof
 
-__all__ = ["VerifyingClient"]
+__all__ = ["VerifyingClient", "reconcile_heads"]
+
+
+def reconcile_heads(
+    verifier: HeadVerifier,
+    pin: Optional[SignedHead],
+    raw: bytes,
+    fetch: Callable[[int, int], List[bytes]],
+) -> Tuple[SignedHead, List[SignedHead]]:
+    """Place the served head ``raw`` on the chain that ends at ``pin``.
+
+    ``fetch(lo, hi)`` returns the served raw entries ``lo..hi``
+    inclusive (the ``log.consistency`` verb).  Returns the verified
+    served head and the verified heads past the pin, oldest first:
+
+    * first contact (no pin) — the chain from genesis to the served head;
+    * same index — none; the bytes must equal the pin's, anything else
+      is equivocation (:class:`ForkDetectedError`);
+    * newer index — the range from the pin, which must start at the
+      pin's bytes (else :class:`ForkDetectedError`) and chain to the
+      served head;
+    * older index — none; the server must prove the served head is an
+      ancestor of the pin, and one that cannot (its log was cut back to
+      an older state) is rolled back (:class:`RollbackDetectedError`).
+
+    Anything that does not verify raises :class:`TamperDetectedError`.
+    """
+    head = verifier.verify_signature(raw)
+    if pin is None:
+        chain = verifier.verify_chain(fetch(0, head.index))
+    elif head.index > pin.index:
+        entries = fetch(pin.index, head.index)
+        if not entries or entries[0] != pin.raw:
+            raise ForkDetectedError(
+                "consistency range does not start at the pinned head: "
+                "the log was rewritten"
+            )
+        chain = verifier.verify_chain(entries[1:], after=pin)
+    elif head.index == pin.index:
+        if raw != pin.raw:
+            raise ForkDetectedError(
+                f"server signed a different head at index {head.index} "
+                "than the one already verified"
+            )
+        return head, []
+    else:
+        try:
+            entries = fetch(head.index, pin.index)
+        except ProofError as exc:
+            raise RollbackDetectedError(
+                f"server presented head #{head.index} below the pinned "
+                f"#{pin.index} and cannot produce the chain between them: {exc}"
+            ) from exc
+        if not entries or entries[0] != raw:
+            raise ForkDetectedError(
+                f"server's head #{head.index} is not the one on the pinned chain"
+            )
+        chain = verifier.verify_chain(entries[1:], after=head)
+        if not chain or chain[-1].raw != pin.raw:
+            raise RollbackDetectedError(
+                "server's chain from its head does not reach the pinned head: "
+                "rollback"
+            )
+        return head, []
+    if not chain or chain[-1].raw != raw:
+        raise TamperDetectedError("head chain does not end at the served head")
+    return head, chain
 
 
 class VerifyingClient:
@@ -86,12 +143,14 @@ class VerifyingClient:
         uuid = base64.b64decode(uuid_b64)
         if self.db_uuid is None:
             self.db_uuid = uuid
-            self._verifier = HeadVerifier(
-                self.secret_store, uuid, self._hash_engine.digest_size
-            )
         elif uuid != self.db_uuid:
             raise ForkDetectedError(
-                "server changed its database identity mid-session"
+                "server serves a different database identity than the "
+                "one already bound"
+            )
+        if self._verifier is None:
+            self._verifier = HeadVerifier(
+                self.secret_store, uuid, self._hash_engine.digest_size
             )
         return self._verifier
 
@@ -103,64 +162,13 @@ class VerifyingClient:
     def _reconcile(self, verifier: HeadVerifier, raw: bytes) -> SignedHead:
         """Verify a served head and place it on the pinned chain."""
         try:
-            head = verifier.verify_signature(raw)
+            head, fresh = reconcile_heads(
+                verifier, self.pinned, raw, self._consistency
+            )
         except TamperDetectedError as exc:
             raise InvalidProofError(f"served head does not verify: {exc}") from exc
-        pin = self.pinned
-        try:
-            if pin is None:
-                chain = verifier.verify_chain(
-                    self._consistency(0, head.index), after=None
-                )
-                if not chain or chain[-1].raw != raw:
-                    raise InvalidProofError(
-                        "head chain from genesis does not end at the "
-                        "served head"
-                    )
-                self.pinned = head
-            elif head.index == pin.index:
-                if raw != pin.raw:
-                    raise ForkDetectedError(
-                        f"server signed a different head at index "
-                        f"{head.index} than the one already verified"
-                    )
-            elif head.index > pin.index:
-                entries = self._consistency(pin.index, head.index)
-                if not entries or entries[0] != pin.raw:
-                    raise ForkDetectedError(
-                        "consistency range does not start at the pinned "
-                        "head: the log was rewritten"
-                    )
-                chain = verifier.verify_chain(entries[1:], after=pin)
-                if not chain or chain[-1].raw != raw:
-                    raise InvalidProofError(
-                        "consistency range does not end at the served head"
-                    )
-                self.pinned = head
-            else:
-                # Older head: the server must prove it is an ancestor of
-                # the pin.  A rolled-back server has no such chain.
-                try:
-                    entries = self._consistency(head.index, pin.index)
-                except ProofError as exc:
-                    raise RollbackDetectedError(
-                        f"server presented head #{head.index} below the "
-                        f"pinned #{pin.index} and cannot produce the "
-                        f"chain between them: {exc}"
-                    ) from exc
-                if not entries or entries[0] != raw:
-                    raise ForkDetectedError(
-                        f"server's head #{head.index} is not the one on "
-                        "the pinned chain"
-                    )
-                chain = verifier.verify_chain(entries[1:], after=head)
-                if not chain or chain[-1].raw != pin.raw:
-                    raise RollbackDetectedError(
-                        "server's chain from its head does not reach the "
-                        "pinned head: rollback"
-                    )
-        except TamperDetectedError as exc:
-            raise InvalidProofError(f"head chain does not verify: {exc}") from exc
+        if fresh:
+            self.pinned = fresh[-1]
         self.heads_verified += 1
         return head
 
@@ -225,14 +233,9 @@ class VerifyingClient:
     def fetch_log(self) -> List[SignedHead]:
         """Fetch and verify the server's entire head chain from genesis."""
         head = self.latest_head()
-        verifier = self._verifier
-        chain = verifier.verify_chain(
-            self._consistency(0, head.index), after=None
+        _, chain = reconcile_heads(
+            self._verifier, None, head.raw, self._consistency
         )
-        if not chain or chain[-1].raw != head.raw:
-            raise InvalidProofError(
-                "full head chain does not end at the served head"
-            )
         return chain
 
     @staticmethod

@@ -30,8 +30,9 @@ tolerates (and, on a writable open, truncates) such a torn tail; any
 *full-length* entry that fails its MAC, its chain link, or its index
 is tampering and raises :class:`~repro.errors.TamperDetectedError`.
 Because the head is appended only after the master record reaches the
-media, a log tip *newer* than the master's generation can never result
-from a crash — the chunk store treats it as a rolled-back image.
+media, a crash can leave the tip at most one generation behind the
+master and never ahead of it; :func:`bind_tip` is the one statement of
+that rule, for the store's open, the audit tool and the replica applier.
 
 This module must stay import-free of :mod:`repro.chunkstore` (the
 store imports it).
@@ -43,7 +44,7 @@ import hashlib
 import hmac as _hmac
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, TamperDetectedError
 
@@ -69,6 +70,11 @@ __all__ = [
     "SignedHead",
     "HeadVerifier",
     "TransparencyLog",
+    "TIP_AHEAD",
+    "TIP_LAGS",
+    "TIP_SIGNED",
+    "bind_tip",
+    "head_signs",
 ]
 
 HEAD_LOG_FILE = "head.log"
@@ -138,6 +144,66 @@ class SignedHead:
         )
 
 
+#: The benign ways a log's tip can stand to the master record (bind_tip).
+TIP_SIGNED, TIP_LAGS, TIP_AHEAD = "signed", "lags", "ahead"
+
+
+def head_signs(head: SignedHead, master, hash_size: int) -> bool:
+    """Whether ``head`` signs exactly ``master``, on every signed field."""
+    root = master.root
+    return (
+        head.generation == master.generation
+        and head.seqno == master.commit_seqno
+        and head.counter == master.expected_counter
+        and head.depth == master.depth
+        and head.root_digest == (
+            root.hash_value if root is not None else bytes(hash_size)
+        )
+        and head.empty_root == (root is None)
+    )
+
+
+def bind_tip(
+    heads: Sequence[SignedHead], master, hash_size: int
+) -> Tuple[str, Optional[SignedHead]]:
+    """Classify the tip of the verified ``heads`` against ``master``.
+
+    Returns ``(outcome, head)``:
+
+    * ``TIP_SIGNED`` — the tip signs the master;
+    * ``TIP_LAGS`` — the tip (``None`` for an empty log) is exactly one
+      generation behind: a crash between master write and head append;
+    * ``TIP_AHEAD`` — the tip is newer but ``head``, an earlier entry,
+      signs the master: the dual-master fallback (the newest master
+      copy was lost; the counter check has ruled out lost commits).
+
+    Anything else raises :class:`TamperDetectedError`.
+    """
+    tip = heads[-1] if heads else None
+    have, want = (tip.generation if tip is not None else 0), master.generation
+    if tip is not None and have == want:
+        if head_signs(tip, master, hash_size):
+            return TIP_SIGNED, tip
+        raise TamperDetectedError(
+            f"head log tip for generation {have} does not match the "
+            "master record it claims to sign"
+        )
+    if have == want - 1:
+        return TIP_LAGS, tip
+    if have > want:
+        anchor = next((h for h in reversed(heads) if h.generation <= want), None)
+        if anchor is not None and head_signs(anchor, master, hash_size):
+            return TIP_AHEAD, anchor
+        raise TamperDetectedError(
+            f"head log tip is generation {have} but the master record is "
+            f"generation {want}: the database image was rolled back"
+        )
+    raise TamperDetectedError(
+        f"head log tip is generation {have} but the master record is "
+        f"generation {want}: the log was truncated"
+    )
+
+
 def _entry_length(flags: int, hash_size: int) -> int:
     length = _ENTRY_HEAD.size + hash_size + _CHAIN_SIZE + _MAC_SIZE
     if flags & FLAG_ED25519:
@@ -172,9 +238,6 @@ class HeadVerifier:
         self.hash_size = hash_size
         self.mac_key = secret_store.derive_key(_MAC_PURPOSE, 32)
         self.ed_public = derive_ed_public_bytes(secret_store)
-
-    def genesis(self) -> bytes:
-        return genesis_hash(self.db_uuid)
 
     # -- single entries ----------------------------------------------------
 
@@ -240,26 +303,6 @@ class HeadVerifier:
                 ) from exc
         return head
 
-    def verify_entry(
-        self,
-        raw: bytes,
-        expected_prev_hash: bytes,
-        expected_index: int,
-    ) -> SignedHead:
-        """Authenticate one entry and its chain position."""
-        head = self.verify_signature(raw)
-        if head.index != expected_index:
-            raise TamperDetectedError(
-                f"head entry at log position {expected_index} claims "
-                f"index {head.index}"
-            )
-        if head.prev_hash != expected_prev_hash:
-            raise TamperDetectedError(
-                f"head entry #{head.index} does not chain to its "
-                "predecessor: the head log was rewritten"
-            )
-        return head
-
     # -- chains ------------------------------------------------------------
 
     def verify_chain(
@@ -273,12 +316,22 @@ class HeadVerifier:
         genesis hash; otherwise at ``after.index + 1`` from the hash of
         ``after.raw``.  Generations must strictly increase.
         """
-        prev_hash = entry_hash(after.raw) if after is not None else self.genesis()
+        prev_hash = entry_hash(after.raw) if after is not None else genesis_hash(self.db_uuid)
         index = after.index + 1 if after is not None else 0
         last_generation = after.generation if after is not None else -1
         heads: List[SignedHead] = []
         for raw in raws:
-            head = self.verify_entry(raw, prev_hash, index)
+            head = self.verify_signature(raw)
+            if head.index != index:
+                raise TamperDetectedError(
+                    f"head entry at log position {index} claims "
+                    f"index {head.index}"
+                )
+            if head.prev_hash != prev_hash:
+                raise TamperDetectedError(
+                    f"head entry #{head.index} does not chain to its "
+                    "predecessor: the head log was rewritten"
+                )
             if head.generation <= last_generation:
                 raise TamperDetectedError(
                     f"head entry #{head.index} regresses the generation "
@@ -381,34 +434,17 @@ class TransparencyLog:
                     "head log names an Ed25519 key this device secret "
                     "does not derive"
                 )
-        heads: List[SignedHead] = []
+        raws: List[bytes] = []
         offset = _HEADER.size
-        valid_end = offset
-        prev_hash = verifier.genesis()
-        last_generation = -1
-        while offset < len(data):
-            remaining = len(data) - offset
-            if remaining >= _ENTRY_HEAD.size:
-                (_, _, _, _, _, _, flags) = _ENTRY_HEAD.unpack_from(data, offset)
-                need = _entry_length(flags, hash_size)
-            else:
-                need = _ENTRY_HEAD.size
-            if remaining < need:
+        while len(data) - offset >= _ENTRY_HEAD.size:
+            need = _entry_length(data[offset + _ENTRY_HEAD.size - 1], hash_size)
+            if len(data) - offset < need:
                 break  # torn tail: a crashed append's byte prefix
-            raw = data[offset:offset + need]
-            head = verifier.verify_entry(raw, prev_hash, len(heads))
-            if head.generation <= last_generation:
-                raise TamperDetectedError(
-                    f"head entry #{head.index} regresses the generation "
-                    f"({head.generation} after {last_generation})"
-                )
-            heads.append(head)
-            prev_hash = entry_hash(raw)
-            last_generation = head.generation
+            raws.append(data[offset:offset + need])
             offset += need
-            valid_end = offset
-        if writable and valid_end < len(data):
-            untrusted.truncate(HEAD_LOG_FILE, valid_end)
+        heads = verifier.verify_chain(raws)
+        if writable and offset < len(data):
+            untrusted.truncate(HEAD_LOG_FILE, offset)
         return cls(
             untrusted, secret_store, verifier, _platform_scheme(), heads, writable
         )
@@ -438,7 +474,7 @@ class TransparencyLog:
             flags |= FLAG_EMPTY_ROOT
             root_digest = bytes(self.verifier.hash_size)
         tip = self.tip()
-        prev_hash = entry_hash(tip.raw) if tip else self.verifier.genesis()
+        prev_hash = entry_hash(tip.raw) if tip else genesis_hash(self.verifier.db_uuid)
         body = _ENTRY_HEAD.pack(
             _ENTRY_MAGIC, len(self._heads), generation, seqno, counter,
             depth, flags,
@@ -485,9 +521,6 @@ class TransparencyLog:
 
     def tip(self) -> Optional[SignedHead]:
         return self._heads[-1] if self._heads else None
-
-    def entry(self, index: int) -> SignedHead:
-        return self._heads[index]
 
     def heads(self) -> List[SignedHead]:
         return list(self._heads)

@@ -35,6 +35,10 @@ durable directory:
 4. **Deep Merkle scrub**: open() walks structure; only the deep scrub
    re-hashes every payload against the authenticated tree, catching
    corrupt sealed-segment bytes the open never touched.
+5. **Signed heads** (secure profile): the primary's head chain must
+   extend the mirrored tip and hold a head signing the verified master,
+   by the same reconciler and tip rule the verifying client and the
+   chunk store's open use.
 
 Only then do the image files go to disk, and after them the counter
 advances: the primary's own order (commit record, then counter).  A
@@ -51,7 +55,7 @@ import contextlib
 import hashlib
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.chunkstore import ChunkStore
 from repro.chunkstore.master import MASTER_FILES, MasterRecord
@@ -67,6 +71,7 @@ from repro.errors import (
     ForkDetectedError,
     ReplayDetectedError,
     ReplicationError,
+    RollbackDetectedError,
     TamperDetectedError,
     TDBError,
 )
@@ -77,7 +82,8 @@ from repro.platform import (
 )
 from repro.platform.resilient import RetryPolicy
 from repro.replication.shipper import MAX_SHIP_BYTES
-from repro.proofs.headlog import HeadVerifier, TransparencyLog
+from repro.proofs.client import reconcile_heads
+from repro.proofs.headlog import TIP_LAGS, HeadVerifier, TransparencyLog, bind_tip
 
 __all__ = [
     "ReplicaApplier",
@@ -333,14 +339,14 @@ class ReplicaApplier:
                 return False
             self._verify_monotonic(installed, manifest)
             candidate, reused = self._fetch_candidate(manifest)
-            verified_root = self._verify_candidate(manifest, candidate)
-            head_plan = self._verify_heads(manifest, verified_root)
+            master = self._verify_candidate(manifest, candidate)
+            head_plan = self._verify_heads(master)
         except ForkDetectedError:
             with self._lock:
                 self._head_forks += 1
                 self._tamper_rejected += 1
             raise
-        except TamperDetectedError:
+        except (TamperDetectedError, RollbackDetectedError):
             with self._lock:
                 self._tamper_rejected += 1
             raise
@@ -472,7 +478,8 @@ class ReplicaApplier:
 
     def _verify_candidate(
         self, manifest: Dict[str, Any], candidate: MemoryUntrustedStore
-    ) -> None:
+    ) -> MasterRecord:
+        """Open and deep-scrub the candidate; return its verified master."""
         counter = MirrorOneWayCounter(int(manifest["expected_counter"]))
         store = ChunkStore.open(
             candidate,
@@ -500,8 +507,7 @@ class ReplicaApplier:
                 raise TamperDetectedError(
                     f"shipped image failed its deep scrub: {report.summary()}"
                 )
-            root = store.location_map.root_locator
-            return root.hash_value if root is not None else None
+            return store.master_io.load_latest()
         finally:
             store.close()
 
@@ -526,88 +532,49 @@ class ReplicaApplier:
         except TamperDetectedError:
             return None
 
-    def _verify_heads(self, manifest: Dict[str, Any], verified_root):
+    def _verify_heads(self, master: MasterRecord):
         """Cross-check the primary's transparency log against the shipment.
 
-        Fetches the signed head chain, verifies it extends the replica's
-        mirror (equivocation at any mirrored index is a fork), and
-        requires the entry for the shipped generation to sign exactly
-        the root digest the deep scrub just verified.  Returns the plan
+        The primary's chain must extend the replica's mirrored tip
+        (:func:`~repro.proofs.client.reconcile_heads`), and the history
+        must hold a head signing exactly the candidate's verified master
+        (:func:`~repro.proofs.headlog.bind_tip`).  Returns the plan
         ``(recreate, entries)`` for :meth:`_install` to mirror.
         """
         if not self.chunk_config.security.enabled:
             return None
-        uuid = bytes.fromhex(manifest["db_uuid"])
-        hash_size = create_hash_engine(
-            self.chunk_config.security.hash_name
-        ).digest_size
         reply = self._call("log.head")
-        if base64.b64decode(reply["uuid"]) != uuid:
+        if base64.b64decode(reply["uuid"]) != master.db_uuid:
             raise TamperDetectedError(
                 "primary's transparency log names a different database "
                 "identity than the shipment manifest"
             )
-        length = int(reply["length"])
-        local = self._load_local_headlog(uuid, hash_size)
-        local_len = len(local) if local is not None else 0
-        if local_len > length:
-            raise TamperDetectedError(
-                f"primary's head log has {length} entries but the replica "
-                f"mirrored {local_len}: the primary's log was truncated"
-            )
-        if length == 0:
-            raise TamperDetectedError(
-                "primary serves an empty transparency log for a secure store"
-            )
-        verifier = HeadVerifier(self.secret_store, uuid, hash_size)
-        start = local_len - 1 if local_len else 0
-        reply = self._call(
-            "log.consistency", from_index=start, to_index=length - 1
+        local = self._load_local_headlog(master.db_uuid, master.hash_size)
+        verifier = HeadVerifier(
+            self.secret_store, master.db_uuid, master.hash_size
         )
-        entries = [base64.b64decode(entry) for entry in reply["entries"]]
-        if local_len:
-            tip = local.tip()
-            if not entries or entries[0] != tip.raw:
-                raise ForkDetectedError(
-                    f"primary signed a different head at index {tip.index} "
-                    "than the one this replica mirrored: equivocation"
-                )
-            chain = verifier.verify_chain(entries[1:], after=tip)
-        else:
-            chain = verifier.verify_chain(entries, after=None)
-        # The shipped generation's head must sign the scrubbed root.
-        target = None
-        known = (local.heads() if local_len else []) + chain
-        for head in known:
-            if head.generation == manifest["generation"]:
-                target = head
-                break
-        if target is None:
+        _, fresh = reconcile_heads(
+            verifier,
+            local.tip() if local is not None else None,
+            base64.b64decode(reply["head"]),
+            self._consistency,
+        )
+        known = (local.heads() if local is not None else []) + fresh
+        if bind_tip(known, master, master.hash_size)[0] == TIP_LAGS:
             raise TamperDetectedError(
                 f"primary's head log has no entry for the shipped "
-                f"generation {manifest['generation']}"
-            )
-        expected_root = (
-            verified_root if verified_root is not None else bytes(hash_size)
-        )
-        if (
-            target.seqno != manifest["commit_seqno"]
-            or target.counter != manifest["expected_counter"]
-            or target.root_digest != expected_root
-            or target.empty_root != (verified_root is None)
-        ):
-            raise TamperDetectedError(
-                "signed head for the shipped generation does not match "
-                "the verified image (root/seqno/counter mismatch)"
+                f"generation {master.generation}"
             )
         # Mirror only up to the installed generation: entries signed for
         # later commits belong to an image this replica does not hold yet.
-        fresh = [
-            head.raw for head in chain if head.generation <= manifest["generation"]
-        ]
-        if local is None or fresh:
-            return (local is None, fresh)
+        mirror = [head.raw for head in fresh if head.generation <= master.generation]
+        if local is None or mirror:
+            return (local is None, mirror)
         return None
+
+    def _consistency(self, lo: int, hi: int) -> List[bytes]:
+        reply = self._call("log.consistency", from_index=lo, to_index=hi)
+        return [base64.b64decode(entry) for entry in reply["entries"]]
 
     def _install(
         self,

@@ -43,9 +43,10 @@ Subcommands over a file-backed database directory (the layout
   one line per head, oldest first; loading already verifies every
   signature and chain link.
 * ``audit`` — verify the local head log end to end (signatures, hash
-  chain, tip-vs-master binding) and, with ``--primary``, fetch the
-  remote server's chain through a verifying client and cross-check it
-  for forks and rollbacks.  Exits non-zero if anything fails.
+  chain, tip-vs-master binding) and, with ``--primary``, reconcile the
+  remote server's chain with the local tip through a verifying client
+  (fetching only the heads past it); a fork or a rollback fails.  Exits
+  non-zero if anything fails.
 
 Usage::
 
@@ -92,9 +93,10 @@ from repro.collectionstore.collection import Collection
 from repro.collectionstore.store import register_collection_classes
 from repro.config import ChunkStoreConfig, SecurityProfile
 from repro.db import Database
-from repro.errors import TDBError
+from repro.errors import TamperDetectedError, TDBError
 from repro.objectstore import ClassRegistry, ObjectStore
 from repro.platform import FileArchivalStore
+from repro.proofs.headlog import TIP_AHEAD, TIP_LAGS, TIP_SIGNED, bind_tip
 from repro.repair import RepairEngine
 
 __all__ = [
@@ -594,6 +596,15 @@ def heads_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
         store.close()
 
 
+_TIP_REPORTS = {
+    TIP_SIGNED: "tip binding: OK ({head})",
+    TIP_LAGS: "tip binding: log lags the master by one checkpoint (crash "
+              "window; a writable open will catch it up)",
+    TIP_AHEAD: "tip binding: {head} signs the master and newer heads "
+               "follow it (dual-master fallback; a writable open drops them)",
+}
+
+
 def audit_database(
     directory: str,
     primary: Optional[str] = None,
@@ -603,9 +614,10 @@ def audit_database(
 
     The read-only open already verifies every signature and chain link
     in the local log (loading raises on anything that fails); the audit
-    then binds the tip to the master record, and with ``--primary``
-    fetches the remote chain through a :class:`VerifyingClient` and
-    cross-checks the two histories for forks and rollbacks.
+    then prints how the tip binds to the master record
+    (:func:`~repro.proofs.headlog.bind_tip`), and with ``--primary``
+    reconciles the served chain with the local tip through a
+    :class:`VerifyingClient`, which raises on a fork or a rollback.
     """
     failures = 0
     try:
@@ -621,41 +633,18 @@ def audit_database(
             return 1
         print(f"head log: {len(log)} signed head(s) verified "
               f"(scheme {log.scheme})")
-        tip = log.tip()
-        if tip is None:
-            print("FAIL binding: head log has no entries but the store "
-                  f"is at generation {store.generation}")
+        # The master, not the replayed state: commits the residual log
+        # holds past it are not signed yet.
+        master = store.master_io.load_latest()
+        try:
+            outcome, head = bind_tip(log.heads(), master, store.hash_size)
+        except TamperDetectedError as exc:
+            print(f"FAIL binding: {exc}")
             failures += 1
-        elif tip.generation > store.generation:
-            print(f"FAIL binding: head log tip is generation "
-                  f"{tip.generation} but the master record is generation "
-                  f"{store.generation}: the image was rolled back")
-            failures += 1
-        elif tip.generation == store.generation:
-            # The master, not the replayed state: commits the residual
-            # log holds past it are not signed yet.
-            master = store.master_io.load_latest()
-            root = master.root
-            expected = (
-                root.hash_value if root is not None
-                else bytes(len(tip.root_digest))
-            )
-            if (tip.seqno != master.commit_seqno
-                    or tip.root_digest != expected
-                    or tip.empty_root != (root is None)):
-                print("FAIL binding: the tip head does not match the "
-                      "master record it claims to sign")
-                failures += 1
-            else:
-                print(f"tip binding: OK ({tip.describe()})")
-        elif tip.generation == store.generation - 1:
-            print(f"tip binding: log lags the master by one checkpoint "
-                  f"(crash window; a writable open will catch it up)")
         else:
-            print(f"FAIL binding: head log tip is generation "
-                  f"{tip.generation}, master is {store.generation}: "
-                  "the log was truncated")
-            failures += 1
+            print(_TIP_REPORTS[outcome].format(
+                head=head.describe() if head is not None else "no head"
+            ))
 
         if primary:
             host, _, port_text = primary.rpartition(":")
@@ -668,28 +657,15 @@ def audit_database(
             client = VerifyingClient(
                 host, int(port_text), store.secret_store, config=config
             )
+            # Pinned to the local tip, the client fetches only the delta
+            # past it, and a remote chain that does not extend it is a
+            # fork or a rollback.
+            client.db_uuid, client.pinned = store.db_uuid, log.tip()
             try:
-                remote = client.fetch_log()
-                if client.db_uuid != store.db_uuid:
-                    print("FAIL remote: the primary serves a different "
-                          "database identity")
-                    failures += 1
-                else:
-                    print(f"remote log: {len(remote)} signed head(s) "
-                          "verified")
-                    fork = VerifyingClient.compare_logs(log.heads(), remote)
-                    if fork is not None:
-                        print(f"FAIL remote: histories diverge at head "
-                              f"#{fork}: the signer equivocated (fork)")
-                        failures += 1
-                    elif len(remote) < len(log):
-                        print(f"FAIL remote: primary's log has "
-                              f"{len(remote)} head(s), local mirror has "
-                              f"{len(log)}: the primary rolled back")
-                        failures += 1
-                    else:
-                        print("cross-check: OK (local log is a prefix of "
-                              "the primary's)")
+                head = client.latest_head()
+                print(f"remote log: verified through head #{head.index}")
+                print("cross-check: OK (local log is a prefix of the "
+                      "primary's)")
             except TDBError as exc:
                 print(f"FAIL remote: {type(exc).__name__}: {exc}")
                 failures += 1

@@ -621,6 +621,26 @@ class TestConcurrency:
             assert txn.open_readonly(oid).view_count == 40
             txn.abort()
 
+    def test_held_lock_skips_the_lock_manager(self, monkeypatch):
+        store, *_ = build_store()
+        calls = []
+        acquire = store.locks.acquire
+        monkeypatch.setattr(
+            store.locks,
+            "acquire",
+            lambda txn_id, oid, mode: calls.append(mode) or acquire(txn_id, oid, mode),
+        )
+        with store.transaction() as txn:
+            for _ in range(20):
+                txn.lookup_name("missing")
+            assert calls == [LockMode.SHARED]
+            # Shared does not cover exclusive; exclusive covers both.
+            txn.bind_name("primary", store.catalog_oid)
+            txn.lookup_name("primary")
+            txn.bind_name("again", store.catalog_oid)
+            assert calls == [LockMode.SHARED, LockMode.EXCLUSIVE]
+            assert store.locks.holds(txn.txn_id, store.catalog_oid, LockMode.EXCLUSIVE)
+
     def test_locking_disabled_mode(self):
         store, *_ = build_store(locking=False)
         with store.transaction() as txn:

@@ -38,9 +38,11 @@ from repro.proofs import (
     ChunkProof,
     HeadVerifier,
     ProofService,
+    TransparencyLog,
     VerifyingClient,
     verify_proof,
 )
+from repro.proofs.client import reconcile_heads
 from repro.replication import ReplicaApplier
 from repro.server import TdbClient, TdbServer
 
@@ -202,6 +204,83 @@ class TestBitFlipProperty:
 
 
 # ---------------------------------------------------------------------------
+# The one pin reconciler
+# ---------------------------------------------------------------------------
+
+_UUID = bytes(range(16))
+_HASH = 20
+
+
+def signed_chain(seqnos):
+    """Raw entries of a head log signing one head per seqno."""
+    log = TransparencyLog.create(
+        MemoryUntrustedStore(), MemorySecretStore(SECRET), _UUID, _HASH
+    )
+    for generation, seqno in enumerate(seqnos, start=1):
+        log.append(generation, seqno, seqno, 1, bytes([seqno]) * _HASH)
+    return [head.raw for head in log.heads()]
+
+
+#: Two histories sharing heads #0..#2 and diverging from #3 on.
+CHAIN = signed_chain([1, 2, 3, 4, 5])
+FORK = signed_chain([1, 2, 3, 40, 50])
+
+
+def _flipped(raws, index):
+    out = list(raws)
+    out[index] = flip(out[index], 0.5, 3)
+    return out
+
+
+def _refusing(lo, hi):
+    raise ProofError(f"head-log range [{lo}, {hi}] is not held")
+
+
+# (case, pinned index or None, served head, served chain, outcome):
+# an outcome is the number of new heads returned, or the error class.
+RECONCILE_CASES = [
+    ("first contact", None, CHAIN[4], CHAIN, 5),
+    ("first contact, chain ends elsewhere", None, CHAIN[4], FORK, TamperDetectedError),
+    ("first contact, broken link", None, CHAIN[4], _flipped(CHAIN, 2), TamperDetectedError),
+    ("same index, equal", 3, CHAIN[3], CHAIN, 0),
+    ("same index, different", 3, FORK[3], FORK, ForkDetectedError),
+    ("newer, extending", 1, CHAIN[4], CHAIN, 3),
+    ("newer, not extending", 3, FORK[4], FORK, ForkDetectedError),
+    ("newer, broken link", 1, CHAIN[4], _flipped(CHAIN, 3), TamperDetectedError),
+    ("older, ancestor", 4, CHAIN[1], CHAIN, 0),
+    ("older, not an ancestor", 4, CHAIN[3], FORK, ForkDetectedError),
+    ("older, chain misses the pin", 4, CHAIN[1], FORK, RollbackDetectedError),
+    ("older, server cannot prove", 4, CHAIN[1], None, RollbackDetectedError),
+    ("forged served head", 1, _flipped(CHAIN, 4)[4], CHAIN, TamperDetectedError),
+]
+
+
+class TestReconcileHeads:
+    @pytest.mark.parametrize(
+        "pin_index,served,chain,outcome",
+        [case[1:] for case in RECONCILE_CASES],
+        ids=[case[0] for case in RECONCILE_CASES],
+    )
+    def test_case(self, pin_index, served, chain, outcome):
+        verifier = HeadVerifier(MemorySecretStore(SECRET), _UUID, _HASH)
+        pin = (
+            verifier.verify_chain(CHAIN)[pin_index]
+            if pin_index is not None
+            else None
+        )
+        fetch = (
+            _refusing if chain is None else lambda lo, hi: chain[lo:hi + 1]
+        )
+        if isinstance(outcome, int):
+            head, fresh = reconcile_heads(verifier, pin, served, fetch)
+            assert head.raw == served
+            assert [h.raw for h in fresh] == (CHAIN[5 - outcome:] if outcome else [])
+        else:
+            with pytest.raises(outcome):
+                reconcile_heads(verifier, pin, served, fetch)
+
+
+# ---------------------------------------------------------------------------
 # Fork and rollback over real servers
 # ---------------------------------------------------------------------------
 
@@ -333,6 +412,36 @@ class TestForkAndRollback:
                 with pytest.raises(ForkDetectedError):
                     applier.sync_once()
                 assert applier.stats_snapshot()["head_forks"] == 1
+
+    def test_audit_primary_catches_a_fork(self, tmp_path, capsys):
+        from repro import tools
+
+        dir_a, dir_b = self._fork_dirs(tmp_path)
+        with served(dir_b) as (server_b, _):
+            host, port = server_b.address
+            code = tools.main(["audit", dir_a, "--primary", f"{host}:{port}"])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert "FAIL remote: ForkDetectedError" in out
+
+    def test_audit_primary_catches_a_rollback(self, tmp_path, capsys):
+        from repro import tools
+
+        directory = os.path.join(str(tmp_path), "primary")
+        db = Database.create(directory)
+        grow(db, 5, tag="before")
+        db.close()
+        stale = os.path.join(str(tmp_path), "stale")
+        shutil.copytree(directory, stale)
+        db = Database.open_existing(directory)
+        grow(db, 5, tag="after")
+        db.close()
+        with served(stale) as (server, _):
+            host, port = server.address
+            code = tools.main(["audit", directory, "--primary", f"{host}:{port}"])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert "FAIL remote: RollbackDetectedError" in out
 
 
 class _DeadClient:

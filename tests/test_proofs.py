@@ -593,3 +593,60 @@ class TestTools:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL binding" in out
+
+    def _advanced_log(self, tmp_path, checkpoints):
+        """A closed database ``checkpoints`` forced checkpoints past
+        creation, and its head log opened writable behind its back."""
+        from repro.platform import FileSecretStore, FileUntrustedStore
+
+        directory = self._make_db(tmp_path)
+        db = Database.open_existing(directory)
+        store = db.chunk_store
+        for _ in range(checkpoints):
+            cid = store.allocate_chunk_id()
+            store.write(cid, b"advance" * 4)
+            store.checkpoint(force=True)
+        uuid, hash_size = store.db_uuid, store.hash_size
+        db.close()
+        untrusted = FileUntrustedStore(os.path.join(directory, "data"))
+        secret = FileSecretStore(
+            os.path.join(directory, "secret.key"), create=False
+        )
+        log = TransparencyLog.load(
+            untrusted, secret, uuid, hash_size, writable=True
+        )
+        return directory, untrusted, log
+
+    def test_open_refuses_a_log_lagging_by_more_than_one(self, tmp_path, capsys):
+        from repro import tools
+
+        directory, untrusted, log = self._advanced_log(tmp_path, 4)
+        log.truncate_to(0)
+        untrusted.close()
+        # Only a crash between a master write and its head append makes
+        # the log lag, and by one generation: signing over a longer gap
+        # would launder a truncated history.
+        with pytest.raises(TamperDetectedError, match="truncated"):
+            Database.open_existing(directory)
+        assert tools.main(["audit", directory]) == 1
+        assert "FAIL binding" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["depth", "counter"])
+    def test_tip_binds_every_signed_field(self, tmp_path, capsys, field):
+        from repro import tools
+
+        directory, untrusted, log = self._advanced_log(tmp_path, 1)
+        tip = log.tip()
+        log.truncate_to(tip.index - 1)
+        log.append(
+            generation=tip.generation,
+            seqno=tip.seqno,
+            counter=tip.counter + (field == "counter"),
+            depth=tip.depth + (field == "depth"),
+            root_digest=None if tip.empty_root else tip.root_digest,
+        )
+        untrusted.close()
+        assert tools.main(["audit", directory]) == 1
+        assert "FAIL binding" in capsys.readouterr().out
+        with pytest.raises(TamperDetectedError, match="does not match"):
+            Database.open_existing(directory)
