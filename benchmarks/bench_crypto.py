@@ -5,16 +5,22 @@ AES implementation (``native`` — OpenSSL via the cryptography package,
 measured only where it is importable; ``fast`` — table-driven pure
 python, the platform's AES without it; ``reference`` — per-block
 oracle), whole-segment verification throughput (the scrub/shipment
-shape: content digest + trial decryption of a 64 KiB payload), and
-hash-engine throughput.  Results land in ``BENCH_crypto.json`` next to
-the repository root (the non-gating CI artifact).
+shape: content digest + trial decryption of a 64 KiB payload),
+hash-engine throughput, and — where OpenSSL is present — the store's
+own path: a random-IV encrypt and a decrypt of one chunk payload at
+160 B, 864 B and 4 KiB, through a fresh ``Cipher`` per payload against
+the held contexts of ``NativeAes``.
+Results land in ``BENCH_crypto.json`` next to the repository root (the
+non-gating CI artifact).
 
-Three headline gates guard the implementations on the 4 KiB chunk-store
-hot path and the 64 KiB segment-verification path:
+Four headline gates guard the implementations on the 4 KiB chunk-store
+hot path, the 64 KiB segment-verification path and the store's path:
 
 * ``fast``   >=  5x ``reference`` on 4 KiB CBC (the PR-4 gate, kept);
 * ``native`` >= 50x ``reference`` on 4 KiB CBC;
-* ``native`` >= 10x ``fast`` on whole-segment verification.
+* ``native`` >= 10x ``fast`` on whole-segment verification;
+* held contexts >= 2x a fresh ``Cipher`` per payload, both directions,
+  at every store-path size.
 
 Run directly (``python benchmarks/bench_crypto.py``) or via pytest
 (``pytest benchmarks/bench_crypto.py -q``).
@@ -41,6 +47,7 @@ KEY = bytes(range(16))
 IV = bytes(range(16, 32))
 NONCE = b"bench-nonce!"
 PAYLOAD_SIZES = (256, 4096, 65536)
+STORE_PATH_SIZES = (160, 864, 4096)
 SEGMENT_SIZE = 65536
 HASH_SIZE = 4096
 OUTPUT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "BENCH_crypto.json")
@@ -142,6 +149,40 @@ def bench_segment_verify(size: int = SEGMENT_SIZE):
     return out
 
 
+def bench_store_path(size: int):
+    """Random-IV encrypt and decrypt of one chunk payload, as the store
+    calls them: a fresh ``Cipher`` per payload against held contexts."""
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+    from cryptography.hazmat.primitives.ciphers import modes as cmodes
+
+    algorithm = algorithms.AES(KEY)
+
+    def fresh_encrypt(plaintext):
+        iv = os.urandom(16)
+        ctx = Cipher(algorithm, cmodes.CBC(iv)).encryptor()
+        return iv + ctx.update(modes.pkcs7_pad(plaintext, 16)) + ctx.finalize()
+
+    def fresh_decrypt(record):
+        ctx = Cipher(algorithm, cmodes.CBC(record[:16])).decryptor()
+        return modes.pkcs7_unpad(ctx.update(record[16:]) + ctx.finalize(), 16)
+
+    held = CbcPayloadCipher(NativeAes(KEY), "aes-128")
+    data = _payload(size)
+    record = held.encrypt(data)
+    assert fresh_decrypt(record) == data and held.decrypt(fresh_encrypt(data)) == data
+    entry = {"payload_bytes": size}
+    for direction, fresh, kept, arg in (
+        ("encrypt", fresh_encrypt, held.encrypt, data),
+        ("decrypt", fresh_decrypt, held.decrypt, record),
+    ):
+        fresh_s = _time_loop(lambda: fresh(arg))
+        held_s = _time_loop(lambda: kept(arg))
+        entry[f"fresh_{direction}_us"] = round(fresh_s * 1e6, 2)
+        entry[f"held_{direction}_us"] = round(held_s * 1e6, 2)
+        entry[f"held_vs_fresh_{direction}"] = round(fresh_s / held_s, 2)
+    return entry
+
+
 def bench_hashes(size: int = HASH_SIZE):
     data = _payload(size)
     out = {}
@@ -163,6 +204,10 @@ def run_all():
         "cbc_encrypt_decrypt": [bench_cbc(size) for size in PAYLOAD_SIZES],
         "ctr_transform": [bench_ctr(size) for size in PAYLOAD_SIZES],
         "segment_verify": bench_segment_verify(),
+        "store_path_cbc": (
+            [bench_store_path(size) for size in STORE_PATH_SIZES]
+            if HAVE_NATIVE_BACKEND else []
+        ),
         "hash_engines": bench_hashes(),
     }
 
@@ -185,6 +230,9 @@ def test_crypto_kernel_speedup():
         assert results["segment_verify"]["native_vs_fast"] >= 10.0, (
             results["segment_verify"]
         )
+        for entry in results["store_path_cbc"]:
+            assert entry["held_vs_fresh_encrypt"] >= 2.0, entry
+            assert entry["held_vs_fresh_decrypt"] >= 2.0, entry
     write_report(results)
 
 

@@ -85,12 +85,13 @@ class CbcPayloadCipher(PayloadCipher):
     def __init__(self, block_cipher: BlockCipher, name: str) -> None:
         self._cipher = block_cipher
         self.name = name
+        self._encrypt, self._decrypt = modes.cbc_kernels(block_cipher)
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        return modes.cbc_encrypt(self._cipher, plaintext)
+        return self._encrypt(plaintext)
 
     def decrypt(self, data: bytes) -> bytes:
-        return modes.cbc_decrypt(self._cipher, data)
+        return self._decrypt(data)
 
     def ciphertext_overhead(self, plaintext_length: int) -> int:
         block = self._cipher.block_size

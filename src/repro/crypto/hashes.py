@@ -38,15 +38,15 @@ class HashlibEngine(HashEngine):
         probe = hashlib.new(algorithm)
         self.name = algorithm
         self.digest_size = probe.digest_size
-        self._algorithm = algorithm
+        self._new = getattr(hashlib, algorithm, lambda data=b"": hashlib.new(algorithm, data))
 
     def digest(self, data: bytes) -> bytes:
-        return hashlib.new(self._algorithm, data).digest()
+        return self._new(data).digest()
 
     def digest_many(self, *parts: bytes) -> bytes:
         # Feed parts incrementally instead of joining: Merkle-node
         # hashing over many children avoids one large copy per digest.
-        state = hashlib.new(self._algorithm)
+        state = self._new()
         for part in parts:
             state.update(part)
         return state.digest()

@@ -19,9 +19,9 @@ Three code paths coexist:
   big-int XOR;
 * the **native payload path** engages for ciphers exposing the
   whole-payload interface (:class:`~repro.crypto.native.NativeAes`):
-  one C call transforms the entire payload.  IV generation, PKCS#7
-  framing, and validation stay here in one place, so every AES shares
-  the exact record layout.
+  one C call on a context the cipher holds transforms the whole ``iv ‖
+  body`` record, the random IV included.  PKCS#7 framing and validation
+  stay here in one place, so every AES shares the exact record layout.
 
 All paths produce byte-identical output for the same key and IV, so a
 store image does not depend on which AES wrote it.
@@ -29,6 +29,7 @@ store image does not depend on which AES wrote it.
 
 from __future__ import annotations
 
+import functools
 import hmac as _stdlib_hmac
 import os
 import struct
@@ -84,16 +85,16 @@ def _xor_bytes(a: bytes, b: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _cbc_encrypt_words(cipher, padded: bytes, iv: bytes) -> bytes:
+def _cbc_encrypt_words(cipher, padded: bytes, iv: Optional[bytes]) -> bytes:
     """Whole-payload CBC encryption over the word interface.
 
     One unpack, one flat loop of int-XOR + word encryption, one pack:
-    no per-block ``bytes`` objects are created.
+    no per-block ``bytes`` objects are created.  A random IV if None.
     """
     word_count = len(padded) // 4
     words = struct.unpack(f">{word_count}I", padded)
     out = [0] * (word_count + 4)
-    out[0:4] = _WORD4.unpack(iv)
+    out[0:4] = _WORD4.unpack(iv or os.urandom(16))
     c0, c1, c2, c3 = out[0], out[1], out[2], out[3]
     encrypt_words = cipher.encrypt_words
     position = 0
@@ -113,14 +114,14 @@ def _cbc_encrypt_words(cipher, padded: bytes, iv: bytes) -> bytes:
     return struct.pack(f">{word_count + 4}I", *out)
 
 
-def _cbc_decrypt_words(cipher, iv: bytes, body: bytes) -> bytes:
-    """Whole-payload CBC decryption over the word interface."""
-    word_count = len(body) // 4
-    words = struct.unpack(f">{word_count}I", body)
-    out = [0] * word_count
-    p0, p1, p2, p3 = _WORD4.unpack(iv)
+def _cbc_decrypt_words(cipher, data: bytes) -> bytes:
+    """Whole-payload CBC decryption of an ``iv ‖ body`` record over the
+    word interface; each block XORs against the words just before it."""
+    word_count = len(data) // 4
+    words = struct.unpack(f">{word_count}I", data)
+    out = [0] * (word_count - 4)
     decrypt_words = cipher.decrypt_words
-    position = 0
+    position = 4
     while position < word_count:
         d0, d1, d2, d3 = decrypt_words(
             words[position],
@@ -128,16 +129,12 @@ def _cbc_decrypt_words(cipher, iv: bytes, body: bytes) -> bytes:
             words[position + 2],
             words[position + 3],
         )
-        out[position] = d0 ^ p0
-        out[position + 1] = d1 ^ p1
-        out[position + 2] = d2 ^ p2
-        out[position + 3] = d3 ^ p3
-        p0 = words[position]
-        p1 = words[position + 1]
-        p2 = words[position + 2]
-        p3 = words[position + 3]
+        out[position - 4] = d0 ^ words[position - 4]
+        out[position - 3] = d1 ^ words[position - 3]
+        out[position - 2] = d2 ^ words[position - 2]
+        out[position - 1] = d3 ^ words[position - 1]
         position += 4
-    return struct.pack(f">{word_count}I", *out)
+    return struct.pack(f">{word_count - 4}I", *out)
 
 
 def _ctr_transform_words(cipher, data: bytes, prefix: bytes) -> bytes:
@@ -172,6 +169,50 @@ def _has_native_kernel(cipher) -> bool:
     return hasattr(cipher, "cbc_encrypt_payload")
 
 
+def _cbc_encrypt_blocks(cipher, padded: bytes, iv: Optional[bytes]) -> bytes:
+    """Reference CBC, one ``encrypt_block`` per block; random IV if None."""
+    block = cipher.block_size
+    out = bytearray(iv or os.urandom(block))
+    for offset in range(0, len(padded), block):
+        out.extend(cipher.encrypt_block(
+            _xor_bytes(padded[offset:offset + block], out[-block:])
+        ))
+    return bytes(out)
+
+
+def _cbc_decrypt_blocks(cipher, data: bytes) -> bytes:
+    """Reference CBC over an ``iv ‖ body`` record, block by block."""
+    block = cipher.block_size
+    return b"".join(
+        _xor_bytes(cipher.decrypt_block(data[at:at + block]), data[at - block:at])
+        for at in range(block, len(data), block)
+    )
+
+
+def cbc_kernels(cipher):
+    """:func:`cbc_encrypt` and :func:`cbc_decrypt` bound to ``cipher``,
+    its path resolved once: ``(encrypt(plaintext, iv=None), decrypt(data))``."""
+    block = cipher.block_size
+    if _has_native_kernel(cipher):
+        seal, unseal = cipher.cbc_encrypt_payload, cipher.cbc_decrypt_payload
+    else:
+        word = _has_word_kernel(cipher)
+        seal = functools.partial(_cbc_encrypt_words if word else _cbc_encrypt_blocks, cipher)
+        unseal = functools.partial(_cbc_decrypt_words if word else _cbc_decrypt_blocks, cipher)
+
+    def encrypt(plaintext: bytes, iv: Optional[bytes] = None) -> bytes:
+        if iv is not None and len(iv) != block:
+            raise CryptoError(f"IV must be {block} bytes, got {len(iv)}")
+        return seal(pkcs7_pad(plaintext, block), iv)
+
+    def decrypt(data: bytes) -> bytes:
+        if len(data) < 2 * block or len(data) % block:
+            raise CryptoError("CBC ciphertext too short or not block-aligned")
+        return pkcs7_unpad(unseal(data), block)
+
+    return encrypt, decrypt
+
+
 # ---------------------------------------------------------------------------
 # Public modes
 # ---------------------------------------------------------------------------
@@ -179,44 +220,12 @@ def _has_native_kernel(cipher) -> bool:
 
 def cbc_encrypt(cipher, plaintext: bytes, iv: Optional[bytes] = None) -> bytes:
     """CBC-encrypt ``plaintext`` (PKCS#7 padded) and prepend the IV."""
-    block = cipher.block_size
-    if iv is None:
-        iv = os.urandom(block)
-    if len(iv) != block:
-        raise CryptoError(f"IV must be {block} bytes, got {len(iv)}")
-    padded = pkcs7_pad(plaintext, block)
-    if _has_native_kernel(cipher):
-        return iv + cipher.cbc_encrypt_payload(padded, iv)
-    if _has_word_kernel(cipher):
-        return _cbc_encrypt_words(cipher, padded, iv)
-    out = bytearray(iv)
-    previous = iv
-    for offset in range(0, len(padded), block):
-        encrypted = cipher.encrypt_block(
-            _xor_bytes(padded[offset:offset + block], previous)
-        )
-        out.extend(encrypted)
-        previous = encrypted
-    return bytes(out)
+    return cbc_kernels(cipher)[0](plaintext, iv)
 
 
 def cbc_decrypt(cipher, data: bytes) -> bytes:
     """Invert :func:`cbc_encrypt`: strip IV, decrypt, unpad."""
-    block = cipher.block_size
-    if len(data) < 2 * block or len(data) % block:
-        raise CryptoError("CBC ciphertext too short or not block-aligned")
-    iv, body = data[:block], data[block:]
-    if _has_native_kernel(cipher):
-        return pkcs7_unpad(cipher.cbc_decrypt_payload(iv, body), block)
-    if _has_word_kernel(cipher):
-        return pkcs7_unpad(_cbc_decrypt_words(cipher, iv, body), block)
-    out = bytearray()
-    previous = iv
-    for offset in range(0, len(body), block):
-        chunk = body[offset:offset + block]
-        out.extend(_xor_bytes(cipher.decrypt_block(chunk), previous))
-        previous = chunk
-    return pkcs7_unpad(bytes(out), block)
+    return cbc_kernels(cipher)[1](data)
 
 
 def ctr_transform(cipher, data: bytes, nonce: bytes) -> bytes:

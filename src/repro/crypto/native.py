@@ -19,11 +19,17 @@ oracle the test suite decrypts real store images with.
 every other block cipher here, plus the *whole-payload* methods
 (:meth:`cbc_encrypt_payload` and friends) that :mod:`repro.crypto.modes`
 dispatches to — one C call per payload instead of one Python call per
-16-byte block.  DES/3DES have no native path (the paper's 3DES profile
-exists for fidelity, not speed) and keep their reference implementation.
+16-byte block.  Each instance holds one CBC and one ECB context per
+direction, each behind a lock.  CBC runs through a *sacrificial block*:
+decrypt drops the first output block of ``iv ‖ body``; a random-IV
+encrypt of ``R ‖ padded`` keeps it, ``E_k(R ⊕ state)``, as the IV.
+DES/3DES have no native path (the paper's 3DES profile is for fidelity).
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 from repro.crypto.aesfast import AesFast
 from repro.errors import CryptoError
@@ -56,32 +62,45 @@ class NativeAes:
         if not HAVE_NATIVE_BACKEND:
             raise CryptoError("native AES needs the 'cryptography' package")
         self._algorithm = _algorithms.AES(key)
+        cbc = _Cipher(self._algorithm, _cmodes.CBC(bytes(16)))
+        ecb = _Cipher(self._algorithm, _cmodes.ECB())
+        self._cbc_encryptor, self._cbc_decryptor = cbc.encryptor(), cbc.decryptor()
+        self._ecb_encryptor, self._ecb_decryptor = ecb.encryptor(), ecb.decryptor()
+        self._encrypt_lock, self._decrypt_lock = threading.Lock(), threading.Lock()
 
     # -- per-block interface (shared by every AES here) ------------------
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        ctx = _Cipher(self._algorithm, _cmodes.ECB()).encryptor()
-        return ctx.update(block) + ctx.finalize()
+        with self._encrypt_lock:
+            return self._ecb_encryptor.update(block)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
-        ctx = _Cipher(self._algorithm, _cmodes.ECB()).decryptor()
-        return ctx.update(block) + ctx.finalize()
+        with self._decrypt_lock:
+            return self._ecb_decryptor.update(block)
 
     # -- whole-payload interface (modes._has_native_kernel) ---------------
 
-    def cbc_encrypt_payload(self, padded: bytes, iv: bytes) -> bytes:
-        """CBC-encrypt an already-padded payload; returns body (no IV)."""
-        ctx = _Cipher(self._algorithm, _cmodes.CBC(iv)).encryptor()
-        return ctx.update(padded) + ctx.finalize()
+    def cbc_encrypt_payload(self, padded: bytes, iv: bytes | None = None) -> bytes:
+        """CBC-encrypt an already-padded payload; returns ``iv ‖ body``."""
+        if len(padded) % 16:  # a partial block would stay in the held context
+            raise CryptoError(f"CBC input must be block-aligned, got {len(padded)}")
+        if iv is not None:  # known answers and benches: a one-off context
+            ctx = _Cipher(self._algorithm, _cmodes.CBC(iv)).encryptor()
+            return iv + ctx.update(padded)
+        nonce = os.urandom(16)
+        with self._encrypt_lock:
+            return self._cbc_encryptor.update(nonce + padded)
 
-    def cbc_decrypt_payload(self, iv: bytes, body: bytes) -> bytes:
-        """CBC-decrypt a payload body; returns still-padded plaintext."""
-        ctx = _Cipher(self._algorithm, _cmodes.CBC(iv)).decryptor()
-        return ctx.update(body) + ctx.finalize()
+    def cbc_decrypt_payload(self, data: bytes) -> bytes:
+        """CBC-decrypt an ``iv ‖ body`` record; returns padded plaintext."""
+        if len(data) % 16:
+            raise CryptoError(f"CBC input must be block-aligned, got {len(data)}")
+        with self._decrypt_lock:
+            return self._cbc_decryptor.update(data)[16:]
 
     def ctr_payload(self, data: bytes, prefix: bytes) -> bytes:
         """CTR-transform ``data``; ``prefix`` is the 12-byte nonce block.

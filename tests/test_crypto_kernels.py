@@ -7,10 +7,22 @@ reference path on every input.  This suite pins that contract three
 ways: FIPS-197 vectors, hypothesis fuzzing across keys/IVs/lengths
 (including every padding boundary), and an on-disk oracle check that
 writes a chunk store with the platform's AES and decrypts every live
-payload under each AES implementation the platform has.
+payload under each AES implementation the platform has.  The held
+OpenSSL contexts of :class:`~repro.crypto.native.NativeAes` are pinned
+against a fresh ``Cipher`` per payload, against misaligned and badly
+padded inputs, against threads sharing one store's cipher, and against
+a store image written by the per-payload-``Cipher`` construction.
 """
 
 from __future__ import annotations
+
+import base64
+import contextlib
+import json
+import os
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +191,12 @@ class TestHashEngines:
 
 AES_BY_NAME = {"native": NativeAes, "fast": AesFast, "reference": Aes}
 INTEROP_CONFIG = ChunkStoreConfig(segment_size=8192, initial_segments=2, map_fanout=8)
+#: A store image written before NativeAes held its contexts, with one
+#: ``Cipher(AES, CBC(iv))`` per payload: the twelve payloads of
+#: ``_write_store``, each in its own durable commit, in INTEROP_CONFIG.
+FRESH_CIPHER_IMAGE = os.path.join(
+    os.path.dirname(__file__), "data", "store_image_fresh_cipher.json"
+)
 
 
 def _aes_classes():
@@ -244,6 +262,27 @@ class TestKernelInterop:
         assert reopened.scrub().clean
         reopened.close()
 
+    def test_fresh_cipher_store_image_opens_and_reads(self):
+        """An image written with one ``Cipher`` per payload opens here,
+        and every payload in it decrypts under every AES."""
+        with open(FRESH_CIPHER_IMAGE) as handle:
+            image = json.load(handle)
+        untrusted = MemoryUntrustedStore()
+        for name, data in image["files"].items():
+            untrusted.write(name, 0, base64.b64decode(data))
+        secret = MemorySecretStore(image["secret"].encode())
+        counter = MemoryOneWayCounter(image["counter"])
+        store = ChunkStore.open(untrusted, secret, counter, INTEROP_CONFIG)
+        key = secret.derive_key("tdb-chunk-encryption", 32)[:16]
+        for i, cid in enumerate(image["chunk_ids"]):
+            expected = bytes((i * 13 + j) % 256 for j in range(50 + 37 * i))
+            assert store.read(cid) == expected
+            raw = store.read_payload_raw(store.location_map.lookup(cid))
+            for cls in _aes_classes():
+                assert modes.cbc_decrypt(cls(key), raw) == expected
+        assert store.scrub().clean
+        store.close()
+
     def test_cipher_factory_kernel_selection(self):
         key = b"k" * 16
         platform = create_payload_cipher("aes-128", key)
@@ -267,3 +306,162 @@ class TestKernelInterop:
             SecurityProfile(hash_name="md5")
         with pytest.raises(ConfigError, match="valid: null, aes-128"):
             create_payload_cipher("rot13", b"k" * 16)
+
+
+# ---------------------------------------------------------------------------
+# NativeAes's held contexts against a fresh Cipher per payload
+# ---------------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(not HAVE_NATIVE_BACKEND, reason="needs OpenSSL AES")
+HELD_KEY = bytes(range(16))
+
+
+def _fresh_cbc(key: bytes, iv: bytes):
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes as cmodes
+
+    return Cipher(algorithms.AES(key), cmodes.CBC(iv))
+
+
+def _round_trips(cipher, rng: random.Random, count: int) -> list:
+    """Encrypt, decrypt and compare ``count`` payloads; return the faults."""
+    faults = []
+    for _ in range(count):
+        data = rng.randbytes(rng.randrange(0, 64 * 1024))
+        try:
+            if cipher.decrypt(cipher.encrypt(data)) != data:
+                faults.append("round trip changed the payload")
+        except Exception as exc:  # a fault, whatever its type
+            faults.append(repr(exc))
+    return faults
+
+
+def _hammer(cipher, threads: int = 4, count: int = 300) -> list:
+    """Several threads share ``cipher``, interleaving encrypts and decrypts.
+
+    Payloads of up to 64 KiB keep a thread inside an OpenSSL context for
+    tens of microseconds, and a tiny switch interval hands the GIL to
+    another thread within one, so unguarded entries into one context
+    overlap in nearly every run instead of once in a long while.
+    """
+    faults = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(
+                target=lambda seed=seed: faults.extend(
+                    _round_trips(cipher, random.Random(seed), count)
+                )
+            )
+            for seed in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive(), "a round-trip thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+    return faults
+
+
+@needs_native
+class TestHeldContexts:
+    def test_decrypt_equals_fresh_cipher_for_every_length(self):
+        """Every payload length 0-4 KB: held decrypt == fresh ``Cipher``,
+        for valid records and for arbitrary block-aligned bodies, while
+        encrypts move the held chain state in between."""
+        aes = NativeAes(HELD_KEY)
+        rng = random.Random(41)
+        for length in range(0, 4097):
+            iv = rng.randbytes(16)
+            padded = modes.pkcs7_pad(rng.randbytes(length), 16)
+            body = _fresh_cbc(HELD_KEY, iv).encryptor().update(padded)
+            assert aes.cbc_decrypt_payload(iv + body) == padded
+            noise = rng.randbytes(len(body))
+            fresh = _fresh_cbc(HELD_KEY, iv).decryptor().update(noise)
+            assert aes.cbc_decrypt_payload(iv + noise) == fresh
+            aes.cbc_encrypt_payload(padded)
+
+    def test_held_encrypt_decrypts_under_reference_and_fast(self):
+        for key in (HELD_KEY, bytes(range(32))):
+            native = create_payload_cipher(f"aes-{len(key) * 8}", key)
+            assert isinstance(native._cipher, NativeAes)
+            for length in BOUNDARY_LENGTHS + [160, 864]:
+                data = bytes(i % 251 for i in range(length))
+                record = native.encrypt(data)
+                assert len(record) == length + native.ciphertext_overhead(length)
+                for oracle in (Aes(key), AesFast(key)):
+                    assert modes.cbc_decrypt(oracle, record) == data
+
+    def test_explicit_iv_keeps_the_classic_bytes(self):
+        data = b"known answer" * 9
+        iv = bytes(range(100, 116))
+        expect = iv + _fresh_cbc(HELD_KEY, iv).encryptor().update(modes.pkcs7_pad(data, 16))
+        aes = NativeAes(HELD_KEY)
+        for _ in range(3):  # the held chain state must not leak in
+            assert modes.cbc_encrypt(aes, data, iv) == expect
+            modes.cbc_encrypt(aes, data)
+
+    def test_random_ivs_are_distinct(self):
+        cipher = create_payload_cipher("aes-128", HELD_KEY)
+        plaintext = b"the same plaintext every time"
+        ivs = {cipher.encrypt(plaintext)[:16] for _ in range(100_000)}
+        assert len(ivs) == 100_000
+
+
+class TestHeldContextPoisoning:
+    """A refused input must not leave a held context out of step."""
+
+    def _assert_healthy(self, cipher):
+        for data in (b"", b"after the refusal", bytes(range(256)) * 4):
+            assert cipher.decrypt(cipher.encrypt(data)) == data
+
+    def test_refused_inputs_leave_the_cipher_healthy(self):
+        cipher = create_payload_cipher("aes-128", HELD_KEY)
+        good = cipher.encrypt(b"good payload")
+        bad_padding = bytearray(cipher.encrypt(b"x" * 31))
+        bad_padding[-17] ^= 0x01  # flips the last plaintext byte: the pad length
+        for refused in (good[:-1], good + b"\x00", bytes(bad_padding), good[:16]):
+            with pytest.raises(CryptoError):
+                cipher.decrypt(refused)
+            assert cipher.decrypt(good) == b"good payload"
+        self._assert_healthy(cipher)
+
+    @needs_native
+    def test_native_kernels_refuse_misaligned_input(self):
+        aes = NativeAes(HELD_KEY)
+        cipher = CbcPayloadCipher(aes, "aes-128")
+        good = cipher.encrypt(b"good payload")
+        for length in (1, 15, 17, 33, 100):
+            with pytest.raises(CryptoError, match="block-aligned"):
+                aes.cbc_decrypt_payload(bytes(length))
+            with pytest.raises(CryptoError, match="block-aligned"):
+                aes.cbc_encrypt_payload(bytes(length))
+            with pytest.raises(CryptoError, match="block-aligned"):
+                aes.cbc_encrypt_payload(bytes(length), bytes(16))
+            assert cipher.decrypt(good) == b"good payload"
+        self._assert_healthy(cipher)
+
+
+@needs_native
+class TestHeldContextThreads:
+    def test_threads_share_one_payload_cipher(self):
+        cipher = create_payload_cipher("aes-128", HELD_KEY)
+        assert _hammer(cipher) == []
+
+    def test_mutation_guard_threads_catch_unlocked_contexts(self, monkeypatch):
+        """Meta-test: with the per-direction locks removed, threads sharing
+        one cipher must fault — proving the hammer has teeth."""
+        cipher = create_payload_cipher("aes-128", HELD_KEY)
+        monkeypatch.setattr(cipher._cipher, "_encrypt_lock", contextlib.nullcontext())
+        monkeypatch.setattr(cipher._cipher, "_decrypt_lock", contextlib.nullcontext())
+        faults = []
+        for _ in range(10):  # a single run faults nearly always
+            faults = _hammer(cipher)
+            if faults:
+                break
+        assert faults, (
+            "threads shared unlocked OpenSSL contexts without a fault — "
+            "the concurrency test failed its mutation test"
+        )
