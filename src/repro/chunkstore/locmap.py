@@ -261,16 +261,20 @@ class LocationMap:
                     f" {node.index * self.fanout + slot}) is unreachable"
                 )
             yield from self._iterate_node(child)
-        # A dirty internal node may hold children that exist only in cache
-        # (no locator in ``children`` yet). Visit those too.
-        if node.dirty:
-            for slot in range(self.fanout):
-                if slot in node.children:
-                    continue
+        for child in self.unflushed_children(node):
+            yield from self._iterate_node(child)
+
+    def unflushed_children(self, node: MapNode) -> Iterator[MapNode]:
+        """Children of internal ``node`` created since the last
+        checkpoint: only a dirty node has them, and only in the cache."""
+        if not node.dirty:
+            return
+        for slot in range(self.fanout):
+            if slot not in node.children:
                 key = self._cache_key(node.level - 1, node.index * self.fanout + slot)
                 cached = self.cache.peek(self.namespace, key)
                 if cached is not None:
-                    yield from self._iterate_node(cached)
+                    yield cached
 
     def count(self) -> int:
         """Number of mapped chunks (walks the tree)."""

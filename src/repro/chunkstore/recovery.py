@@ -245,7 +245,7 @@ class SalvageInfo:
 def recover(store):
     """Open ``store`` (fresh from ``ChunkStore._new``) from its media."""
     master = store.master_io.load_latest()
-    _check_config(store, master)
+    _adopt_config(store, master)
     store.db_uuid = master.db_uuid
     store._generation = master.generation
     build_log(store, master.chain_anchor, master.depth, master.root)
@@ -257,21 +257,22 @@ def recover(store):
     return store
 
 
-def _check_config(store, master: MasterRecord) -> None:
-    config = store.config
-    for what, on_media, configured in (
-        ("segment size", master.segment_size, config.segment_size),
-        ("map fanout", master.map_fanout, config.map_fanout),
-        ("hash size", master.hash_size, store.hash_size),
-    ):
-        if on_media != configured:
-            raise ChunkStoreError(
-                f"{what} mismatch: store {on_media}, config {configured}"
-            )
-    if master.secure != store.secure:
+def _adopt_config(store, master: MasterRecord) -> None:
+    """Take segment size and map fanout from ``master`` (MAC-verified
+    when secure).  The profile and its hash size must match: the
+    caller's profile is the trust anchor against a downgraded master."""
+    if (master.secure, master.hash_size) != (store.secure, store.hash_size):
         raise ChunkStoreError(
             "security profile mismatch between store and configuration"
         )
+    try:
+        store.config = replace(
+            store.config,
+            segment_size=master.segment_size,
+            map_fanout=master.map_fanout,
+        )
+    except ValueError as exc:
+        raise ChunkStoreError(f"master record format rejected: {exc}") from None
 
 
 def _replay(store, master: MasterRecord) -> None:

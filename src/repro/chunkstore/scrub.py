@@ -117,17 +117,15 @@ def scrub_store(
     The one body behind ``ChunkStore.scrub`` and ``export_surviving``.
     A writable store is checkpointed first so the on-disk tree equals
     the logical tree; a salvage or read-only store is walked as
-    reconstructed.  Map nodes are re-loaded *from media* via the store's
-    node I/O — the cache is bypassed so the scrub verifies the bytes that
-    would survive a restart, except for dirty nodes (salvage replay
-    state), which exist only in memory and are walked as-is.
+    reconstructed.  Nothing is taken on trust from an earlier pass:
+    every clean node and every payload is re-read and re-hashed from
+    media, as a read would, so the scrub verifies the bytes that would
+    survive a restart.  Dirty nodes (salvage replay state, a dirty root)
+    exist only in memory and are walked as they are.
 
     With ``collect=True`` the plaintext of every verified chunk is
     returned too (the salvage-export path); otherwise the payload dict is
     empty and payload bytes are dropped after verification.
-
-    Nothing is taken on trust from an earlier pass: every clean node and
-    every payload is re-read and re-hashed from media, as a read would.
     """
     with store._lock:
         store._check_open()
@@ -142,40 +140,8 @@ def _walk(store, collect: bool) -> Tuple[DamageReport, Dict[int, bytes]]:
     report = DamageReport()
     payloads: Dict[int, bytes] = {}
 
-    def record_damaged_chunk(chunk_id: int, locator: Locator, error: str):
-        report.damaged_chunks.append(
-            DamagedChunk(
-                chunk_id=chunk_id,
-                segment=locator.segment,
-                offset=locator.offset,
-                length=locator.length,
-                error=error,
-            )
-        )
-
-    def cached_clean_node(level: int, index: int) -> Optional[MapNode]:
-        """In-memory copy of node ``(level, index)`` if one exists."""
-        if lmap._root is not None and (level, index) == (lmap.depth - 1, 0):
-            return lmap._root
-        return lmap.cache.peek(lmap.namespace, (level, index))
-
-    def record_damaged_node(level: int, index: int, locator: Locator, exc: TDBError):
-        lo, hi = _id_span(fanout, level, index)
-        report.damaged_nodes.append(
-            DamagedNode(
-                level=level,
-                index=index,
-                id_lo=lo,
-                id_hi=hi,
-                segment=locator.segment,
-                offset=locator.offset,
-                length=locator.length,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
-
     def load_fresh(locator: Locator, level: int, index: int) -> Optional[MapNode]:
-        cached = cached_clean_node(level, index)
+        cached = lmap.cache.peek(lmap.namespace, (level, index))
         if cached is not None and cached.dirty:
             # Newer than its media copy (salvage replay applied commits
             # to it); the in-memory node is the truth being scrubbed.
@@ -183,7 +149,19 @@ def _walk(store, collect: bool) -> Tuple[DamageReport, Dict[int, bytes]]:
         try:
             node = store.node_io.load_node(locator, level, index)
         except TDBError as exc:
-            record_damaged_node(level, index, locator, exc)
+            lo, hi = _id_span(fanout, level, index)
+            report.damaged_nodes.append(
+                DamagedNode(
+                    level=level,
+                    index=index,
+                    id_lo=lo,
+                    id_hi=hi,
+                    segment=locator.segment,
+                    offset=locator.offset,
+                    length=locator.length,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            )
             return None
         report.verified_nodes += 1
         return node
@@ -197,8 +175,14 @@ def _walk(store, collect: bool) -> Tuple[DamageReport, Dict[int, bytes]]:
                 try:
                     data = store.read_payload(locator)
                 except TDBError as exc:
-                    record_damaged_chunk(
-                        chunk_id, locator, f"{type(exc).__name__}: {exc}"
+                    report.damaged_chunks.append(
+                        DamagedChunk(
+                            chunk_id=chunk_id,
+                            segment=locator.segment,
+                            offset=locator.offset,
+                            length=locator.length,
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
                     )
                 else:
                     report.verified_chunks += 1
@@ -211,28 +195,13 @@ def _walk(store, collect: bool) -> Tuple[DamageReport, Dict[int, bytes]]:
             )
             if child is not None:
                 visit(child)
-        if node.dirty:
-            # Children created since the last checkpoint live only in
-            # the cache; the parent has no locator for them yet.
-            for slot in range(fanout):
-                if slot in node.children:
-                    continue
-                key = (node.level - 1, node.index * fanout + slot)
-                cached = lmap.cache.peek(lmap.namespace, key)
-                if cached is not None:
-                    visit(cached)
+        for child in lmap.unflushed_children(node):
+            visit(child)
 
-    in_memory_root = lmap._root
-    root_locator = lmap.root_locator
-    if in_memory_root is not None and in_memory_root.dirty:
-        visit(in_memory_root)
-    elif root_locator is not None:
-        root = load_fresh(root_locator, lmap.depth - 1, 0)
-        if root is None:
-            report.root_lost = True
-            return report, payloads
+    root = lmap._root  # none at all: an empty store, trivially clean
+    if (root is None or not root.dirty) and lmap.root_locator is not None:
+        root = load_fresh(lmap.root_locator, lmap.depth - 1, 0)
+        report.root_lost = root is None
+    if root is not None:
         visit(root)
-    elif in_memory_root is not None:
-        visit(in_memory_root)
-    # else: empty store, trivially clean
     return report, payloads

@@ -81,8 +81,9 @@ class ChunkStoreConfig:
     """Tuning knobs of the log-structured chunk store.
 
     ``segment_size``
-        Bytes per log segment file.  Small relative to real systems so the
-        cleaner is exercised by modest workloads.
+        Bytes per log segment file; small so that modest workloads
+        exercise the cleaner.  This and ``map_fanout`` are the store's
+        format: they apply at format, and an open adopts the master's.
     ``max_utilization``
         Maximum fraction of segment space occupied by live chunks before
         the store grows instead of cleaning harder (paper section 3.2.1;

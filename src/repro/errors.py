@@ -21,7 +21,6 @@ __all__ = [
     "TransientStoreError",
     "ChunkStoreError",
     "ChunkNotFoundError",
-    "ChunkStoreFullError",
     "RecoveryError",
     "SnapshotError",
     "BackupError",
@@ -138,10 +137,6 @@ class ChunkNotFoundError(ChunkStoreError, KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its argument; keep message readable
         return Exception.__str__(self)
-
-
-class ChunkStoreFullError(ChunkStoreError):
-    """The store cannot grow and cleaning freed no space."""
 
 
 class RecoveryError(ChunkStoreError):

@@ -238,21 +238,6 @@ class VerifyingClient:
         )
         return chain
 
-    @staticmethod
-    def compare_logs(
-        ours: List[SignedHead], theirs: List[SignedHead]
-    ) -> Optional[int]:
-        """First index where two verified chains diverge (gossip check).
-
-        Returns ``None`` when one chain is a prefix of the other —
-        honest lag.  A divergence means the signer equivocated; callers
-        raise :class:`ForkDetectedError` with the returned index.
-        """
-        for ours_head, theirs_head in zip(ours, theirs):
-            if ours_head.raw != theirs_head.raw:
-                return ours_head.index
-        return None
-
     def close(self) -> None:
         self.client.close()
 

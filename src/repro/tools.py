@@ -1,91 +1,46 @@
 """Command-line administration tools for TDB databases.
 
-Subcommands over a file-backed database directory (the layout
-``Database.create`` produces):
+Every subcommand is one row of :data:`COMMANDS`: its name, a one-line
+help (``python -m repro.tools --help`` lists them), how it opens the
+database directory (the layout ``Database.create`` produces), its
+extra arguments and its handler.  One dispatcher builds the parsers
+from the table, opens the directory in the row's mode, runs the
+handler and closes the store whatever happens.
 
-* ``inspect`` — open the database (which already validates the master
-  record, the residual log, and the replay counter) and print a summary:
-  store statistics, segment table, named objects, backups in the archive.
-* ``verify``  — full integrity audit: walk the location map and read
-  every chunk, forcing every Merkle path and payload digest to be
-  checked; then validate every backup stream in the archive.  Exits
-  non-zero if anything fails.
-* ``scrub``   — Merkle-walk the whole store and print a structured
-  damage report instead of stopping at the first bad byte; with
-  ``--salvage`` the store is opened read-only so a damaged image can be
-  diagnosed without touching it.
-* ``repair``  — heal a damaged store from the backup chain in its
-  archive (selective restore when the damage is local, full
-  restore when it is not).
-* ``salvage-export`` — open the store read-only in salvage mode and
-  dump every chunk that still Merkle-verifies to files in an output
-  directory, with a manifest.
-* ``serve`` — open the database and serve it over the TCP wire
-  protocol (:mod:`repro.server`) until interrupted; group-commit and
-  backpressure tuning via ``--max-delay`` / ``--max-pending`` /
-  ``--max-results``.
-  ``--tenants`` turns the server into a multi-tenant hub
-  (:mod:`repro.tenancy`): sessions must authenticate as a
-  ``(tenant, principal)`` pair and data verbs are policy-gated and
-  metered per tenant.
-* ``tenant`` — administer a multi-tenant hub root offline:
-  ``create`` / ``list`` / ``grant`` / ``revoke`` / ``meter``.
-* ``replicate`` — run a read replica of a serving primary: sync once
-  (``--once``), keep following, and optionally serve read-only clients
-  (``--serve-port``); ``--seed`` bootstraps the image from the backup
-  chain first.
-* ``promote`` — open a replica image writable under the replica's own
-  one-way counter (the primary is gone; this node takes over).
-* ``stats`` — open read-only and print store statistics plus the
-  current signed commit head (generation, seqno, root digest, head-log
-  length) from the transparency log.
-* ``heads`` — print the full signed head log (:mod:`repro.proofs`):
-  one line per head, oldest first; loading already verifies every
-  signature and chain link.
-* ``audit`` — verify the local head log end to end (signatures, hash
-  chain, tip-vs-master binding) and, with ``--primary``, reconcile the
-  remote server's chain with the local tip through a verifying client
-  (fetching only the heads past it); a fork or a rollback fails.  Exits
-  non-zero if anything fails.
-
-Usage::
+Usage (``python -m repro.tools COMMAND --help`` lists a row's arguments)::
 
     python -m repro.tools inspect /path/to/dbdir
-    python -m repro.tools verify  /path/to/dbdir [--secure/--insecure]
+    python -m repro.tools verify  /path/to/dbdir [--insecure]
     python -m repro.tools scrub   /path/to/dbdir [--salvage]
-    python -m repro.tools repair  /path/to/dbdir
     python -m repro.tools salvage-export /path/to/dbdir /path/to/outdir
-    python -m repro.tools serve   /path/to/dbdir [--host H] [--port P]
-    python -m repro.tools serve   /path/to/hubroot --tenants
-    python -m repro.tools tenant  create /path/to/hubroot NAME [--admin P]
-    python -m repro.tools tenant  list   /path/to/hubroot
-    python -m repro.tools tenant  grant  /path/to/hubroot NAME P SCOPE RIGHT
-    python -m repro.tools tenant  revoke /path/to/hubroot NAME P SCOPE RIGHT
-    python -m repro.tools tenant  meter  /path/to/hubroot NAME
-    python -m repro.tools replicate /path/to/replicadir --primary H:P \\
-        [--once] [--serve-port P] [--poll SECONDS] [--seed NAME ...]
-    python -m repro.tools promote /path/to/replicadir
-    python -m repro.tools stats   /path/to/dbdir
-    python -m repro.tools heads   /path/to/dbdir
+    python -m repro.tools serve   /path/to/dbdir [--host H] [--port P] [--tenants]
+    python -m repro.tools tenant  grant /path/to/hubroot NAME P SCOPE RIGHT
+    python -m repro.tools replicate /path/to/replicadir --primary H:P [--once]
     python -m repro.tools audit   /path/to/dbdir [--primary H:P]
 
-``inspect``, ``verify``, ``scrub --salvage``, ``salvage-export``,
-``stats``, ``heads`` and ``audit`` open their database read-only and
-write nothing to it, so they are safe to run against a served
-primary's live directory and against a replica directory (which holds
-its image under its own one-way counter, like a primary).  ``scrub``
-without ``--salvage`` recovers and checkpoints like a writable open,
-``repair`` rewrites the untrusted store, ``replicate`` maintains the
-replica image and its counter, and ``promote`` opens the replica
-writable.
+Segment size and map fanout are the store's own: every open reads them
+from the master record.  ``--insecure`` opens a store formatted with the
+insecure profile (plain TDB); the profile is never read from the media.
+
+The rows that open ``READ_ONLY`` or ``SALVAGE`` (``scrub --salvage``
+too) write nothing, so they are safe against a served primary's live
+directory and a replica directory (its image sits under its own one-way
+counter, like a primary's).  The others may change the files.
+
+Exit codes: 0 success; 1 a check failed (damage, a bad backup, a
+rejected shipment, a fork; for ``verify`` and ``audit`` also a store
+that does not open, ``FAIL open``); 2 any other error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import List, Optional
+import threading
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.backupstore import BackupStore
 from repro.chunkstore import ChunkStore
@@ -95,7 +50,6 @@ from repro.config import ChunkStoreConfig, SecurityProfile
 from repro.db import Database
 from repro.errors import TamperDetectedError, TDBError
 from repro.objectstore import ClassRegistry, ObjectStore
-from repro.platform import FileArchivalStore
 from repro.proofs.headlog import TIP_AHEAD, TIP_LAGS, TIP_SIGNED, bind_tip
 from repro.repair import RepairEngine
 
@@ -110,44 +64,164 @@ __all__ = [
     "audit_database",
 ]
 
+#: How a row opens what it administers.  ``READ_ONLY`` makes no media
+#: writes (no log truncation, counter resync, checkpoint or signed head
+#: on close); ``SALVAGE`` is as read-only and tolerates damage;
+#: ``WRITABLE`` recovers and repairs the media; ``HUB`` opens a tenant
+#: hub root offline, where holding the directory is the credential and
+#: mutations still land in the tenant's ``_audit`` trail (``via: cli``).
+READ_ONLY, SALVAGE, WRITABLE, HUB = "read-only", "salvage", "writable", "hub"
 
-def _open_store(
-    directory: str, config: Optional[ChunkStoreConfig], mode: str = "read-only"
-):
-    """``(chunk store, archival store)`` of a database directory.
+_NO_HEAD_LOG = "(insecure profile, or head.log deleted: a writable open refuses it)"
 
-    ``mode`` picks the open.  ``"read-only"`` (the default) makes no
-    media writes at all: no log truncation, no counter resync, no
-    checkpoint or signed head on close, so it is safe against a
-    primary's live directory.  ``"salvage"`` is just as read-only and
-    also tolerates damage.  ``"writable"`` recovers and repairs the
-    media, which ``scrub`` without ``--salvage`` intends.
+
+def _arg(*flags, **options):
+    """One ``add_argument`` call of a table row."""
+    return flags, options
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of :data:`COMMANDS`.
+
+    Each parsed argument reaches ``run`` as the keyword its ``dest``
+    names.  With ``opens`` set (an argument with ``dest="opens"`` may
+    override it) the dispatcher opens the directory and calls
+    ``run(store, archival, **arguments)`` (``run(hub, ...)`` for
+    ``HUB``), else ``run(**arguments)``.  ``open_fails_check``: a store
+    that does not open fails the check (``FAIL open``, exit 1).  A row
+    with ``actions`` runs one of those nested rows instead.
     """
-    untrusted, secret, counter, archival = Database._file_parts(directory)
-    if mode == "salvage":
-        store = ChunkStore.open_salvage(untrusted, secret, counter, config)
-    else:
-        store = ChunkStore.open(
-            untrusted, secret, counter, config, read_only=mode == "read-only"
-        )
+
+    name: str
+    help: str
+    opens: Optional[str]
+    run: Optional[Callable[..., int]]
+    args: Tuple = ()
+    open_fails_check: bool = False
+    actions: Tuple["Command", ...] = ()
+
+
+def _open(mode: str, arguments: dict) -> tuple:
+    """What a row opens; a failing open closes what it opened."""
+    if mode == HUB:
+        from repro.tenancy import TenancyHub
+
+        return (TenancyHub(arguments.pop("root")),)
+    config = arguments.pop("config")
+    untrusted, secret, counter, archival = Database._file_parts(arguments["directory"])
+    try:
+        if mode == SALVAGE:
+            store = ChunkStore.open_salvage(untrusted, secret, counter, config)
+        else:
+            store = ChunkStore.open(
+                untrusted, secret, counter, config, read_only=mode == READ_ONLY
+            )
+    except BaseException:
+        untrusted.close()
+        raise
     return store, archival
 
 
-def inspect_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
-    chunk_store, archival = _open_store(directory, config)
-    stats = chunk_store.stats()
+def _run(command: Command, opens: Optional[str], **arguments) -> int:
+    """Open what ``opens`` says, run the row, and close it."""
+    if opens is None:
+        return command.run(**arguments)
+    try:
+        opened = _open(opens, arguments)
+    except TDBError as exc:
+        if not command.open_fails_check:
+            raise
+        print(f"FAIL open: {type(exc).__name__}: {exc}")
+        return 1
+    try:
+        return command.run(*opened, **arguments)
+    finally:
+        opened[0].close()
+
+
+def _call(run: Callable[..., int], **arguments) -> int:
+    """Run the row whose handler is ``run`` as its subcommand would."""
+    command = next(row for row in COMMANDS if row.run is run)
+    return _run(command, command.opens, **arguments)
+
+
+def _print_summary(directory: str, store: ChunkStore):
+    """The store summary ``inspect`` and ``stats`` open with."""
+    stats = store.stats()
     print(f"database: {directory}")
-    print(f"  security        : {'on' if chunk_store.secure else 'off'}")
-    print(f"  chunks          : {len(chunk_store.chunk_ids())}")
+    print(f"  security        : {'on' if store.secure else 'off'}")
+    print(f"  chunks          : {len(store.chunk_ids())}")
     print(f"  live bytes      : {stats.live_bytes}")
-    print(f"  capacity        : {stats.capacity_bytes}")
-    print(f"  utilization     : {stats.utilization:.3f}")
     print(f"  on-disk bytes   : {stats.db_file_bytes}")
     print(f"  segments        : {stats.segment_count} ({stats.free_slots} free)")
     print(f"  commit seqno    : {stats.commit_seqno}")
     print(f"  counter value   : {stats.counter_value}")
     print(f"  checkpoints     : {stats.checkpoints_total}")
-    log = getattr(chunk_store, "transparency", None)
+    return stats
+
+
+def _walk_backups(backups: BackupStore) -> List[tuple]:
+    """``(name, header, None)`` or ``(name, None, error)`` per stream."""
+    walked = []
+    for name in backups.archival.list_streams():
+        try:
+            walked.append((name, backups.inspect(name), None))
+        except TDBError as exc:
+            walked.append((name, None, exc))
+    return walked
+
+
+def _endpoint(text: str) -> Optional[Tuple[str, int]]:
+    """``(host, port)``, or ``None`` after saying why ``text`` is not."""
+    host, _, port_text = text.rpartition(":")
+    if not host or not port_text.isdigit():
+        print(f"--primary must be host:port, got {text!r}", file=sys.stderr)
+        return None
+    return host, int(port_text)
+
+
+def _serve_until_stopped(address, ready_callback, stop_event) -> None:
+    """Hand ``address`` to ``ready_callback``, then block until
+    ``stop_event`` is set (tests) or the process is interrupted."""
+    if ready_callback is not None:
+        ready_callback(*address)
+    try:
+        (stop_event or threading.Event()).wait()
+    except KeyboardInterrupt:
+        print("interrupted; shutting down")
+
+
+def _verdict(label: str, failures: int) -> int:
+    if failures:
+        print(f"{label} FAILED: {failures} problem(s)")
+        return 1
+    print(f"{label} OK")
+    return 0
+
+
+def _print_report(report) -> None:
+    print(f"scrub: {report.summary()}")
+    for chunk in report.damaged_chunks:
+        print(
+            f"  damaged chunk {chunk.chunk_id} "
+            f"(segment {chunk.segment} @ {chunk.offset}+{chunk.length}): "
+            f"{chunk.error}"
+        )
+    for node in report.damaged_nodes:
+        print(
+            f"  damaged map node L{node.level}#{node.index} "
+            f"covering ids [{node.id_lo}, {node.id_hi}): {node.error}"
+        )
+    if report.root_lost:
+        print("  map root unreadable: the whole tree is unreachable")
+
+
+def _inspect(store: ChunkStore, archival, directory: str) -> int:
+    stats = _print_summary(directory, store)
+    print(f"  capacity        : {stats.capacity_bytes}")
+    print(f"  utilization     : {stats.utilization:.3f}")
+    log = store.transparency
     if log is not None and log.tip() is not None:
         print(f"  signed head     : {log.tip().describe()} "
               f"({len(log)} in log, scheme {log.scheme})")
@@ -156,7 +230,7 @@ def inspect_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     registry = ClassRegistry()
     register_collection_classes(registry)
     try:
-        object_store = ObjectStore.attach(chunk_store, registry=registry)
+        object_store = ObjectStore.attach(store, registry=registry)
         with object_store.transaction() as txn:
             catalog = txn.open_readonly(object_store.catalog_oid).deref()
             print(f"  root object     : {catalog.root_oid}")
@@ -179,34 +253,24 @@ def inspect_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     except TDBError as exc:
         print(f"  (no object-store catalog: {exc})")
 
-    streams = archival.list_streams()
-    print(f"  backups         : {len(streams)}")
-    backups = BackupStore(archival, chunk_store.secret_store)
-    for name in streams:
-        try:
-            info = backups.inspect(name)
-            kind = "full" if info.is_full else "incremental"
-            print(
-                f"    {name}: {kind}, seq {info.sequence}, "
-                f"{info.entry_count} entries, {info.stream_bytes} bytes"
-            )
-        except TDBError as exc:
+    walked = _walk_backups(BackupStore(archival, store.secret_store))
+    print(f"  backups         : {len(walked)}")
+    for name, info, exc in walked:
+        if info is None:
             print(f"    {name}: INVALID ({exc})")
-    chunk_store.close()
+            continue
+        kind = "full" if info.is_full else "incremental"
+        print(
+            f"    {name}: {kind}, seq {info.sequence}, "
+            f"{info.entry_count} entries, {info.stream_bytes} bytes"
+        )
     return 0
 
 
-def verify_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
-    """Audit every chunk and backup; return a process exit code."""
-    failures = 0
-    try:
-        chunk_store, archival = _open_store(directory, config)
-    except TDBError as exc:
-        print(f"FAIL open: {type(exc).__name__}: {exc}")
-        return 1
+def _verify(store: ChunkStore, archival, directory: str) -> int:
     print("master record, residual log, and counter: OK (validated at open)")
-
-    report = chunk_store.scrub()
+    failures = 0
+    report = store.scrub()
     if not report.clean:
         _print_report(report)
         failures += (
@@ -215,53 +279,28 @@ def verify_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     checked = report.verified_chunks
     print(f"chunks: {checked}/{checked + len(report.damaged_chunks)} validated")
 
-    backups = BackupStore(archival, chunk_store.secret_store)
-    streams = archival.list_streams()
-    valid_streams = 0
-    for name in streams:
-        try:
-            backups.inspect(name)
-            valid_streams += 1
-        except TDBError as exc:
+    walked = _walk_backups(BackupStore(archival, store.secret_store))
+    for name, info, exc in walked:
+        if info is None:
             failures += 1
             print(f"FAIL backup {name}: {type(exc).__name__}: {exc}")
-    print(f"backups: {valid_streams}/{len(streams)} validated")
-    chunk_store.close()
-    if failures:
-        print(f"VERIFY FAILED: {failures} problem(s)")
-        return 1
-    print("VERIFY OK")
-    return 0
+    valid = sum(info is not None for _, info, _ in walked)
+    print(f"backups: {valid}/{len(walked)} validated")
+    return _verdict("VERIFY", failures)
 
 
-def _print_report(report) -> None:
-    print(f"scrub: {report.summary()}")
-    for chunk in report.damaged_chunks:
-        print(
-            f"  damaged chunk {chunk.chunk_id} "
-            f"(segment {chunk.segment} @ {chunk.offset}+{chunk.length}): "
-            f"{chunk.error}"
-        )
-    for node in report.damaged_nodes:
-        print(
-            f"  damaged map node L{node.level}#{node.index} "
-            f"covering ids [{node.id_lo}, {node.id_hi}): {node.error}"
-        )
-    if report.root_lost:
-        print("  map root unreadable: the whole tree is unreachable")
+def verify_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
+    """Audit every chunk and backup; return a process exit code."""
+    return _call(_verify, directory=directory, config=config)
 
 
-def scrub_database(
-    directory: str, config: Optional[ChunkStoreConfig], salvage: bool
-) -> int:
+def _scrub(store: ChunkStore, archival, directory: str) -> int:
     """Merkle-walk the store; exit 0 only if every byte verifies.
 
     A degraded salvage open (counter skew, discarded residual commits)
-    is damage even when every surviving chunk verifies — the exit code
-    reflects it so scripted health checks cannot mistake a rolled-back
-    or truncated store for a healthy one.
+    is damage even when every surviving chunk verifies: a health check
+    must not take a rolled-back or truncated store for a healthy one.
     """
-    store, _ = _open_store(directory, config, "salvage" if salvage else "writable")
     info = store.salvage_info
     degraded = info is not None and info.degraded
     if degraded:
@@ -278,34 +317,25 @@ def scrub_database(
             )
     report = store.scrub()
     _print_report(report)
-    store.close()
     return 0 if report.clean and not degraded else 1
 
 
-def _chain_names(backups: BackupStore, archival: FileArchivalStore) -> List[str]:
-    """Valid backup streams in chain order (by sequence number)."""
-    ordered = []
-    for name in archival.list_streams():
-        try:
-            info = backups.inspect(name)
-        except TDBError as exc:
-            print(f"skipping invalid backup {name}: {exc}")
-            continue
-        ordered.append((info.sequence, name))
-    return [name for _, name in sorted(ordered)]
-
-
-def repair_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
+def _repair(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     """Heal the store from its archive's backup chain."""
     untrusted, secret, counter, archival = Database._file_parts(directory)
     backups = BackupStore(archival, secret)
-    names = _chain_names(backups, archival)
+    chain = []
+    for name, info, exc in _walk_backups(backups):
+        if info is None:
+            print(f"skipping invalid backup {name}: {exc}")
+        else:
+            chain.append((info.sequence, name))
+    names = [name for _, name in sorted(chain)]
     if not names:
         print("no usable backups in the archive; cannot repair")
         return 2
     print(f"backup chain: {', '.join(names)}")
-    engine = RepairEngine(backups, names)
-    result = engine.heal(untrusted, secret, counter, config)
+    result = RepairEngine(backups, names).heal(untrusted, secret, counter, config)
     if result.open_error:
         print(f"store did not open: {result.open_error}")
     if result.replay_detected:
@@ -322,25 +352,19 @@ def repair_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     return 0 if result.healthy else 1
 
 
-def salvage_export(
-    directory: str, out_dir: str, config: Optional[ChunkStoreConfig]
-) -> int:
+def _salvage_export(store: ChunkStore, archival, directory: str, out_dir: str) -> int:
     """Dump every surviving chunk of a damaged store to ``out_dir``."""
-    store, _ = _open_store(directory, config, "salvage")
     report, payloads = store.export_surviving()
     os.makedirs(out_dir, exist_ok=True)
-    manifest_lines = []
-    for chunk_id in sorted(payloads):
-        data = payloads[chunk_id]
-        name = f"chunk-{chunk_id:08d}.bin"
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
-        manifest_lines.append(f"{chunk_id}\t{name}\t{len(data)}\n")
-    with open(os.path.join(out_dir, "MANIFEST.tsv"), "w") as fh:
-        fh.writelines(manifest_lines)
+    with open(os.path.join(out_dir, "MANIFEST.tsv"), "w") as manifest:
+        for chunk_id in sorted(payloads):
+            data = payloads[chunk_id]
+            name = f"chunk-{chunk_id:08d}.bin"
+            with open(os.path.join(out_dir, name), "wb") as fh:
+                fh.write(data)
+            manifest.write(f"{chunk_id}\t{name}\t{len(data)}\n")
     _print_report(report)
     print(f"exported {len(payloads)} chunk(s) to {out_dir}")
-    store.close()
     return 0 if report.clean else 1
 
 
@@ -365,20 +389,12 @@ def serve_database(
     :class:`~repro.server.server.TdbServer`, and blocks until
     ``stop_event`` is set (tests) or the process is interrupted.
     ``ready_callback``, when given, receives the bound ``(host, port)``
-    once the listener is up — with ``port=0`` that is the only way to
-    learn the ephemeral port.
-
-    With ``tenants`` the directory is a multi-tenant hub root instead
-    of a single database: per-tenant databases live under
-    ``<directory>/tenants/`` and every session authenticates before
-    touching data (see :mod:`repro.tenancy`).
+    once the listener is up (with ``port=0`` the only way to learn the
+    port).  With ``tenants`` the directory is a hub root: per-tenant
+    databases live under ``<directory>/tenants/`` (:mod:`repro.tenancy`).
     """
-    import threading
-
     from repro.server import BackpressureConfig, TdbServer
 
-    db = None
-    hub = None
     backpressure = BackpressureConfig(
         max_sessions=max_sessions,
         idle_timeout=idle_timeout,
@@ -388,44 +404,27 @@ def serve_database(
     if tenants:
         from repro.tenancy import TenancyHub
 
-        hub = TenancyHub(directory, chunk_config=config)
-        server = TdbServer(
-            None,
-            host=host,
-            port=port,
-            backpressure=backpressure,
-            max_delay=max_delay,
-            max_results=max_results,
-            tenancy=hub,
-        )
+        db, hub = None, TenancyHub(directory, chunk_config=config)
     else:
-        db = Database.open_existing(directory, chunk_config=config)
-        server = TdbServer(
-            db,
-            host=host,
-            port=port,
-            backpressure=backpressure,
-            max_delay=max_delay,
-            max_results=max_results,
-        )
+        db, hub = Database.open_existing(directory, chunk_config=config), None
+    server = TdbServer(
+        db,
+        host=host,
+        port=port,
+        backpressure=backpressure,
+        max_delay=max_delay,
+        max_results=max_results,
+        tenancy=hub,
+    )
     server.start()
     bound_host, bound_port = server.address
     label = "tenant hub " if tenants else ""
     print(f"serving {label}{directory} on {bound_host}:{bound_port}")
-    if ready_callback is not None:
-        ready_callback(bound_host, bound_port)
-    if stop_event is None:
-        stop_event = threading.Event()
     try:
-        stop_event.wait()
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
+        _serve_until_stopped(server.address, ready_callback, stop_event)
     finally:
         server.stop()
-        if hub is not None:
-            hub.close()
-        if db is not None:
-            db.close()
+        (db if hub is None else hub).close()
     return 0
 
 
@@ -436,7 +435,6 @@ def replicate_database(
     serve_host: str = "127.0.0.1",
     serve_port: Optional[int] = None,
     poll: float = 1.0,
-    max_backoff: float = 0.0,
     seed: Optional[List[str]] = None,
     config: Optional[ChunkStoreConfig] = None,
     ready_callback=None,
@@ -452,13 +450,10 @@ def replicate_database(
     chain into the replica first, so a cold replica can serve stale reads
     before its first contact with the primary.
     """
-    import threading
-
     from repro.replication import ReplicaApplier, seed_replica
 
-    host, _, port_text = primary.rpartition(":")
-    if not host or not port_text.isdigit():
-        print(f"--primary must be host:port, got {primary!r}", file=sys.stderr)
+    endpoint = _endpoint(primary)
+    if endpoint is None:
         return 2
     if seed:
         master = seed_replica(directory, seed, chunk_config=config)
@@ -466,25 +461,7 @@ def replicate_database(
             f"seeded from {len(seed)} backup(s): generation "
             f"{master.generation}, commit seqno {master.commit_seqno}"
         )
-    retry_policy = None
-    if max_backoff > 0:
-        from repro.platform.resilient import RetryPolicy
-
-        retry_policy = RetryPolicy(
-            max_attempts=6,
-            base_delay=max(poll, 0.01),
-            multiplier=2.0,
-            max_delay=max_backoff,
-            jitter=0.25,
-        )
-    applier = ReplicaApplier(
-        directory,
-        host,
-        int(port_text),
-        chunk_config=config,
-        poll_interval=poll,
-        retry_policy=retry_policy,
-    )
+    applier = ReplicaApplier(directory, *endpoint, chunk_config=config, poll_interval=poll)
     try:
         if once:
             try:
@@ -519,14 +496,7 @@ def replicate_database(
             print(f"replica serving read-only on {bound[0]}:{bound[1]}")
         applier.start()
         print(f"following {primary} (poll every {poll:.3g}s)")
-        if ready_callback is not None:
-            ready_callback(*(bound or (None, None)))
-        if stop_event is None:
-            stop_event = threading.Event()
-        try:
-            stop_event.wait()
-        except KeyboardInterrupt:
-            print("interrupted; shutting down")
+        _serve_until_stopped(bound or (None, None), ready_callback, stop_event)
         return 0
     finally:
         applier.close()
@@ -551,49 +521,40 @@ def promote_database(
     return 0
 
 
-def stats_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
-    """Print store statistics and the current signed commit head."""
-    store, _ = _open_store(directory, config)
-    stats = store.stats()
-    print(f"database: {directory}")
-    print(f"  security        : {'on' if store.secure else 'off'}")
+def _stats(store: ChunkStore, archival, directory: str) -> int:
+    _print_summary(directory, store)
     print(f"  generation      : {store.generation}")
-    print(f"  commit seqno    : {stats.commit_seqno}")
-    print(f"  counter value   : {stats.counter_value}")
-    print(f"  chunks          : {len(store.chunk_ids())}")
-    print(f"  live bytes      : {stats.live_bytes}")
-    print(f"  on-disk bytes   : {stats.db_file_bytes}")
-    print(f"  segments        : {stats.segment_count} ({stats.free_slots} free)")
-    print(f"  checkpoints     : {stats.checkpoints_total}")
-    log = getattr(store, "transparency", None)
+    log = store.transparency
     if log is None or log.tip() is None:
-        print("  signed head     : none "
-              "(insecure profile, or head.log deleted: a writable open refuses it)")
+        print(f"  signed head     : none {_NO_HEAD_LOG}")
     else:
         tip = log.tip()
         print(f"  head log length : {len(log)} (scheme {log.scheme})")
         print(f"  head generation : {tip.generation}")
         print(f"  head seqno      : {tip.seqno}")
         print(f"  head root       : {tip.root_digest.hex() or '-'}")
-    store.close()
+    return 0
+
+
+def stats_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
+    """Print store statistics and the current signed commit head."""
+    return _call(_stats, directory=directory, config=config)
+
+
+def _heads(store: ChunkStore, archival, directory: str) -> int:
+    log = store.transparency
+    if log is None:
+        print(f"no head log {_NO_HEAD_LOG}")
+        return 1
+    print(f"head log: {len(log)} signed head(s), scheme {log.scheme}")
+    for head in log.heads():
+        print(f"  {head.describe()}")
     return 0
 
 
 def heads_database(directory: str, config: Optional[ChunkStoreConfig]) -> int:
     """List every signed head in the transparency log, oldest first."""
-    store, _ = _open_store(directory, config)
-    try:
-        log = getattr(store, "transparency", None)
-        if log is None:
-            print("no head log (insecure profile, or head.log deleted: "
-                  "a writable open refuses it)")
-            return 1
-        print(f"head log: {len(log)} signed head(s), scheme {log.scheme}")
-        for head in log.heads():
-            print(f"  {head.describe()}")
-        return 0
-    finally:
-        store.close()
+    return _call(_heads, directory=directory, config=config)
 
 
 _TIP_REPORTS = {
@@ -605,6 +566,51 @@ _TIP_REPORTS = {
 }
 
 
+def _audit(store: ChunkStore, archival, directory: str, primary: Optional[str]) -> int:
+    log = store.transparency
+    if log is None:
+        print(f"no head log to audit {_NO_HEAD_LOG}")
+        return 1
+    print(f"head log: {len(log)} signed head(s) verified "
+          f"(scheme {log.scheme})")
+    failures = 0
+    # The master, not the replayed state: commits the residual log
+    # holds past it are not signed yet.
+    master = store.master_io.load_latest()
+    try:
+        outcome, head = bind_tip(log.heads(), master, store.hash_size)
+    except TamperDetectedError as exc:
+        print(f"FAIL binding: {exc}")
+        failures += 1
+    else:
+        print(_TIP_REPORTS[outcome].format(
+            head=head.describe() if head is not None else "no head"
+        ))
+
+    if primary:
+        endpoint = _endpoint(primary)
+        if endpoint is None:
+            return 2
+        from repro.proofs.client import VerifyingClient
+
+        client = VerifyingClient(*endpoint, store.secret_store, config=store.config)
+        # Pinned to the local tip, the client fetches only the delta
+        # past it, and a remote chain that does not extend it is a
+        # fork or a rollback.
+        client.db_uuid, client.pinned = store.db_uuid, log.tip()
+        try:
+            head = client.latest_head()
+            print(f"remote log: verified through head #{head.index}")
+            print("cross-check: OK (local log is a prefix of the "
+                  "primary's)")
+        except TDBError as exc:
+            print(f"FAIL remote: {type(exc).__name__}: {exc}")
+            failures += 1
+        finally:
+            client.close()
+    return _verdict("AUDIT", failures)
+
+
 def audit_database(
     directory: str,
     primary: Optional[str] = None,
@@ -612,319 +618,177 @@ def audit_database(
 ) -> int:
     """Audit the head log locally and, optionally, against a primary.
 
-    The read-only open already verifies every signature and chain link
-    in the local log (loading raises on anything that fails); the audit
-    then prints how the tip binds to the master record
-    (:func:`~repro.proofs.headlog.bind_tip`), and with ``--primary``
-    reconciles the served chain with the local tip through a
-    :class:`VerifyingClient`, which raises on a fork or a rollback.
+    The open already verified every signature and chain link; this
+    prints how the tip binds to the master (``bind_tip``) and, with
+    ``primary``, reconciles the served chain with the local tip.
     """
-    failures = 0
-    try:
-        store, _ = _open_store(directory, config)
-    except TDBError as exc:
-        print(f"FAIL open: {type(exc).__name__}: {exc}")
-        return 1
-    try:
-        log = getattr(store, "transparency", None)
-        if log is None:
-            print("no head log to audit (insecure profile, or head.log "
-                  "deleted: a writable open refuses it)")
-            return 1
-        print(f"head log: {len(log)} signed head(s) verified "
-              f"(scheme {log.scheme})")
-        # The master, not the replayed state: commits the residual log
-        # holds past it are not signed yet.
-        master = store.master_io.load_latest()
-        try:
-            outcome, head = bind_tip(log.heads(), master, store.hash_size)
-        except TamperDetectedError as exc:
-            print(f"FAIL binding: {exc}")
-            failures += 1
-        else:
-            print(_TIP_REPORTS[outcome].format(
-                head=head.describe() if head is not None else "no head"
-            ))
+    return _call(_audit, directory=directory, config=config, primary=primary)
 
-        if primary:
-            host, _, port_text = primary.rpartition(":")
-            if not host or not port_text.isdigit():
-                print(f"--primary must be host:port, got {primary!r}",
-                      file=sys.stderr)
-                return 2
-            from repro.proofs.client import VerifyingClient
 
-            client = VerifyingClient(
-                host, int(port_text), store.secret_store, config=config
-            )
-            # Pinned to the local tip, the client fetches only the delta
-            # past it, and a remote chain that does not extend it is a
-            # fork or a rollback.
-            client.db_uuid, client.pinned = store.db_uuid, log.tip()
-            try:
-                head = client.latest_head()
-                print(f"remote log: verified through head #{head.index}")
-                print("cross-check: OK (local log is a prefix of the "
-                      "primary's)")
-            except TDBError as exc:
-                print(f"FAIL remote: {type(exc).__name__}: {exc}")
-                failures += 1
-            finally:
-                client.close()
-    finally:
-        store.close()
-    if failures:
-        print(f"AUDIT FAILED: {failures} problem(s)")
-        return 1
-    print("AUDIT OK")
+def _tenant_create(hub, name: str, admin: str, **quotas) -> int:
+    from repro.tenancy import TenantQuotas
+
+    overrides = {k: v for k, v in quotas.items() if v is not None}
+    result = hub.create_tenant(
+        name, TenantQuotas(**overrides) if overrides else None, admin=admin or None
+    )
+    print(f"tenant {result['tenant']} created")
+    if "secret" in result:
+        print(f"  admin principal : {result['admin']}")
+        print(f"  admin secret    : {result['secret']}")
+        print("  (the secret is shown exactly once; store it now)")
     return 0
 
 
-def tenant_admin(args) -> int:
-    """The ``tenant`` subcommand: offline hub-root administration.
-
-    Operates directly on the hub root (no server round trip), so there
-    is no admin gate — possession of the directory is the credential.
-    Every mutation still lands in the tenant's ``_audit`` trail with
-    ``via: cli``.
-    """
-    import json
-
-    from repro.tenancy import TenancyHub, TenantQuotas
-
-    hub = TenancyHub(args.root)
-    try:
-        if args.tenant_command == "create":
-            quotas = None
-            overrides = {
-                "max_sessions": args.max_sessions,
-                "max_pending_commits": args.max_pending,
-                "max_bytes": args.max_bytes,
-                "txn_rate": args.txn_rate,
-                "burst": args.burst,
-            }
-            overrides = {k: v for k, v in overrides.items() if v is not None}
-            if overrides:
-                from dataclasses import replace as _dc_replace
-
-                quotas = _dc_replace(TenantQuotas(), **overrides)
-            result = hub.create_tenant(
-                args.name, quotas, admin=args.admin or None
-            )
-            print(f"tenant {result['tenant']} created")
-            if "secret" in result:
-                print(f"  admin principal : {result['admin']}")
-                print(f"  admin secret    : {result['secret']}")
-                print("  (the secret is shown exactly once; store it now)")
-            return 0
-        if args.tenant_command == "list":
-            for name in hub.list_tenants():
-                print(name)
-            return 0
-        if args.tenant_command == "grant":
-            result = hub.grant(
-                args.name, args.principal, args.scope, args.right
-            )
-            print(
-                f"granted {args.right} on {args.scope!r} to "
-                f"{args.principal} in tenant {args.name}"
-            )
-            if result.get("secret"):
-                print(f"  new principal secret: {result['secret']}")
-                print("  (shown exactly once; store it now)")
-            return 0
-        if args.tenant_command == "revoke":
-            result = hub.revoke(
-                args.name, args.principal, args.scope, args.right
-            )
-            print(
-                f"revoked {result.get('removed', 0)} grant(s) of "
-                f"{args.right} on {args.scope!r} from {args.principal} "
-                f"in tenant {args.name}"
-            )
-            return 0
-        # meter
-        print(json.dumps(hub.meter(args.name), indent=2, sort_keys=True))
-        return 0
-    finally:
-        hub.close()
+def _tenant_list(hub) -> int:
+    for name in hub.list_tenants():
+        print(name)
+    return 0
 
 
-def _config_from_args(args) -> Optional[ChunkStoreConfig]:
-    if args.segment_kb is None and args.fanout is None and args.secure is None:
-        return None
-    base = ChunkStoreConfig()
-    return ChunkStoreConfig(
-        segment_size=(args.segment_kb or base.segment_size // 1024) * 1024,
-        map_fanout=args.fanout or base.map_fanout,
-        security=(
-            SecurityProfile.insecure()
-            if args.secure is False
-            else SecurityProfile()
-        ),
+def _tenant_grant(hub, name: str, principal: str, scope: str, right: str) -> int:
+    result = hub.grant(name, principal, scope, right)
+    print(f"granted {right} on {scope!r} to {principal} in tenant {name}")
+    if result.get("secret"):
+        print(f"  new principal secret: {result['secret']}")
+        print("  (shown exactly once; store it now)")
+    return 0
+
+
+def _tenant_revoke(hub, name: str, principal: str, scope: str, right: str) -> int:
+    result = hub.revoke(name, principal, scope, right)
+    print(
+        f"revoked {result.get('removed', 0)} grant(s) of {right} on "
+        f"{scope!r} from {principal} in tenant {name}"
     )
+    return 0
 
 
-def main(argv=None) -> int:
+def _tenant_meter(hub, name: str) -> int:
+    print(json.dumps(hub.meter(name), indent=2, sort_keys=True))
+    return 0
+
+
+_SALVAGE_ARG = _arg("--salvage", dest="opens", action="store_const", const=SALVAGE,
+                    help="open read-only; works on damaged stores")
+_PRIMARY_ARG = _arg("--primary", default=None,
+                    help="also cross-check the head log against "
+                         "this primary server (host:port)")
+_SERVE_ARGS = (
+    _arg("--host", default="127.0.0.1"),
+    _arg("--port", type=int, default=7807,
+         help="TCP port (0 picks an ephemeral port)"),
+    _arg("--max-sessions", type=int, default=64),
+    _arg("--idle-timeout", type=float, default=30.0,
+         help="seconds before an idle session is dropped"),
+    _arg("--resume-grace", type=float, default=2.0,
+         help="seconds a dropped session stays resumable "
+              "(0 disables session parking)"),
+    _arg("--max-delay", type=float, default=0.005,
+         help="group-commit batching window in seconds"),
+    _arg("--max-pending", type=int, default=256,
+         help="pending-commit admission limit"),
+    _arg("--max-results", type=int, default=1000,
+         help="cap on rows returned per query verb"),
+    _arg("--tenants", action="store_true", default=False,
+         help="serve the directory as a multi-tenant hub root: sessions "
+              "authenticate as (tenant, principal) and data verbs are "
+              "policy-gated and metered per tenant"),
+)
+_REPLICATE_ARGS = (
+    _arg("--primary", required=True, help="primary server as host:port"),
+    _arg("--once", action="store_true", default=False,
+         help="sync a single shipment and exit"),
+    _arg("--serve-host", default="127.0.0.1"),
+    _arg("--serve-port", type=int, default=None,
+         help="serve read-only clients on this port (0 picks an ephemeral port)"),
+    _arg("--poll", type=float, default=1.0, help="seconds between catch-up polls"),
+    _arg("--seed", nargs="+", default=None, metavar="BACKUP",
+         help="seed the image from this backup chain "
+              "(names in chain order) before syncing"),
+)
+_NAME = _arg("name")
+_CREATE_ARGS = (
+    _NAME,
+    _arg("--admin", default="admin",
+         help="bootstrap admin principal (empty string skips creating one)"),
+    _arg("--max-sessions", type=int, default=None),
+    _arg("--max-pending", type=int, default=None, dest="max_pending_commits",
+         metavar="MAX_PENDING"),
+    _arg("--max-bytes", type=int, default=None),
+    _arg("--txn-rate", type=float, default=None,
+         help="transactions per second (0 = unlimited)"),
+    _arg("--burst", type=int, default=None, help="token-bucket burst size"),
+)
+_GRANT_ARGS = (
+    _NAME, _arg("principal"), _arg("scope"),
+    _arg("right", choices=["read", "write", "admin"]),
+)
+
+#: Every subcommand, in ``--help`` order; ``tenant`` runs one of its
+#: nested rows, each on a hub root.
+COMMANDS: Tuple[Command, ...] = (
+    Command("inspect", "print statistics, named objects and backups", READ_ONLY, _inspect),
+    Command("verify", "read and check every chunk and every backup", READ_ONLY, _verify,
+            open_fails_check=True),
+    Command("scrub", "Merkle-walk the store and report all damage", WRITABLE, _scrub,
+            args=(_SALVAGE_ARG,)),
+    Command("repair", "heal the store from its archive's backup chain", None, _repair),
+    Command("salvage-export", "dump every chunk that still verifies", SALVAGE,
+            _salvage_export, args=(_arg("out_dir"),)),
+    Command("serve", "serve the database over the wire protocol", None, serve_database,
+            args=_SERVE_ARGS),
+    Command("replicate", "run a verifying read replica of a primary", None,
+            replicate_database, args=_REPLICATE_ARGS),
+    Command("promote", "open a replica image as a writable primary", None, promote_database),
+    Command("stats", "print store statistics and the signed commit head", READ_ONLY, _stats),
+    Command("heads", "print the signed head log, oldest first", READ_ONLY, _heads),
+    Command("audit", "verify the head log and its binding to the master", READ_ONLY, _audit,
+            open_fails_check=True, args=(_PRIMARY_ARG,)),
+    Command("tenant", "administer a multi-tenant hub root", None, None, actions=(
+        Command("create", "create a tenant", HUB, _tenant_create, args=_CREATE_ARGS),
+        Command("list", "list the tenants", HUB, _tenant_list),
+        Command("grant", "grant a right on a scope", HUB, _tenant_grant, args=_GRANT_ARGS),
+        Command("revoke", "revoke a right on a scope", HUB, _tenant_revoke, args=_GRANT_ARGS),
+        Command("meter", "print a tenant's quotas and usage", HUB, _tenant_meter,
+                args=(_NAME,)),
+    )),
+)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser :data:`COMMANDS` declares."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools", description=__doc__.splitlines()[0]
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "inspect",
-        "verify",
-        "scrub",
-        "repair",
-        "salvage-export",
-        "serve",
-        "replicate",
-        "promote",
-        "stats",
-        "heads",
-        "audit",
-    ):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("directory")
-        if name == "audit":
-            cmd.add_argument("--primary", default=None,
-                             help="also cross-check the head log against "
-                                  "this primary server (host:port)")
-        if name == "scrub":
-            cmd.add_argument("--salvage", action="store_true", default=False,
-                             help="open read-only; works on damaged stores")
-        if name == "salvage-export":
-            cmd.add_argument("out_dir")
-        if name == "serve":
-            cmd.add_argument("--host", default="127.0.0.1")
-            cmd.add_argument("--port", type=int, default=7807,
-                             help="TCP port (0 picks an ephemeral port)")
-            cmd.add_argument("--max-sessions", type=int, default=64)
-            cmd.add_argument("--idle-timeout", type=float, default=30.0,
-                             help="seconds before an idle session is dropped")
-            cmd.add_argument("--resume-grace", type=float, default=2.0,
-                             help="seconds a dropped session stays resumable "
-                                  "(0 disables session parking)")
-            cmd.add_argument("--max-delay", type=float, default=0.005,
-                             help="group-commit batching window in seconds")
-            cmd.add_argument("--max-pending", type=int, default=256,
-                             help="pending-commit admission limit")
-            cmd.add_argument("--max-results", type=int, default=1000,
-                             help="cap on rows returned per query verb")
-            cmd.add_argument("--tenants", action="store_true", default=False,
-                             help="serve the directory as a multi-tenant "
-                                  "hub root: sessions authenticate as "
-                                  "(tenant, principal) and data verbs are "
-                                  "policy-gated and metered per tenant")
-        if name == "replicate":
-            cmd.add_argument("--primary", required=True,
-                             help="primary server as host:port")
-            cmd.add_argument("--once", action="store_true", default=False,
-                             help="sync a single shipment and exit")
-            cmd.add_argument("--serve-host", default="127.0.0.1")
-            cmd.add_argument("--serve-port", type=int, default=None,
-                             help="serve read-only clients on this port "
-                                  "(0 picks an ephemeral port)")
-            cmd.add_argument("--poll", type=float, default=1.0,
-                             help="seconds between catch-up polls")
-            cmd.add_argument("--max-backoff", type=float, default=0.0,
-                             help="cap on the link-failure backoff in "
-                                  "seconds (0 uses the default cap)")
-            cmd.add_argument("--seed", nargs="+", default=None,
-                             metavar="BACKUP",
-                             help="seed the image from this backup chain "
-                                  "(names in chain order) before syncing")
-        cmd.add_argument("--segment-kb", type=int, default=None,
-                         help="segment size in KB if non-default")
-        cmd.add_argument("--fanout", type=int, default=None,
-                         help="map fanout if non-default")
-        secure_group = cmd.add_mutually_exclusive_group()
-        secure_group.add_argument("--secure", dest="secure",
-                                  action="store_true", default=None)
-        secure_group.add_argument("--insecure", dest="secure",
-                                  action="store_false")
+    insecure = ChunkStoreConfig(security=SecurityProfile.insecure())
+    for command in COMMANDS:
+        cmd = sub.add_parser(command.name, help=command.help)
+        if command.actions:
+            actions = cmd.add_subparsers(dest="command", required=True)
+            for action in command.actions:
+                act = actions.add_parser(action.name, help=action.help)
+                act.add_argument("root")
+                for flags, options in action.args:
+                    act.add_argument(*flags, **options)
+                act.set_defaults(row=action, opens=action.opens)
+        else:
+            cmd.add_argument("directory")
+            cmd.add_argument("--insecure", dest="config", action="store_const",
+                             const=insecure, default=None,
+                             help="the store uses the insecure profile")
+        for flags, options in command.args:
+            cmd.add_argument(*flags, **options)
+        cmd.set_defaults(row=command, opens=command.opens)
+    return parser
 
-    tenant = sub.add_parser(
-        "tenant", help="administer a multi-tenant hub root"
-    )
-    tsub = tenant.add_subparsers(dest="tenant_command", required=True)
-    t_create = tsub.add_parser("create")
-    t_create.add_argument("root")
-    t_create.add_argument("name")
-    t_create.add_argument("--admin", default="admin",
-                          help="bootstrap admin principal (empty string "
-                               "skips creating one)")
-    t_create.add_argument("--max-sessions", type=int, default=None)
-    t_create.add_argument("--max-pending", type=int, default=None)
-    t_create.add_argument("--max-bytes", type=int, default=None)
-    t_create.add_argument("--txn-rate", type=float, default=None,
-                          help="transactions per second (0 = unlimited)")
-    t_create.add_argument("--burst", type=int, default=None,
-                          help="token-bucket burst size")
-    t_list = tsub.add_parser("list")
-    t_list.add_argument("root")
-    for vname in ("grant", "revoke"):
-        t_cmd = tsub.add_parser(vname)
-        t_cmd.add_argument("root")
-        t_cmd.add_argument("name")
-        t_cmd.add_argument("principal")
-        t_cmd.add_argument("scope")
-        t_cmd.add_argument("right", choices=["read", "write", "admin"])
-    t_meter = tsub.add_parser("meter")
-    t_meter.add_argument("root")
-    t_meter.add_argument("name")
 
-    args = parser.parse_args(argv)
-    if args.command == "tenant":
-        try:
-            return tenant_admin(args)
-        except TDBError as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-    config = _config_from_args(args)
+def main(argv=None) -> int:
+    arguments = vars(_parser().parse_args(argv))
+    del arguments["command"]
     try:
-        if args.command == "inspect":
-            return inspect_database(args.directory, config)
-        if args.command == "scrub":
-            return scrub_database(args.directory, config, args.salvage)
-        if args.command == "repair":
-            return repair_database(args.directory, config)
-        if args.command == "salvage-export":
-            return salvage_export(args.directory, args.out_dir, config)
-        if args.command == "serve":
-            return serve_database(
-                args.directory,
-                args.host,
-                args.port,
-                config,
-                max_sessions=args.max_sessions,
-                idle_timeout=args.idle_timeout,
-                resume_grace=args.resume_grace,
-                max_delay=args.max_delay,
-                max_pending=args.max_pending,
-                max_results=args.max_results,
-                tenants=args.tenants,
-            )
-        if args.command == "replicate":
-            return replicate_database(
-                args.directory,
-                args.primary,
-                once=args.once,
-                serve_host=args.serve_host,
-                serve_port=args.serve_port,
-                poll=args.poll,
-                max_backoff=args.max_backoff,
-                seed=args.seed,
-                config=config,
-            )
-        if args.command == "promote":
-            return promote_database(args.directory, config)
-        if args.command == "stats":
-            return stats_database(args.directory, config)
-        if args.command == "heads":
-            return heads_database(args.directory, config)
-        if args.command == "audit":
-            return audit_database(args.directory, args.primary, config)
-        return verify_database(args.directory, config)
+        return _run(arguments.pop("row"), **arguments)
     except TDBError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -255,15 +255,27 @@ class TestPersistenceAndRecovery:
                 small_config(),
             )
 
-    def test_config_mismatch_rejected(self):
+    def test_segment_size_and_fanout_adopted_from_master(self):
+        # The format is the store's own: an open takes segment size and
+        # fanout from the authenticated master, whatever it was given.
         store, untrusted, secret, counter, config = fresh_store()
         store.close()
-        with pytest.raises(ChunkStoreError):
-            ChunkStore.open(
-                untrusted, secret, counter, small_config(segment_size=16 * 1024)
-            )
-        with pytest.raises(ChunkStoreError):
-            ChunkStore.open(untrusted, secret, counter, small_config(map_fanout=16))
+        for given_config in (
+            small_config(segment_size=16 * 1024),
+            small_config(map_fanout=16),
+            None,
+        ):
+            store = ChunkStore.open(untrusted, secret, counter, given_config)
+            assert store.config.segment_size == config.segment_size
+            assert store.config.map_fanout == config.map_fanout
+            assert store.segments.segment_size == config.segment_size
+            assert store.location_map.fanout == config.map_fanout
+            cid = store.allocate_chunk_id()
+            store.write(cid, b"adopted" * 8)
+            store.close()
+        store = ChunkStore.open(untrusted, secret, counter, config)
+        assert store.read(cid) == b"adopted" * 8
+        store.close()
 
     def test_security_profile_mismatch_rejected(self):
         # Opening an insecure store with the secure profile cannot be

@@ -327,20 +327,21 @@ class TestForkAndRollback:
         return dir_a, dir_b
 
     def test_auditor_catches_divergent_signed_heads(self, tmp_path):
+        # The path ``tools audit --primary`` takes: a verifying client
+        # pinned to node A's local tip asks node B for its head.
         dir_a, dir_b = self._fork_dirs(tmp_path)
-        secret = FileSecretStore(
-            os.path.join(dir_a, "secret.key"), create=False
-        )
-        with served(dir_a) as (server_a, _):
-            with VerifyingClient(*server_a.address, secret) as vc:
-                chain_a = vc.fetch_log()
+        untrusted, secret, counter, _ = Database._file_parts(dir_a)
+        store = ChunkStore.open(untrusted, secret, counter, read_only=True)
+        try:
+            uuid, tip = store.db_uuid, store.transparency.tip()
+        finally:
+            store.close()
         with served(dir_b) as (server_b, _):
             with VerifyingClient(*server_b.address, secret) as vc:
-                chain_b = vc.fetch_log()
-        divergence = VerifyingClient.compare_logs(chain_a, chain_b)
-        assert divergence is not None
-        # The shared prefix is honest; the divergence is after it.
-        assert 0 < divergence <= min(len(chain_a), len(chain_b))
+                vc.db_uuid, vc.pinned = uuid, tip
+                with pytest.raises(ForkDetectedError):
+                    vc.latest_head()
+                assert vc.pinned is tip  # B's chain never replaced the pin
 
     def test_client_rejects_equivocating_server(self, tmp_path):
         dir_a, dir_b = self._fork_dirs(tmp_path)
