@@ -243,17 +243,21 @@ class SalvageInfo:
 
 
 def recover(store):
-    """Open ``store`` (fresh from ``ChunkStore._new``) from its media."""
-    master = store.master_io.load_latest()
-    _adopt_config(store, master)
-    store.db_uuid = master.db_uuid
-    store._generation = master.generation
-    build_log(store, master.chain_anchor, master.depth, master.root)
-    _replay(store, master)
-    if not store.salvage:
-        # Replay/counter checks first: a stale whole-image replay must
-        # surface as ReplayDetectedError, not as a head-log anomaly.
-        attach_head_log(store, master)
+    """Open ``store`` (fresh from ``ChunkStore._new``); a failed open closes its files."""
+    try:
+        master = store.master_io.load_latest()
+        _adopt_config(store, master)
+        store.db_uuid = master.db_uuid
+        store._generation = master.generation
+        build_log(store, master.chain_anchor, master.depth, master.root)
+        _replay(store, master)
+        if not store.salvage:
+            # Replay/counter checks first: a stale whole-image replay must
+            # surface as ReplayDetectedError, not as a head-log anomaly.
+            attach_head_log(store, master)
+    except BaseException:
+        store.untrusted.close()
+        raise
     return store
 
 

@@ -148,7 +148,11 @@ class Database:
                 cache=cache,
                 read_only=read_only,
             )
-            object_store = ObjectStore.attach(chunk_store, object_config, registry)
+            try:
+                object_store = ObjectStore.attach(chunk_store, object_config, registry)
+            except BaseException:
+                chunk_store.close()
+                raise
         collection_store = (
             CollectionStore(object_store, collection_config)
             if object_store is not None

@@ -62,7 +62,7 @@ class MirrorOneWayCounter(OneWayCounter):
 
     A shipment is a byte-for-byte copy of the primary's untrusted store,
     so the counter value authenticated inside it is the *primary's*.
-    Before installing, the replica applier opens the in-memory candidate
+    Before installing, the replica applier opens the staged candidate
     read-only against this mirror, pinned to the counter value the
     manifest asserts for the shipped generation.  A read-only open
     demands exact equality: it never uses the chunk store's lost-commit

@@ -14,12 +14,12 @@ Roles:
   a pinned snapshot (so the cleaner can never recycle a segment a slow
   replica still needs), and serves the ``repl.subscribe`` /
   ``repl.segments`` / ``repl.master`` verbs of the wire protocol.
-* :class:`ReplicaApplier` — replica side.  Fetches a shipment, rebuilds
-  the candidate image in memory, verifies it (master MAC, residual-log
-  chain, strict counter equality, deep Merkle scrub, monotonicity
-  against its own one-way counter and installed image), and only then
-  installs it, advances its counter, and atomically swaps the read-only
-  serving database.
+* :class:`ReplicaApplier` — replica side.  Fetches a shipment into
+  ``data.tmp/`` beside the served image, verifies it there (master MAC,
+  residual-log chain, strict counter equality, deep Merkle scrub,
+  monotonicity against its own one-way counter and installed image),
+  renames it to ``data.next/``, advances its counter, and only then
+  switches directories and swaps the read-only serving database.
 * :func:`seed_replica` — bootstrap a replica from a PR 2 backup chain so
   it can serve (stale) reads before its first contact with the primary.
 * :func:`promote_replica` — reopen the replica image writable when the

@@ -10,9 +10,9 @@ primary.
 
 The applier treats the shipping channel exactly as the chunk store
 treats its untrusted store: *nothing is trusted until verified*.  A
-shipment is rebuilt in an in-memory candidate store and must survive the
-full local-attacker gauntlet before a single byte reaches the replica's
-durable directory:
+shipment is written into ``data.tmp/`` beside the served ``data/`` and
+must survive the full local-attacker gauntlet there before it can
+become the served image:
 
 1. **Monotonicity** against the replica's high-water mark: its one-way
    counter, plus the MAC'd master record of the installed image when
@@ -26,7 +26,7 @@ durable directory:
    its manifest (a lying manifest only changes *which* bytes get fetched
    — the cryptographic checks below still decide whether they are
    trusted).
-3. **`ChunkStore.open(read_only=True)`** of the candidate under the
+3. **`ChunkStore.open(read_only=True)`** of ``data.tmp/`` under the
    shared device secret with a :class:`~repro.platform.MirrorOneWayCounter`
    pinned to the manifest's counter value: master MAC, residual-log hash
    chain, and *strict* counter equality.  A read-only open has no
@@ -40,12 +40,22 @@ durable directory:
    by the same reconciler and tip rule the verifying client and the
    chunk store's open use.
 
-Only then do the image files go to disk, and after them the counter
-advances: the primary's own order (commit record, then counter).  A
-crash in between leaves an image ahead of its counter, which no
-read-only open serves and the next sync installs again.  The serving
-database swaps under an exclusive :class:`TransactionGate` hold, so no
-reader ever spans two images.
+The verified ``data.tmp/`` is synced and renamed to ``data.next/`` (so a
+``data.next/`` is always a complete, verified image), the counter
+advances, and only then, under an exclusive :class:`TransactionGate`
+hold, the serving database closes, ``data/`` becomes ``data.old/``,
+``data.next/`` becomes ``data/``, the new image opens, and
+``data.old/`` is deleted.  Readers keep the old image until that last
+step, and no reader spans two images.
+
+Every open of a replica directory first settles it (:func:`_settle`):
+``data.tmp/`` and ``data.old/`` go, and a ``data.next/`` becomes
+``data/`` if it opens against the counter and is deleted otherwise.  A
+crash before the counter advance so leaves the old image serving; one
+after it is finished by the next open, with no primary.  The counter
+moves before the switch so that a crash never leaves the counter
+matching neither directory, and a rolled-back ``data/`` still fails the
+counter check: an old ``data.next/`` cannot match the counter either.
 """
 
 from __future__ import annotations
@@ -54,18 +64,14 @@ import base64
 import contextlib
 import hashlib
 import os
+import shutil
 import threading
 from typing import Any, Dict, List, Optional
 
 from repro.chunkstore import ChunkStore
 from repro.chunkstore.master import MASTER_FILES, MasterRecord
 from repro.chunkstore.segments import segment_file_name
-from repro.config import (
-    ChunkStoreConfig,
-    CollectionStoreConfig,
-    ObjectStoreConfig,
-)
-from repro.crypto import create_hash_engine
+from repro.config import ChunkStoreConfig, CollectionStoreConfig, ObjectStoreConfig
 from repro.db import Database
 from repro.errors import (
     ForkDetectedError,
@@ -75,15 +81,11 @@ from repro.errors import (
     TamperDetectedError,
     TDBError,
 )
-from repro.platform import (
-    FileOneWayCounter,
-    MemoryUntrustedStore,
-    MirrorOneWayCounter,
-)
+from repro.platform import FileOneWayCounter, FileUntrustedStore, MirrorOneWayCounter
 from repro.platform.resilient import RetryPolicy
 from repro.replication.shipper import MAX_SHIP_BYTES
 from repro.proofs.client import reconcile_heads
-from repro.proofs.headlog import TIP_LAGS, HeadVerifier, TransparencyLog, bind_tip
+from repro.proofs.headlog import HEAD_LOG_FILE, TIP_LAGS, HeadVerifier, TransparencyLog, bind_tip
 
 __all__ = [
     "ReplicaApplier",
@@ -92,6 +94,10 @@ __all__ = [
     "promote_replica",
     "seed_replica",
 ]
+
+#: The served image, a shipment being built, a verified image waiting
+#: for its switch, and the image a switch moves aside.
+DATA, TMP, NEXT, OLD = "data", "data.tmp", "data.next", "data.old"
 
 
 class TransactionGate:
@@ -143,30 +149,82 @@ class TransactionGate:
                 self._cond.notify_all()
 
 
-def _has_image(untrusted) -> bool:
-    return any(untrusted.exists(name) for name in MASTER_FILES)
+def _rename(source: str, target: str) -> None:
+    os.replace(source, target)
+
+
+def _link(source: str, target: str) -> None:
+    os.link(source, target)
+
+
+def _remove_tree(path: str) -> None:
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+
+
+def _sync_dir(directory: str) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _switch(directory: str) -> None:
+    """Make ``data.next/`` the served ``data/``; ``data.old/`` must not exist."""
+    served = os.path.join(directory, DATA)
+    if os.path.isdir(served):
+        _rename(served, os.path.join(directory, OLD))
+    _rename(os.path.join(directory, NEXT), served)
+    _sync_dir(directory)
+    _remove_tree(os.path.join(directory, OLD))
+
+
+def _settle(directory: str, chunk_config: ChunkStoreConfig) -> None:
+    """Finish or discard what an interrupted install left beside ``data/``.
+
+    Called before every open of a replica directory.  ``data.tmp/`` and
+    ``data.old/`` go.  A ``data.next/`` is a verified image; it becomes
+    ``data/`` if it opens read-only against the replica's own counter
+    (the install advanced the counter, so the crash came during the
+    switch) and is deleted otherwise.  Raises
+    :class:`~repro.errors.ReplicationError` if no image is left.
+    """
+    for name in (TMP, OLD):
+        _remove_tree(os.path.join(directory, name))
+    pending = os.path.join(directory, NEXT)
+    if os.path.isdir(pending):
+        _, secret, counter, _ = Database._file_parts(directory)
+        try:
+            ChunkStore.open(
+                FileUntrustedStore(pending), secret, counter, chunk_config, read_only=True
+            ).close()
+        except TDBError:
+            _remove_tree(pending)
+        else:
+            _switch(directory)
+    if not any(
+        os.path.isfile(os.path.join(directory, DATA, name)) for name in MASTER_FILES
+    ):
+        raise ReplicationError(f"no replica image in {directory}: sync or seed first")
 
 
 def open_replica_database(
-    directory: str,
-    chunk_config: Optional[ChunkStoreConfig] = None,
-    object_config: Optional[ObjectStoreConfig] = None,
-    collection_config: Optional[CollectionStoreConfig] = None,
-    registry=None,
+    directory: str, chunk_config: Optional[ChunkStoreConfig] = None
 ) -> Database:
-    """Open a replica directory read-only against its own one-way counter.
+    """Settle a replica directory, then open it read-only against its counter.
 
     An image older than the counter (rolled back on the replica's disk)
-    raises :class:`~repro.errors.ReplayDetectedError`; one newer than it
-    (a crash between installing the files and advancing the counter)
-    raises :class:`~repro.errors.TamperDetectedError`.
+    raises :class:`~repro.errors.ReplayDetectedError`.
     """
+    chunk_config = chunk_config or ChunkStoreConfig()
+    _settle(directory, chunk_config)
     return Database._assemble(
         *Database._file_parts(directory),
-        chunk_config or ChunkStoreConfig(),
-        object_config or ObjectStoreConfig(),
-        collection_config or CollectionStoreConfig(),
-        registry,
+        chunk_config,
+        ObjectStoreConfig(),
+        CollectionStoreConfig(),
+        None,
         fresh=False,
         read_only=True,
     )
@@ -205,30 +263,18 @@ def seed_replica(
 
 
 def promote_replica(
-    directory: str,
-    chunk_config: Optional[ChunkStoreConfig] = None,
-    object_config: Optional[ObjectStoreConfig] = None,
-    collection_config: Optional[CollectionStoreConfig] = None,
-    registry=None,
+    directory: str, chunk_config: Optional[ChunkStoreConfig] = None
 ) -> Database:
     """Open a replica for writes after the primary died.
 
-    The image already sits under the replica's own one-way counter, so
-    promotion is an ordinary writable open: from here on the node's
-    commits advance that counter, exactly as on any primary.
+    The directory is settled first, so an install the crash interrupted
+    after its counter advance is finished here.  The image already sits
+    under the replica's own one-way counter, so promotion is an ordinary
+    writable open: from here on the node's commits advance that counter,
+    exactly as on any primary.
     """
-    untrusted, _, _, _ = Database._file_parts(directory)
-    if not _has_image(untrusted):
-        raise ReplicationError(
-            f"nothing to promote: no replica image in {directory}"
-        )
-    return Database.open_existing(
-        directory,
-        chunk_config,
-        object_config,
-        collection_config,
-        registry,
-    )
+    _settle(directory, chunk_config or ChunkStoreConfig())
+    return Database.open_existing(directory, chunk_config)
 
 
 class ReplicaApplier:
@@ -247,18 +293,12 @@ class ReplicaApplier:
         port: Optional[int] = None,
         client=None,
         chunk_config: Optional[ChunkStoreConfig] = None,
-        object_config: Optional[ObjectStoreConfig] = None,
-        collection_config: Optional[CollectionStoreConfig] = None,
         poll_interval: float = 0.2,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.directory = os.path.abspath(directory)
-        self.untrusted, self.secret_store, self.counter, _ = (
-            Database._file_parts(self.directory)
-        )
+        _, self.secret_store, self.counter, _ = Database._file_parts(self.directory)
         self.chunk_config = chunk_config or ChunkStoreConfig()
-        self.object_config = object_config or ObjectStoreConfig()
-        self.collection_config = collection_config or CollectionStoreConfig()
         self.poll_interval = poll_interval
         # Follow-mode link failures back off exponentially (capped, with
         # deterministic jitter) instead of hammering a down primary at
@@ -338,9 +378,7 @@ class ReplicaApplier:
                     )
                 return False
             self._verify_monotonic(installed, manifest)
-            candidate, reused = self._fetch_candidate(manifest)
-            master = self._verify_candidate(manifest, candidate)
-            head_plan = self._verify_heads(master)
+            reused = self._stage(manifest)
         except ForkDetectedError:
             with self._lock:
                 self._head_forks += 1
@@ -350,7 +388,7 @@ class ReplicaApplier:
             with self._lock:
                 self._tamper_rejected += 1
             raise
-        self._install(manifest, candidate, head_plan)
+        self._install(manifest)
         with self._lock:
             self._shipments_applied += 1
             self._segments_reused += reused
@@ -361,8 +399,8 @@ class ReplicaApplier:
         """The installed image's store, or ``None`` if none opens.
 
         The image opens only against the replica's own counter, so a
-        missing, rolled-back or half-installed image leaves the counter
-        as the sync's only high-water mark.
+        missing or rolled-back image leaves the counter as the sync's
+        only high-water mark.
         """
         try:
             return self.open_serving_db().chunk_store
@@ -422,49 +460,68 @@ class ReplicaApplier:
                 self._bytes_fetched += len(data)
         return b"".join(parts)
 
-    def _fetch_candidate(self, manifest: Dict[str, Any]):
-        """Rebuild the shipped image in memory, reusing local bytes.
+    def _path(self, name: str) -> str:
+        return os.path.join(self.directory, name)
+
+    def _stage(self, manifest: Dict[str, Any]) -> int:
+        """Build ``data.tmp/``, verify it where it lies, rename it to
+        ``data.next/``; returns the number of segments reused."""
+        for name in (TMP, NEXT, OLD):
+            _remove_tree(self._path(name))
+        staged = FileUntrustedStore(self._path(TMP))
+        try:
+            reused = self._fetch(manifest, staged)
+            master = self._verify_candidate(manifest, staged)
+            self._verify_heads(master, staged)
+            for name in staged.list_files():
+                staged.sync(name)
+            _sync_dir(staged.root)
+        except BaseException:
+            _remove_tree(self._path(TMP))
+            raise
+        finally:
+            staged.close()
+        _rename(self._path(TMP), self._path(NEXT))
+        _sync_dir(self.directory)
+        return reused
+
+    def _fetch(self, manifest: Dict[str, Any], staged: FileUntrustedStore) -> int:
+        """Write the shipped segments, then its master record, into ``staged``.
 
         A local segment whose prefix already matches the manifest digest
-        is not re-fetched (and a grown tail fetches only its delta);
-        any digest mismatch falls back to a full fetch, so local bit rot
-        heals instead of wedging the replica.
+        is not re-fetched (an unchanged one is hard-linked, and a grown
+        tail fetches only its delta); any digest mismatch falls back to a
+        full fetch, so local bit rot heals instead of wedging the replica.
         """
-        candidate = MemoryUntrustedStore()
+        served = FileUntrustedStore(self._path(DATA))
         reused = 0
-        entries = manifest["segments"]
-        # Pass 1: reuse a local candidate per segment (a full local copy,
-        # or a local prefix grown by fetching only the tail delta) whose
-        # digest matches the manifest.
-        chosen: Dict[int, bytes] = {}
-        for position, entry in enumerate(entries):
-            number, want = entry["number"], entry["file_bytes"]
-            name = segment_file_name(number)
-            if not self.untrusted.exists(name):
-                continue
-            have = min(self.untrusted.size(name), want)
-            local = self.untrusted.read(name, 0, have) if have else b""
-            if len(local) < want:
-                local += self._fetch_range(number, len(local), want - len(local))
-            if hashlib.sha256(local).hexdigest() == entry["digest"]:
-                chosen[position] = local
-                reused += 1
-        # Pass 2: everything not reusable is fully fetched and verified
-        # the same way.
-        for position, entry in enumerate(entries):
-            if position in chosen:
-                continue
-            data = self._fetch_range(entry["number"], 0, entry["file_bytes"])
-            if hashlib.sha256(data).hexdigest() != entry["digest"]:
-                raise TamperDetectedError(
-                    f"segment {entry['number']} bytes do not "
-                    "match the manifest digest after a full fetch"
-                )
-            chosen[position] = data
-            with self._lock:
-                self._segments_fetched += 1
-        for position, entry in enumerate(entries):
-            candidate.write(segment_file_name(entry["number"]), 0, chosen[position])
+        try:
+            for entry in manifest["segments"]:
+                number, want = entry["number"], entry["file_bytes"]
+                name = segment_file_name(number)
+                local = served.exists(name)
+                if local:
+                    data = served.read(name, 0, want)
+                    data += self._fetch_range(number, len(data), want - len(data))
+                if local and hashlib.sha256(data).hexdigest() == entry["digest"]:
+                    reused += 1
+                    if served.size(name) == want:
+                        # Nothing writes a replica's segments before settling
+                        # leaves one directory, so an unchanged one is shared.
+                        _link(os.path.join(served.root, name), os.path.join(staged.root, name))
+                        continue
+                else:
+                    data = self._fetch_range(number, 0, want)
+                    if hashlib.sha256(data).hexdigest() != entry["digest"]:
+                        raise TamperDetectedError(
+                            f"segment {number} bytes do not "
+                            "match the manifest digest after a full fetch"
+                        )
+                    with self._lock:
+                        self._segments_fetched += 1
+                staged.write(name, 0, data)
+        finally:
+            served.close()
         reply = self._call("repl.master")
         blob = base64.b64decode(reply["data"])
         if reply.get("name") != manifest["master_name"] or len(blob) != int(
@@ -473,20 +530,14 @@ class ReplicaApplier:
             raise TamperDetectedError(
                 "master-record shipment does not match the manifest"
             )
-        candidate.write(manifest["master_name"], 0, blob)
-        return candidate, reused
+        staged.write(manifest["master_name"], 0, blob)
+        return reused
 
-    def _verify_candidate(
-        self, manifest: Dict[str, Any], candidate: MemoryUntrustedStore
-    ) -> MasterRecord:
-        """Open and deep-scrub the candidate; return its verified master."""
+    def _verify_candidate(self, manifest: Dict[str, Any], staged) -> MasterRecord:
+        """Open and deep-scrub the staged image; return its verified master."""
         counter = MirrorOneWayCounter(int(manifest["expected_counter"]))
         store = ChunkStore.open(
-            candidate,
-            self.secret_store,
-            counter,
-            self.chunk_config,
-            read_only=True,
+            staged, self.secret_store, counter, self.chunk_config, read_only=True
         )
         try:
             if store.db_uuid.hex() != manifest["db_uuid"]:
@@ -511,48 +562,48 @@ class ReplicaApplier:
         finally:
             store.close()
 
-    def _load_local_headlog(self, db_uuid: bytes, hash_size: int):
-        """The replica's mirrored head log, or ``None`` if unusable.
+    def _load_local_headlog(self, staged, master: MasterRecord):
+        """Copy the replica's mirrored head log into ``staged`` and load
+        it there, or return ``None`` if it is unusable.
 
         A damaged or foreign-identity local mirror (seed adoption, local
         bit rot) is treated like a missing one — the primary's chain is
         then re-verified all the way from genesis, so nothing is healed
         without re-proving it.
         """
-        if not TransparencyLog.exists(self.untrusted):
-            return None
+        served = FileUntrustedStore(self._path(DATA))
+        try:
+            if not TransparencyLog.exists(served):
+                return None
+            staged.write(HEAD_LOG_FILE, 0, served.read(HEAD_LOG_FILE))
+        finally:
+            served.close()
         try:
             return TransparencyLog.load(
-                self.untrusted,
-                self.secret_store,
-                db_uuid,
-                hash_size,
-                writable=False,
+                staged, self.secret_store, master.db_uuid, master.hash_size, writable=True
             )
         except TamperDetectedError:
             return None
 
-    def _verify_heads(self, master: MasterRecord):
-        """Cross-check the primary's transparency log against the shipment.
+    def _verify_heads(self, master: MasterRecord, staged) -> None:
+        """Cross-check the primary's transparency log against the shipment
+        and mirror it into ``staged``.
 
         The primary's chain must extend the replica's mirrored tip
         (:func:`~repro.proofs.client.reconcile_heads`), and the history
-        must hold a head signing exactly the candidate's verified master
-        (:func:`~repro.proofs.headlog.bind_tip`).  Returns the plan
-        ``(recreate, entries)`` for :meth:`_install` to mirror.
+        must hold a head signing exactly the staged image's verified
+        master (:func:`~repro.proofs.headlog.bind_tip`).
         """
         if not self.chunk_config.security.enabled:
-            return None
+            return
         reply = self._call("log.head")
         if base64.b64decode(reply["uuid"]) != master.db_uuid:
             raise TamperDetectedError(
                 "primary's transparency log names a different database "
                 "identity than the shipment manifest"
             )
-        local = self._load_local_headlog(master.db_uuid, master.hash_size)
-        verifier = HeadVerifier(
-            self.secret_store, master.db_uuid, master.hash_size
-        )
+        local = self._load_local_headlog(staged, master)
+        verifier = HeadVerifier(self.secret_store, master.db_uuid, master.hash_size)
         _, fresh = reconcile_heads(
             verifier,
             local.tip() if local is not None else None,
@@ -565,97 +616,36 @@ class ReplicaApplier:
                 f"primary's head log has no entry for the shipped "
                 f"generation {master.generation}"
             )
-        # Mirror only up to the installed generation: entries signed for
+        if local is None:
+            local = TransparencyLog.create(
+                staged, self.secret_store, master.db_uuid, master.hash_size
+            )
+        # Mirror only up to the staged generation: entries signed for
         # later commits belong to an image this replica does not hold yet.
         mirror = [head.raw for head in fresh if head.generation <= master.generation]
-        if local is None or mirror:
-            return (local is None, mirror)
-        return None
+        for raw in mirror:
+            local.append_entry(raw)
+        with self._lock:
+            self._heads_mirrored += len(mirror)
 
     def _consistency(self, lo: int, hi: int) -> List[bytes]:
         reply = self._call("log.consistency", from_index=lo, to_index=hi)
         return [base64.b64decode(entry) for entry in reply["entries"]]
 
-    def _install(
-        self,
-        manifest: Dict[str, Any],
-        candidate: MemoryUntrustedStore,
-        head_plan=None,
-    ) -> None:
+    def _install(self, manifest: Dict[str, Any]) -> None:
+        """Advance the counter to the verified ``data.next/``, then switch."""
+        FileOneWayCounter.initialize(self.counter.path, manifest["expected_counter"])
         with self.gate.exclusive():
-            # The files under the serving image are about to change: if
-            # the install fails part-way, nothing serves until a sync
-            # completes.
+            # If the switch fails part-way, nothing serves until the next
+            # open settles the directory.
             old, self.db = self.db, None
-            try:
-                self._write_image(manifest, candidate, head_plan)
-                # The counter last, as a primary advances it after its
-                # commit record: a crash before this line leaves an
-                # image ahead of the counter, which no read-only open
-                # serves and the next sync installs again.
-                FileOneWayCounter.initialize(
-                    self.counter.path, manifest["expected_counter"]
-                )
-                self.db = open_replica_database(
-                    self.directory,
-                    self.chunk_config,
-                    self.object_config,
-                    self.collection_config,
-                )
-                if self._server is not None:
-                    self._server.db = self.db
-                    self._server.register_data_model()
-            finally:
-                if old is not None:
-                    old.close()
-
-    def _write_image(self, manifest, candidate, head_plan) -> None:
-        keep = set(candidate.list_files())
-        # Segments first, master after, stale files last: a crash in
-        # between leaves an image the next sync simply heals.
-        names = sorted(name for name in keep if name.startswith("seg-"))
-        names += [name for name in keep if name in MASTER_FILES]
-        for name in names:
-            data = candidate.read(name)
-            if self.untrusted.exists(name):
-                if (
-                    self.untrusted.size(name) == len(data)
-                    and self.untrusted.read(name) == data
-                ):
-                    continue
-                self.untrusted.truncate(name, 0)
-            self.untrusted.write(name, 0, data)
-            self.untrusted.sync(name)
-        for name in self.untrusted.list_files():
-            stale = name.startswith("seg-") or name in MASTER_FILES
-            if stale and name not in keep:
-                self.untrusted.delete(name)
-        # Mirror the primary's head log *after* the image files: a crash
-        # in between leaves the mirror lagging the image, which the next
-        # sync appends through — never leading it.
-        if head_plan is None:
-            return
-        recreate, fresh = head_plan
-        uuid = bytes.fromhex(manifest["db_uuid"])
-        hash_size = create_hash_engine(
-            self.chunk_config.security.hash_name
-        ).digest_size
-        if recreate:
-            log = TransparencyLog.create(
-                self.untrusted, self.secret_store, uuid, hash_size
-            )
-        else:
-            log = TransparencyLog.load(
-                self.untrusted,
-                self.secret_store,
-                uuid,
-                hash_size,
-                writable=True,
-            )
-        for raw in fresh:
-            log.append_entry(raw)
-        with self._lock:
-            self._heads_mirrored += len(fresh)
+            if old is not None:
+                old.close()
+            _switch(self.directory)
+            self.db = open_replica_database(self.directory, self.chunk_config)
+            if self._server is not None:
+                self._server.db = self.db
+                self._server.register_data_model()
 
     # ------------------------------------------------------------------
     # Serving
@@ -668,16 +658,7 @@ class ReplicaApplier:
         rolled back behind the replica's counter.
         """
         if self.db is None:
-            if not _has_image(self.untrusted):
-                raise ReplicationError(
-                    "replica has no installed image yet: sync or seed first"
-                )
-            self.db = open_replica_database(
-                self.directory,
-                self.chunk_config,
-                self.object_config,
-                self.collection_config,
-            )
+            self.db = open_replica_database(self.directory, self.chunk_config)
         return self.db
 
     def serve(self, host: str = "127.0.0.1", port: int = 0, **server_kwargs):

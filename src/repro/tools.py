@@ -103,23 +103,17 @@ class Command:
 
 
 def _open(mode: str, arguments: dict) -> tuple:
-    """What a row opens; a failing open closes what it opened."""
+    """What a row opens."""
     if mode == HUB:
         from repro.tenancy import TenancyHub
 
         return (TenancyHub(arguments.pop("root")),)
     config = arguments.pop("config")
     untrusted, secret, counter, archival = Database._file_parts(arguments["directory"])
-    try:
-        if mode == SALVAGE:
-            store = ChunkStore.open_salvage(untrusted, secret, counter, config)
-        else:
-            store = ChunkStore.open(
-                untrusted, secret, counter, config, read_only=mode == READ_ONLY
-            )
-    except BaseException:
-        untrusted.close()
-        raise
+    if mode == SALVAGE:
+        store = ChunkStore.open_salvage(untrusted, secret, counter, config)
+    else:
+        store = ChunkStore.open(untrusted, secret, counter, config, read_only=mode == READ_ONLY)
     return store, archival
 
 

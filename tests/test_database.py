@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import os
+
 import pytest
 
 from repro import (
@@ -200,3 +203,60 @@ class TestFileDatabase:
 
         with pytest.raises(ReplayDetectedError):
             Database.open_existing(directory, chunk_config=small_chunk_config())
+
+
+def held_under(directory):
+    """Paths of the descriptors this process holds under ``directory``."""
+    prefix = os.path.realpath(directory) + os.sep
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", fd))
+        except OSError:
+            continue  # the listing's own descriptor, closed meanwhile
+        if target.startswith(prefix):
+            held.append(target)
+    return held
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestFailedOpen:
+    """An open that raises leaves no descriptor behind, without the GC."""
+
+    def _created(self, tmp_path):
+        directory = str(tmp_path / "db")
+        Database.create(directory, chunk_config=small_chunk_config()).close()
+        return directory
+
+    def test_replay_detected_open_holds_no_descriptor(self, tmp_path):
+        from repro.errors import ReplayDetectedError
+        from repro.platform import FileOneWayCounter
+
+        directory = self._created(tmp_path)
+        path = os.path.join(directory, "counter")
+        FileOneWayCounter.initialize(path, FileOneWayCounter(path).read() + 2)
+        gc.disable()
+        try:
+            with pytest.raises(ReplayDetectedError):
+                Database.open_existing(directory, chunk_config=small_chunk_config())
+            assert held_under(directory) == []
+        finally:
+            gc.enable()
+
+    def test_failed_object_attach_closes_the_chunk_store(self, tmp_path, monkeypatch):
+        from repro.errors import TDBError
+        from repro.objectstore import ObjectStore
+
+        directory = self._created(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise TDBError("catalog unreadable")
+
+        monkeypatch.setattr(ObjectStore, "attach", refuse)
+        gc.disable()
+        try:
+            with pytest.raises(TDBError, match="catalog unreadable"):
+                Database.open_existing(directory, chunk_config=small_chunk_config())
+            assert held_under(directory) == []
+        finally:
+            gc.enable()

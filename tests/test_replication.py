@@ -353,11 +353,11 @@ class TestReplicaCounter:
                 assert app.sync_once() is True
                 assert read_replica_object(app, later[100])["n"] == 100
 
-    def test_crash_before_counter_advance_refuses_then_heals(
+    def test_crash_before_counter_advance_keeps_old_image_then_heals(
         self, tmp_path, monkeypatch
     ):
         with running_primary(tmp_path) as (server, db, pdir):
-            populate(server, 10)
+            before = populate(server, 10)
             rdir = make_replica_dir(tmp_path, pdir)
             with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
                 app.sync_once()
@@ -375,11 +375,18 @@ class TestReplicaCounter:
                 ) as app:
                     with pytest.raises(OSError):
                         app.sync_once()
-                    with pytest.raises(TamperDetectedError):
-                        app.open_serving_db()
-            # The new image is on disk but its counter is not.
-            with pytest.raises(TamperDetectedError):
-                open_replica_database(rdir, CHUNK)
+                    assert read_replica_object(app, before[3])["n"] == 3
+            # The verified new image waits in data.next/, but its counter
+            # never advanced: the next open discards it and serves the old.
+            assert os.path.isdir(os.path.join(rdir, "data.next"))
+            rdb = open_replica_database(rdir, CHUNK)
+            try:
+                with rdb.transaction() as txn:
+                    assert txn.lookup_name("obj-3") == before[3]
+                    assert txn.lookup_name("obj-100") is None
+            finally:
+                rdb.close()
+            assert not os.path.exists(os.path.join(rdir, "data.next"))
             counter = FileOneWayCounter(os.path.join(rdir, "counter")).read()
             assert counter < db.chunk_store.stats().counter_value
             with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
