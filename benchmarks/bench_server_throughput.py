@@ -39,7 +39,6 @@ def run_points(duration_s: float = 2.0, warmup_txns: int = 5):
             clients=clients,
             warmup_txns=warmup_txns,
             duration_s=duration_s,
-            max_delay=0.01,
         ).as_dict()
     return {"threaded": threaded, "cpu_count": os.cpu_count() or 1}
 

@@ -149,7 +149,6 @@ def run_server_load(
     clients: int = 8,
     warmup_txns: int = 5,
     duration_s: float = 2.0,
-    max_delay: float = 0.01,
     payload_fields: int = 4,
     directory: Optional[str] = None,
 ) -> ServerLoadResult:
@@ -170,21 +169,17 @@ def run_server_load(
             os.path.join(root, "db"),
             chunk_config=ChunkStoreConfig(fsync=True),
         )
-        server = TdbServer(
-            db,
-            backpressure=backpressure,
-            max_delay=max_delay,
-        ).start()
+        server = TdbServer(db, backpressure=backpressure).start()
         io_before = db.io_stats().snapshot()
         counter_before = db.stats().counter_value
-        gc_before = server.coordinator.stats_snapshot()
+        gc_before = db.group_commit.stats_snapshot()
 
         latency, elapsed, errors = _drive_clients(
             server.address, clients, warmup_txns, duration_s, payload_fields
         )
         transactions = latency.count
 
-        gc_after = server.coordinator.stats_snapshot()
+        gc_after = db.group_commit.stats_snapshot()
         requests = gc_after.requests - gc_before.requests
         batches = gc_after.batches - gc_before.batches
         histogram = {
@@ -229,13 +224,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--warmup-txns", type=int, default=5)
     parser.add_argument("--duration", type=float, default=2.0)
-    parser.add_argument("--max-delay", type=float, default=0.01)
     args = parser.parse_args(argv)
     result = run_server_load(
         clients=args.clients,
         warmup_txns=args.warmup_txns,
         duration_s=args.duration,
-        max_delay=args.max_delay,
     )
     print(json.dumps(result.as_dict(), indent=2))
     return 0

@@ -84,7 +84,6 @@ class Database:
         self.archival = archival
         self._closed = False
         self._close_lock = threading.Lock()
-        self._group_commit = None
 
     @property
     def salvage(self) -> bool:
@@ -312,48 +311,13 @@ class Database:
         """The untrusted store's :class:`~repro.platform.iostats.IOStats`."""
         return self.chunk_store.untrusted.stats
 
-    # ------------------------------------------------------------------
-    # Group commit (service layer)
-    # ------------------------------------------------------------------
-
     @property
     def group_commit(self):
-        """The installed group-commit coordinator, or ``None``."""
-        return self._group_commit
-
-    def enable_group_commit(
-        self, max_delay: float = 0.005, max_pending: int = 256
-    ):
-        """Route transaction commits through a group-commit coordinator.
-
-        Concurrent committers are merged into a single chunk-store
-        commit: one log append, one durable sync, one counter advance
-        for the whole batch (their write sets are disjoint under strict
-        2PL).  Returns the installed
-        :class:`~repro.server.groupcommit.GroupCommitCoordinator`.
-        """
-        from repro.server.groupcommit import GroupCommitCoordinator
-
-        if self._group_commit is not None:
-            return self._group_commit
-        store = self._require_objects()
-        coordinator = GroupCommitCoordinator(
-            self.chunk_store,
-            max_delay=max_delay,
-            max_pending=max_pending,
-        )
-        store.commit_sink = coordinator.commit
-        self._group_commit = coordinator
-        return coordinator
-
-    def disable_group_commit(self) -> None:
-        """Restore the direct chunk-store commit path."""
-        if self._group_commit is None:
-            return
-        store = self._require_objects()
-        self._group_commit.close()
-        store.commit_sink = self.chunk_store.commit
-        self._group_commit = None
+        """The object store's group-commit coordinator, the one commit
+        path of its transactions; ``None`` for a salvage stack whose
+        catalog did not survive."""
+        store = self.object_store
+        return None if store is None else store.group_commit
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -366,9 +330,6 @@ class Database:
             if self._closed:
                 return
             self._closed = True
-        if self._group_commit is not None:
-            self._group_commit.close()
-            self._group_commit = None
         if self.collection_store is not None:
             self.collection_store.close()  # closes the whole stack
         else:

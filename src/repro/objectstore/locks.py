@@ -19,7 +19,7 @@ import enum
 import threading
 import time
 from collections import defaultdict
-from typing import Dict, Set
+from typing import Callable, Dict, Set
 
 from repro.errors import LockTimeoutError
 
@@ -62,6 +62,11 @@ class LockManager:
         self._changed = threading.Condition(self._mutex)
         self._locks: Dict[int, _ObjectLock] = {}
         self._held: Dict[int, Set[int]] = defaultdict(set)  # txn -> oids
+        #: Transactions blocked in :meth:`acquire` right now.
+        self.waiting: Set[int] = set()
+        #: Called as a transaction starts to wait, with the table mutex
+        #: held: it may take no lock that is ever held around this one.
+        self.on_wait: Callable[[], None] = lambda: None
 
     def acquire(self, txn_id: int, oid: int, mode: LockMode) -> None:
         """Block until the lock is granted or the timeout expires."""
@@ -70,18 +75,25 @@ class LockManager:
         deadline = time.monotonic() + self.timeout
         with self._changed:
             lock = self._locks.setdefault(oid, _ObjectLock())
-            while not lock.is_free_for(txn_id, mode):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._changed.wait(remaining):
-                    raise LockTimeoutError(
-                        f"transaction {txn_id} timed out waiting for a "
-                        f"{mode.value} lock on object {oid} "
-                        "(possible deadlock; retry or abort)"
-                    )
-                # A releasing transaction may have dropped the table entry;
-                # waiters must re-fetch it or they would mutate a detached
-                # lock object and grant ownership invisibly.
-                lock = self._locks.setdefault(oid, _ObjectLock())
+            if not lock.is_free_for(txn_id, mode):
+                self.waiting.add(txn_id)
+                self.on_wait()
+                try:
+                    while not lock.is_free_for(txn_id, mode):
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0 or not self._changed.wait(remaining):
+                            raise LockTimeoutError(
+                                f"transaction {txn_id} timed out waiting for a "
+                                f"{mode.value} lock on object {oid} "
+                                "(possible deadlock; retry or abort)"
+                            )
+                        # A releasing transaction may have dropped the
+                        # table entry; waiters must re-fetch it or they
+                        # would mutate a detached lock object and grant
+                        # ownership invisibly.
+                        lock = self._locks.setdefault(oid, _ObjectLock())
+                finally:
+                    self.waiting.discard(txn_id)
             if mode is LockMode.SHARED:
                 lock.sharers.add(txn_id)
             else:

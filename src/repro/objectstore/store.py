@@ -9,7 +9,8 @@ Assembles the object layer over a chunk store::
         oid = txn.insert(Meter())
         txn.set_root(oid)
 
-The store owns the lock manager, the class registry, and the catalog — a
+The store owns the lock manager, the class registry, the group-commit
+coordinator every transaction commits through, and the catalog — a
 reserved persistent object holding the root object id and the name
 registry (named objects are what the collection store builds on).  The
 shared LRU cache is the chunk store's: object-cache entries and
@@ -26,6 +27,7 @@ from repro.chunkstore import ChunkStore
 from repro.config import ObjectStoreConfig
 from repro.errors import ObjectStoreError, PicklingError
 from repro.objectstore.encoding import BufferReader, BufferWriter
+from repro.objectstore.groupcommit import GroupCommitCoordinator
 from repro.objectstore.locks import LockManager
 from repro.objectstore.persistent import ClassRegistry, Persistent, global_registry
 from repro.objectstore.transaction import Transaction
@@ -83,12 +85,15 @@ class ObjectStore:
         self.catalog_oid = catalog_oid
         self._txn_ids = itertools.count(1)
         self._closed = False
-        # Where transaction commits land.  By default straight on the
-        # chunk store; the service layer swaps in a group-commit
-        # coordinator so concurrent committers share one log append, one
-        # sync, and one counter advance.  The callable must have the
-        # signature of :meth:`ChunkStore.commit`.
-        self.commit_sink = chunk_store.commit
+        # Open write transactions (txn id -> the thread that runs it),
+        # from the first granted exclusive lock (every insert takes one)
+        # until the commit is submitted or the transaction ends.  Its
+        # lock is taken last, under any other.
+        self._writers: Dict[int, int] = {}
+        self._writers_lock = threading.Lock()
+        #: Where every transaction commit lands.
+        self.group_commit = GroupCommitCoordinator(chunk_store, self.joinable_writers)
+        self.locks.on_wait = self.group_commit.writers_dropped
         self.registry.register(Catalog)
 
     # ------------------------------------------------------------------
@@ -143,20 +148,46 @@ class ObjectStore:
             raise ObjectStoreError("object store is closed")
         return Transaction(self, next(self._txn_ids))
 
-    def _transaction_finished(self, txn: Transaction) -> None:
-        """Hook for subclasses / bookkeeping; currently a no-op."""
-
     def submit_commit(self, writes, deallocs, durable: bool = True) -> None:
-        """Apply a transaction's write set through the commit sink.
+        """Apply a transaction's write set through the group commit.
 
         Called by :meth:`Transaction.commit` *outside* the store mutex:
-        a group-commit sink blocks the caller until its batch is
-        durable, and holding the mutex there would serialize committers
-        and forbid batching altogether.  Strict 2PL makes this safe —
-        the objects involved stay exclusively locked until the commit
-        has returned.
+        the coordinator blocks the caller until its batch is durable,
+        and holding the mutex there would serialize committers and
+        forbid batching altogether.  Strict 2PL makes this safe — the
+        objects involved stay exclusively locked until the commit has
+        returned.
         """
-        self.commit_sink(writes, deallocs, durable=durable)
+        self.group_commit.commit(writes, deallocs, durable=durable)
+
+    @property
+    def writers(self) -> int:
+        """Open write transactions that have not submitted their commit."""
+        return len(self._writers)
+
+    def enter_writer(self, txn_id: int) -> None:
+        """Count a transaction whose first exclusive lock was granted."""
+        with self._writers_lock:
+            self._writers[txn_id] = threading.get_ident()
+
+    def leave_writer(self, txn_id: int, wake: bool = True) -> None:
+        """Stop counting a writer, and wake a waiting batch leader
+        unless ``wake`` is false (the writer is about to join it)."""
+        with self._writers_lock:
+            del self._writers[txn_id]
+        if wake:
+            self.group_commit.writers_dropped()
+
+    def joinable_writers(self) -> int:
+        """Writers that could still join the calling thread's commit
+        batch: not one of its own thread (blocked in this commit) and
+        not one waiting for a lock."""
+        me, waiting = threading.get_ident(), self.locks.waiting
+        with self._writers_lock:
+            return sum(
+                thread != me and txn_id not in waiting
+                for txn_id, thread in self._writers.items()
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle

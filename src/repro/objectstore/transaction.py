@@ -41,6 +41,9 @@ class Transaction:
         # The strongest lock held per object: a repeat open that the held
         # mode covers skips the lock manager.
         self._locks: Dict[int, LockMode] = {}
+        # In the store's writer count: from its first exclusive lock
+        # until it submits its commit or ends.
+        self._writer = False
         self._pinned: Set[int] = set()
         # Pickled state captured when an object is first opened writable;
         # commit skips objects whose pickle did not actually change, so a
@@ -134,6 +137,11 @@ class Transaction:
                 else:  # possible only with locking switched off
                     self._store.cache.put(_OBJ_NS, oid, obj, obj.cache_charge())
             deallocs = sorted(self._removed)
+            if (writes or deallocs) and self._writer:
+                # From here on this writer is a batch member, not one
+                # a batch could still wait for.  No wake: it joins next.
+                self._store.leave_writer(self.txn_id, wake=False)
+                self._writer = False
         # The chunk-store commit runs outside the store mutex so that
         # concurrent committers can meet inside a group-commit sink and
         # share one log append + sync.  Safe under strict 2PL: every
@@ -228,6 +236,9 @@ class Transaction:
             return  # shared is covered by either mode, exclusive by itself
         self._store.locks.acquire(self.txn_id, oid, mode)
         self._locks[oid] = mode
+        if mode is LockMode.EXCLUSIVE and not self._writer:
+            self._store.enter_writer(self.txn_id)
+            self._writer = True
 
     def _fetch(self, oid: int, expected_type: Optional[Type[Persistent]]):
         with self._store.mutex:
@@ -274,4 +285,6 @@ class Transaction:
             self._unpin(oid)
         self.active = False
         self._store.locks.release_all(self.txn_id)
-        self._store._transaction_finished(self)
+        if self._writer:
+            self._store.leave_writer(self.txn_id)
+            self._writer = False

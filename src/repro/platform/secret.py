@@ -76,9 +76,18 @@ class FileSecretStore(SecretStore):
     def __init__(self, path: str, create: bool = False) -> None:
         self.path = os.path.abspath(path)
         if create and not os.path.exists(self.path):
+            # Durable before any commit it keys: data that survives a
+            # crash without its key cannot be read.
             with open(self.path, "wb") as handle:
                 handle.write(os.urandom(32))
-            os.chmod(self.path, 0o600)
+                handle.flush()
+                os.fchmod(handle.fileno(), 0o600)
+                os.fsync(handle.fileno())
+            directory = os.open(os.path.dirname(self.path), os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
         if not os.path.isfile(self.path):
             raise StoreError(f"secret store file missing: {self.path}")
 

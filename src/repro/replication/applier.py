@@ -184,22 +184,23 @@ def _settle(directory: str, chunk_config: ChunkStoreConfig) -> None:
     """Finish or discard what an interrupted install left beside ``data/``.
 
     Called before every open of a replica directory.  ``data.tmp/`` and
-    ``data.old/`` go.  A ``data.next/`` is a verified image; it becomes
-    ``data/`` if it opens read-only against the replica's own counter
+    ``data.old/`` go.  A ``data.next/`` is a verified image.  ``data/``
+    stays whenever it opens read-only against the replica's own counter
+    — writable commits on it may have caught the counter up since the
+    install failed — and ``data.next/`` is then deleted.  Otherwise
+    ``data.next/`` becomes ``data/`` if it opens against the counter
     (the install advanced the counter, so the crash came during the
-    switch) and is deleted otherwise.  Raises
+    switch) and is deleted if it does not.  Raises
     :class:`~repro.errors.ReplicationError` if no image is left.
     """
     for name in (TMP, OLD):
         _remove_tree(os.path.join(directory, name))
     pending = os.path.join(directory, NEXT)
     if os.path.isdir(pending):
-        _, secret, counter, _ = Database._file_parts(directory)
-        try:
-            ChunkStore.open(
-                FileUntrustedStore(pending), secret, counter, chunk_config, read_only=True
-            ).close()
-        except TDBError:
+        served = os.path.join(directory, DATA)
+        if _opens(directory, served, chunk_config) or not _opens(
+            directory, pending, chunk_config
+        ):
             _remove_tree(pending)
         else:
             _switch(directory)
@@ -207,6 +208,20 @@ def _settle(directory: str, chunk_config: ChunkStoreConfig) -> None:
         os.path.isfile(os.path.join(directory, DATA, name)) for name in MASTER_FILES
     ):
         raise ReplicationError(f"no replica image in {directory}: sync or seed first")
+
+
+def _opens(directory: str, image: str, chunk_config: ChunkStoreConfig) -> bool:
+    """Whether ``image`` opens read-only against ``directory``'s counter."""
+    if not os.path.isdir(image):
+        return False
+    _, secret, counter, _ = Database._file_parts(directory)
+    try:
+        ChunkStore.open(
+            FileUntrustedStore(image), secret, counter, chunk_config, read_only=True
+        ).close()
+    except TDBError:
+        return False
+    return True
 
 
 def open_replica_database(

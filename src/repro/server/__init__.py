@@ -16,10 +16,10 @@ service:
 * :mod:`repro.server.server` — the threaded server: one session
   thread per connection over one database (or a tenancy hub), plus
   the per-store ``repl.*`` / ``proof.*`` / ``log.*`` verbs,
-* :mod:`repro.server.groupcommit` — batches concurrent commits into a
-  single chunk-store commit (one log append + sync + counter advance),
-* :mod:`repro.server.backpressure` — bounded sessions, bounded commit
-  queue, idle/request timeouts that abort and release locks,
+* :mod:`repro.server.groupcommit` — re-exports the group-commit
+  coordinator every object store commits through,
+* :mod:`repro.server.backpressure` — bounded sessions, idle/request
+  timeouts that abort and release locks,
 * :mod:`repro.server.client` — context-managed remote transactions
   with bounded reconnect/retry on transient errors.
 """

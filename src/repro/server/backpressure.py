@@ -8,8 +8,7 @@ verifiable store needs all three):
   further connects are answered with a transient
   :class:`~repro.errors.ServerBusyError` frame and closed,
 * **pending commits** — the group-commit coordinator bounds its queue
-  at ``max_pending_commits`` requests (see
-  :mod:`repro.server.groupcommit`),
+  at ``MAX_PENDING`` requests (see :mod:`repro.objectstore.groupcommit`),
 * **time** — ``idle_timeout`` bounds how long a session may sit between
   requests and ``request_timeout`` bounds how long one frame may dribble
   in; either firing aborts the session's open transaction (releasing
@@ -51,7 +50,6 @@ class BackpressureConfig:
     """
 
     max_sessions: int = 64
-    max_pending_commits: int = 256
     idle_timeout: float = 30.0
     request_timeout: float = 10.0
     resume_grace: float = 2.0
@@ -59,8 +57,6 @@ class BackpressureConfig:
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
-        if self.max_pending_commits < 1:
-            raise ValueError("max_pending_commits must be at least 1")
         if self.idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive")
         if self.request_timeout <= 0:

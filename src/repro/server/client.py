@@ -91,27 +91,23 @@ class TdbClient:
         self,
         host: str,
         port: int,
-        connect_retries: int = 3,
-        retry_delay: float = 0.05,
         timeout: float = 30.0,
         retry_policy: Optional[RetryPolicy] = None,
         resume_sessions: bool = True,
         resolve_timeout: float = 5.0,
     ) -> None:
-        if connect_retries < 0:
-            raise ValueError("connect_retries cannot be negative")
         if resolve_timeout <= 0:
             raise ValueError("resolve_timeout must be positive")
         self.host = host
         self.port = port
-        self.connect_retries = connect_retries
-        self.retry_delay = retry_delay
         self.timeout = timeout
         self.resume_sessions = resume_sessions
         self.resolve_timeout = resolve_timeout
+        #: The one backoff schedule: connect attempts, session resumes,
+        #: commit resolution and ``run_transaction`` all sleep by it.
         self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=max(2, connect_retries + 1),
-            base_delay=retry_delay,
+            max_attempts=4,
+            base_delay=0.05,
             max_delay=1.0,
             jitter=0.25,
             seed=zlib.crc32(f"{host}:{port}".encode("utf-8")),
@@ -152,7 +148,7 @@ class TdbClient:
             return self
         if self._closed:
             raise ServerError("client is closed")
-        attempts = self.connect_retries + 1
+        attempts = self.retry_policy.max_attempts
         self._op_counter += 1
         op_id = self._op_counter
         last_error: Optional[Exception] = None

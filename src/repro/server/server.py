@@ -15,9 +15,9 @@ Concurrency model:
 * isolation comes entirely from the object store's strict two-phase
   locking — the server adds no locking of its own around data access,
 * the shared commit path is serialized by the chunk store's internal
-  writer mutex, and commits are routed through the group-commit
-  coordinator so concurrent sessions share one log append + sync +
-  counter advance (:mod:`repro.server.groupcommit`),
+  writer mutex, and every object store commits through its group-commit
+  coordinator, so concurrent sessions share one log append + sync +
+  counter advance (:mod:`repro.objectstore.groupcommit`),
 * a session that times out idle or mid-request has its transaction
   aborted — releasing its locks so other sessions stop blocking on a
   dead client — and its connection closed
@@ -44,7 +44,6 @@ from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError, ProtocolError, ReplicationError
 from repro.server.backpressure import AdmissionControl, BackpressureConfig
-from repro.server.groupcommit import GroupCommitCoordinator
 from repro.server import protocol
 from repro.server.session import SessionCore, SessionState
 from repro.server.verbs import RemoteRecord, field_indexer, param
@@ -136,7 +135,6 @@ class TdbServer:
         host: str = "127.0.0.1",
         port: int = 0,
         backpressure: Optional[BackpressureConfig] = None,
-        max_delay: float = 0.005,
         max_results: int = 1000,
         read_only: bool = False,
         txn_gate=None,
@@ -170,17 +168,10 @@ class TdbServer:
         self.admission = AdmissionControl(self.backpressure.max_sessions)
         self.core = SessionCore(self)
         if read_only or tenancy is not None:
-            # A replica commits nothing, so there is nothing to batch —
-            # and its store would refuse the coordinator's commits anyway.
-            # A tenancy hub has no single database to batch or ship:
-            # commits go through each tenant's own stack.
-            self.coordinator: Optional[GroupCommitCoordinator] = None
+            # A replica ships nothing; a tenancy hub has no single
+            # database to ship.
             self.shipper = None
         else:
-            self.coordinator = db.enable_group_commit(
-                max_delay=max_delay,
-                max_pending=self.backpressure.max_pending_commits,
-            )
             from repro.replication.shipper import ReplicationShipper
 
             self.shipper = ReplicationShipper(db.chunk_store)
@@ -265,8 +256,6 @@ class TdbServer:
             if self._proof_service is not None:
                 self._proof_service.close()
                 self._proof_service = None
-        if self.coordinator is not None:
-            self.db.disable_group_commit()
         self._started = False
 
     def __enter__(self) -> "TdbServer":
@@ -428,7 +417,8 @@ class TdbServer:
 
     def stats_payload(self) -> Dict[str, Any]:
         """The admin ``stats`` verb: one JSON-able view of the stack."""
-        hub, coordinator = self.tenancy, self.coordinator
+        hub = self.tenancy
+        coordinator = None if hub else self.db.group_commit
         payload: Dict[str, Any] = {
             "chunk_store": None if hub else dataclasses.asdict(self.db.stats()),
             "io": None if hub else self.db.io_stats().as_dict(),

@@ -19,7 +19,7 @@ contract it serves is written down only here:
   presents its token;
 * the transaction lifecycle: opening, running, committing and aborting
   transactions (with the replica's ``txn_gate`` and a hub session's
-  tenant database), and the group-commit quorum;
+  tenant database);
 * ``hello``, the tenant verbs, and the session-level ``resilience``
   counters of ``stats``.
 
@@ -80,7 +80,7 @@ class SessionState:
 
     __slots__ = (
         "id", "resume_token", "txn", "mode", "txn_bytes", "identity",
-        "pending_auth", "last_request", "last_response", "deadline", "began",
+        "pending_auth", "last_request", "last_response", "deadline",
     )
 
     def __init__(self, session_id: int) -> None:
@@ -108,9 +108,6 @@ class SessionState:
         self.last_request: Optional[Dict[str, Any]] = None
         self.last_response: Optional[Dict[str, Any]] = None
         self.deadline = 0.0  # parked-until, set when parked
-        #: Counted in the group-commit quorum: set by the first
-        #: ``begin``, cleared when the session ends for good.
-        self.began = False
 
 
 class SessionCore:
@@ -118,7 +115,7 @@ class SessionCore:
 
     def __init__(self, server) -> None:
         #: The :class:`~repro.server.server.TdbServer`: its database,
-        #: replica gate, group-commit coordinator and store verbs.
+        #: replica gate and store verbs.
         self.server = server
         self.backpressure: BackpressureConfig = server.backpressure
         #: Optional :class:`repro.tenancy.TenancyHub`.  When set, every
@@ -136,9 +133,6 @@ class SessionCore:
         self._lock = threading.Lock()
         self._parked: Dict[str, SessionState] = {}
         self._closed = False
-        # Sessions that have begun a transaction and not ended: the
-        # group-commit quorum (see _add_committer).
-        self._committers = 0
         self._counters: Dict[str, int] = {
             "sessions_parked": 0,
             "sessions_resumed": 0,
@@ -270,9 +264,6 @@ class SessionCore:
             raise
         state.mode = mode
         state.txn_bytes = 0
-        if not state.began:
-            state.began = True
-            self._add_committer(1)
         return {
             "mode": mode,
             "session": state.resume_token,
@@ -403,17 +394,6 @@ class SessionCore:
     def _release_gate(self) -> None:
         if self.server.txn_gate is not None:
             self.server.txn_gate.release_shared()
-
-    def _add_committer(self, delta: int) -> None:
-        """Keep the group-commit quorum at the sessions that have begun a
-        transaction and not ended: a ``stats`` poller, replica follower
-        or proof client never commits, so no batch waits for it.  A
-        parked session keeps its place, so a resumed one counts once."""
-        with self._lock:
-            self._committers += delta
-            coordinator = self.server.coordinator
-            if coordinator is not None:
-                coordinator.concurrency_hint = self._committers
 
     # ------------------------------------------------------------------
     # hello / tenancy
@@ -553,7 +533,7 @@ class SessionCore:
                 "unknown, expired, or already-resumed session token"
             )
         self.count("sessions_resumed")
-        # Identity, quota lease and quorum place ride along with the
+        # Identity and quota lease ride along with the
         # parked state (the resume token is the bearer credential); what
         # the fresh connection held itself is dropped.
         self.end(state)
@@ -568,7 +548,7 @@ class SessionCore:
         """A session is over for good (closed, timed out, grace expired,
         server stopping): abort what it left open — releasing its locks
         so other sessions stop blocking on a dead client — and drop its
-        hub identity and its place in the group-commit quorum."""
+        hub identity."""
         txn = self._detach(state)[0]
         if txn is not None:
             try:
@@ -576,9 +556,6 @@ class SessionCore:
             except TDBError:
                 pass
         self.release_identity(state)
-        if state.began:
-            state.began = False
-            self._add_committer(-1)
 
     @property
     def sweep_interval(self) -> float:

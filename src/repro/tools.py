@@ -370,8 +370,6 @@ def serve_database(
     max_sessions: int = 64,
     idle_timeout: float = 30.0,
     resume_grace: float = 2.0,
-    max_delay: float = 0.005,
-    max_pending: int = 256,
     max_results: int = 1000,
     tenants: bool = False,
     ready_callback=None,
@@ -393,7 +391,6 @@ def serve_database(
         max_sessions=max_sessions,
         idle_timeout=idle_timeout,
         resume_grace=resume_grace,
-        max_pending_commits=max_pending,
     )
     if tenants:
         from repro.tenancy import TenancyHub
@@ -406,7 +403,6 @@ def serve_database(
         host=host,
         port=port,
         backpressure=backpressure,
-        max_delay=max_delay,
         max_results=max_results,
         tenancy=hub,
     )
@@ -678,10 +674,6 @@ _SERVE_ARGS = (
     _arg("--resume-grace", type=float, default=2.0,
          help="seconds a dropped session stays resumable "
               "(0 disables session parking)"),
-    _arg("--max-delay", type=float, default=0.005,
-         help="group-commit batching window in seconds"),
-    _arg("--max-pending", type=int, default=256,
-         help="pending-commit admission limit"),
     _arg("--max-results", type=int, default=1000,
          help="cap on rows returned per query verb"),
     _arg("--tenants", action="store_true", default=False,

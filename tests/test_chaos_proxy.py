@@ -70,7 +70,7 @@ def count_markers(server, marker: str) -> int:
 
 def proxied_client(proxy, **kwargs) -> TdbClient:
     kwargs.setdefault("timeout", 5.0)
-    kwargs.setdefault("retry_delay", 0.02)
+    kwargs.setdefault("retry_policy", RetryPolicy(base_delay=0.02))
     kwargs.setdefault("resolve_timeout", 4.0)
     return TdbClient(*proxy.address, **kwargs)
 

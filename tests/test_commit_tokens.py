@@ -39,6 +39,7 @@ from repro.platform import (
     MemoryArchivalStore,
     MemoryOneWayCounter,
     MemorySecretStore,
+    RetryPolicy,
 )
 from repro.server import BackpressureConfig, TdbClient, TdbServer
 from repro.server.commitcache import CommitResultCache
@@ -392,7 +393,10 @@ def _tokened_workload(schedule=None):
     server = TdbServer(db).start()
     epoch = server.epoch
     client = connect(
-        server, retry_delay=0.02, resolve_timeout=0.6, resume_sessions=False
+        server,
+        retry_policy=RetryPolicy(base_delay=0.02),
+        resolve_timeout=0.6,
+        resume_sessions=False,
     )
     acknowledged = False
     error = None

@@ -220,6 +220,30 @@ def held_under(directory):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDurableCreate:
+    def test_create_syncs_the_secret_and_its_directory(self, tmp_path, monkeypatch):
+        # The key must be on disk before the first durable commit it
+        # keys, or a crash can keep the data and lose the key.
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((info.st_dev, info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        directory = tmp_path / "db"
+        Database.create(str(directory)).close()
+
+        def identity(path):
+            info = os.stat(path)
+            return (info.st_dev, info.st_ino)
+
+        assert identity(directory / "secret.key") in synced
+        assert identity(directory) in synced
+
+
 class TestFailedOpen:
     """An open that raises leaves no descriptor behind, without the GC."""
 

@@ -11,9 +11,11 @@ and the pre-batch state must be intact either way.
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 
@@ -27,7 +29,8 @@ from repro.errors import (
     TDBError,
 )
 from repro.platform import MemoryOneWayCounter, MemorySecretStore
-from repro.server.groupcommit import GroupCommitCoordinator
+from repro.objectstore import groupcommit
+from repro.objectstore.groupcommit import MAX_PENDING, GroupCommitCoordinator
 from repro.testing import FaultSchedule, FaultyUntrustedStore
 from repro.testing.faults import InjectedCrash
 
@@ -61,11 +64,22 @@ def _fresh_store(schedule=None):
     return untrusted, counter, store
 
 
+def _coordinator(store, writers: int) -> GroupCommitCoordinator:
+    """A coordinator over ``store`` for ``writers`` open transactions,
+    each of which leaves the count as it submits its commit."""
+    coordinator = GroupCommitCoordinator(
+        store, lambda: max(0, writers - coordinator.stats.requests)
+    )
+    return coordinator
+
+
 def _run_merged_batch(coordinator, chunk_ids, payloads=None, durable=True):
     """Push one commit per chunk id through the coordinator, all at once.
 
-    A concurrency hint equal to the member count plus a barrier
-    guarantees a single merged batch.  Returns the per-member exception list.
+    A coordinator built by :func:`_coordinator` for as many writers as
+    members, a barrier and a 30 s window guarantee a single merged
+    batch.  Returns the per-member
+    exception list.
     """
     n = len(chunk_ids)
     payloads = payloads or [_member_payload(i) for i in range(n)]
@@ -83,20 +97,31 @@ def _run_merged_batch(coordinator, chunk_ids, payloads=None, durable=True):
         threading.Thread(target=worker, args=(i,), daemon=True)
         for i in range(n)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive(), "a committer never returned"
+    with mock.patch.object(groupcommit, "MAX_DELAY", 30.0):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive(), "a committer never returned"
     return errors
+
+
+def _two_records():
+    """An in-memory database holding two committed records."""
+    from repro.server.server import RemoteRecord
+
+    db = Database.in_memory()
+    db.register_class(RemoteRecord)
+    with db.transaction() as txn:
+        oids = tuple(txn.insert(RemoteRecord({"n": 0})) for _ in range(2))
+    return db, oids
 
 
 class TestBatching:
     def test_concurrent_commits_share_one_chunk_commit(self):
         untrusted, counter, store = _fresh_store()
         ids = [store.allocate_chunk_id() for _ in range(4)]
-        coordinator = GroupCommitCoordinator(store, max_delay=30.0)
-        coordinator.concurrency_hint = 4
+        coordinator = _coordinator(store, 4)
 
         commits_before = store.stats().commits_total
         syncs_before = untrusted.total_syncs
@@ -123,11 +148,11 @@ class TestBatching:
             assert store.read(chunk_id) == _member_payload(i)
         store.close()
 
-    def test_lone_committer_skips_the_batching_window(self):
+    def test_lone_committer_skips_the_batching_window(self, monkeypatch):
         untrusted, counter, store = _fresh_store()
         chunk_id = store.allocate_chunk_id()
-        coordinator = GroupCommitCoordinator(store, max_delay=10.0)
-        coordinator.concurrency_hint = 1  # nobody to wait for
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        coordinator = _coordinator(store, 1)  # nobody else to wait for
 
         started = time.monotonic()
         coordinator.commit({chunk_id: b"solo"}, durable=True)
@@ -139,19 +164,18 @@ class TestBatching:
     def test_quorum_seals_without_waiting_out_the_window(self):
         # 4 committers against MAX_BATCH=32: the batch can never
         # grow past 4, so the leader must seal the moment the 4th
-        # member joins instead of sleeping max_delay (the 8-client
-        # throughput dip).  The long window makes the test fail loudly
+        # member joins instead of sleeping MAX_DELAY (the 8-client
+        # throughput dip).  The 30 s window makes the test fail loudly
         # if sealing regresses.
         untrusted, counter, store = _fresh_store()
         ids = [store.allocate_chunk_id() for _ in range(4)]
-        coordinator = GroupCommitCoordinator(store, max_delay=30.0)
-        coordinator.concurrency_hint = 4
+        coordinator = _coordinator(store, 4)
 
         started = time.monotonic()
         errors = _run_merged_batch(coordinator, ids)
         elapsed = time.monotonic() - started
         assert errors == [None] * 4
-        assert elapsed < 5.0, "leader waited out max_delay despite a full quorum"
+        assert elapsed < 5.0, "leader waited out MAX_DELAY despite a full quorum"
 
         stats = coordinator.stats_snapshot()
         assert stats.batches == 1
@@ -161,7 +185,7 @@ class TestBatching:
 
     def test_empty_commit_is_a_noop(self):
         untrusted, counter, store = _fresh_store()
-        coordinator = GroupCommitCoordinator(store)
+        coordinator = GroupCommitCoordinator(store, lambda: 0)
         coordinator.commit({}, deallocs=())
         assert coordinator.stats_snapshot().requests == 0
         store.close()
@@ -170,8 +194,7 @@ class TestBatching:
         untrusted, counter, store = _fresh_store()
         good_id = store.allocate_chunk_id()
         bad_id = 999_999  # never allocated: the chunk store rejects it
-        coordinator = GroupCommitCoordinator(store, max_delay=30.0)
-        coordinator.concurrency_hint = 2
+        coordinator = _coordinator(store, 2)
 
         errors = _run_merged_batch(
             coordinator, [good_id, bad_id], payloads=[b"good", b"bad"]
@@ -187,9 +210,9 @@ class TestBatching:
     def test_full_queue_rejects_with_transient_busy(self):
         untrusted, counter, store = _fresh_store()
         chunk_id = store.allocate_chunk_id()
-        coordinator = GroupCommitCoordinator(store, max_pending=1)
+        coordinator = GroupCommitCoordinator(store, lambda: 0)
         with coordinator._mutex:
-            coordinator._pending = coordinator.max_pending
+            coordinator._pending = MAX_PENDING
         with pytest.raises(ServerBusyError):
             coordinator.commit({chunk_id: b"x"})
         assert coordinator.stats_snapshot().rejected == 1
@@ -201,7 +224,7 @@ class TestBatching:
     def test_closed_coordinator_refuses_commits(self):
         untrusted, counter, store = _fresh_store()
         chunk_id = store.allocate_chunk_id()
-        coordinator = GroupCommitCoordinator(store)
+        coordinator = GroupCommitCoordinator(store, lambda: 0)
         coordinator.close()
         with pytest.raises(ServerBusyError):
             coordinator.commit({chunk_id: b"x"})
@@ -209,27 +232,207 @@ class TestBatching:
 
 
 class TestDatabaseIntegration:
-    def test_enable_routes_transaction_commits_through_coordinator(self):
+    def test_every_stack_commits_through_its_coordinator(self, tmp_path):
+        from repro.server.server import RemoteRecord
+
+        directory = str(tmp_path / "db")
+        for opener in (
+            Database.in_memory,
+            lambda: Database.create(directory),
+            lambda: Database.open_existing(directory),
+        ):
+            db = opener()
+            db.register_class(RemoteRecord)
+            coordinator = db.group_commit
+            assert coordinator is db.object_store.group_commit
+            with db.transaction() as txn:
+                txn.insert(RemoteRecord({"n": 1}))
+            assert coordinator.stats_snapshot().requests == 1
+            assert db.object_store.writers == 0
+            db.close()
+
+    def test_embedded_threads_share_one_chunk_commit(self, monkeypatch):
+        # Two threads that each hold a write transaction commit at once:
+        # the store counts both writers, so the first waits for the
+        # second and the pair costs one chunk-store commit.
+        from repro.server.server import RemoteRecord
+
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        db = Database.in_memory()
+        db.register_class(RemoteRecord)
+        commits_before = db.stats().commits_total
+        written = threading.Barrier(3)
+        go = threading.Barrier(3)
+
+        def writer(i):
+            txn = db.transaction()
+            txn.insert(RemoteRecord({"thread": i}))
+            written.wait()
+            go.wait()
+            txn.commit()
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        written.wait(timeout=10)
+        assert db.object_store.writers == 2
+        started = time.monotonic()
+        go.wait(timeout=10)
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "a committer never returned"
+        assert time.monotonic() - started < 5.0, "the batch waited out its window"
+        assert db.stats().commits_total == commits_before + 1
+        assert db.group_commit.stats_snapshot().batch_sizes == {2: 1}
+        assert db.object_store.writers == 0
+        db.close()
+
+    def test_writer_blocked_on_the_leaders_lock_does_not_hold_its_batch(
+        self, monkeypatch
+    ):
+        # A holds x; B holds y and then waits for x.  B cannot commit
+        # before A does, so A's batch must not wait for it: a writer
+        # waiting for a lock is not one a batch can wait for.
+        from repro.server.server import RemoteRecord
+
+        db, (x, y) = _two_records()
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        a = db.transaction()
+        a.open_writable(x).deref().value["n"] = 1
+        b_locked = threading.Event()
+
+        def b_run():
+            b = db.transaction()
+            b.open_writable(y).deref().value["n"] = 2
+            b_locked.set()
+            b.open_writable(x).deref().value["n"] = 3  # waits for A
+            b.commit()
+
+        b_thread = threading.Thread(target=b_run)
+        b_thread.start()
+        b_locked.wait(timeout=10)
+        wait_until(lambda: db.object_store.locks._changed._waiters)
+        assert db.object_store.writers == 2  # B is open, but cannot join
+        started = time.monotonic()
+        a.commit()
+        assert time.monotonic() - started < 2.0, "A waited for a blocked writer"
+        b_thread.join(timeout=30)
+        assert not b_thread.is_alive()
+        assert db.object_store.writers == 0
+        with db.transaction() as txn:
+            assert txn.open_readonly(x).deref().value["n"] == 3
+        db.close()
+
+    def test_aborted_writer_wakes_the_waiting_leader(self, monkeypatch):
+        # A's batch waits for B, a writer that can still join; when B
+        # aborts instead, the leader is woken and seals at once.
+        db, (x, y) = _two_records()
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        written = threading.Barrier(2)
+        elapsed = []
+
+        def a_run():
+            a = db.transaction()
+            a.open_writable(x).deref().value["n"] = 1
+            written.wait()
+            started = time.monotonic()
+            a.commit()
+            elapsed.append(time.monotonic() - started)
+
+        a_thread = threading.Thread(target=a_run)
+        a_thread.start()
+        b = db.transaction()
+        b.open_writable(y).deref().value["n"] = 2
+        written.wait(timeout=10)
+        wait_until(lambda: db.group_commit.stats_snapshot().requests == 2)
+        b.abort()
+        a_thread.join(timeout=30)
+        assert not a_thread.is_alive()
+        assert elapsed and elapsed[0] < 2.0, "the leader waited out its window"
+        assert db.object_store.writers == 0
+        db.close()
+
+    def test_a_flushing_batch_does_not_hold_the_next(self, monkeypatch):
+        # A late writer arrives while a pair's batch is committing.  Its
+        # batch stays open until that commit ends, then seals at once:
+        # the pair's members can join no other batch, so nobody is left
+        # to wait for.
+        from repro.server.server import RemoteRecord
+
+        db, (x, y) = _two_records()
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        coordinator = db.group_commit
+        chunk_commit = db.chunk_store.commit
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_commit(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30)
+            return chunk_commit(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator.chunk_store, "commit", slow_commit)
+        written = threading.Barrier(3)
+
+        def writer(oid):
+            txn = db.transaction()
+            txn.open_writable(oid).deref().value["n"] = oid
+            written.wait()
+            txn.commit()
+
+        pair = [threading.Thread(target=writer, args=(oid,)) for oid in (x, y)]
+        for thread in pair:
+            thread.start()
+        written.wait(timeout=10)
+        entered.wait(timeout=10)  # the pair's batch is committing
+        late = db.transaction()
+        late.insert(RemoteRecord({"late": True}))
+        late_thread = threading.Thread(target=late.commit)
+        late_thread.start()
+        wait_until(lambda: coordinator.stats_snapshot().requests == 4)
+        released = time.monotonic()
+        release.set()
+        late_thread.join(timeout=30)
+        assert time.monotonic() - released < 2.0, "the late batch waited out its window"
+        for thread in pair:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert coordinator.stats_snapshot().batch_sizes == {1: 2, 2: 1}
+        db.close()
+
+    def test_one_thread_with_two_write_transactions_does_not_wait(
+        self, monkeypatch
+    ):
+        # The second transaction belongs to the committing thread, which
+        # is blocked in this commit: it cannot join, so nothing waits.
+        db, (x, y) = _two_records()
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        first, second = db.transaction(), db.transaction()
+        first.open_writable(x).deref().value["n"] = 1
+        second.open_writable(y).deref().value["n"] = 2
+        assert db.object_store.writers == 2
+        started = time.monotonic()
+        first.commit()
+        second.commit()
+        assert time.monotonic() - started < 2.0, "a commit waited for its own thread"
+        assert db.object_store.writers == 0
+        db.close()
+
+    def test_commit_after_close_raises_the_closed_store_error(self):
+        # Not the transient ServerBusyError: retrying cannot succeed.
         from repro.server.server import RemoteRecord
 
         db = Database.in_memory()
         db.register_class(RemoteRecord)
-        coordinator = db.enable_group_commit(max_delay=0.0)
-        assert db.group_commit is coordinator
-        assert db.enable_group_commit() is coordinator  # idempotent
-        with db.transaction() as txn:
-            oid = txn.insert(RemoteRecord({"n": 1}))
-        assert coordinator.stats_snapshot().requests == 1
-        db.disable_group_commit()
-        assert db.group_commit is None
-        with db.transaction() as txn:
-            assert txn.open_readonly(oid, RemoteRecord).deref().value == {"n": 1}
-        assert coordinator.stats_snapshot().requests == 1  # untouched
+        txn = db.transaction()
+        txn.insert(RemoteRecord({"n": 1}))
         db.close()
+        with pytest.raises(ChunkStoreError, match="closed") as info:
+            txn.commit()
+        assert not isinstance(info.value, ServerBusyError)
 
     def test_database_close_is_idempotent_and_thread_safe(self):
         db = Database.in_memory()
-        db.enable_group_commit()
         errors = []
 
         def closer():
@@ -254,16 +457,29 @@ def wait_until(condition, timeout: float = 10.0) -> None:
         time.sleep(0.02)
 
 
+def commit_p50_ms(client, transactions: int) -> float:
+    """Median wall time of ``commit`` over one-put transactions."""
+    samples = []
+    for n in range(transactions):
+        client.call("begin", mode="object")
+        client.call("obj.put", oid=None, value={"n": n})
+        started = time.perf_counter()
+        client.call("commit")
+        samples.append((time.perf_counter() - started) * 1000.0)
+    return statistics.median(samples)
+
+
 class TestServedQuorum:
-    def test_idle_connection_does_not_hold_a_batch_open(self):
-        # Only sessions that have begun a transaction count toward the
-        # quorum.  A connection that never begins one (a stats poller, a
-        # replica follower, a proof client) cannot join a batch, so a
-        # lone writer beside it must not wait out the 10 s window.
+    def test_idle_connection_does_not_hold_a_batch_open(self, monkeypatch):
+        # Only open write transactions count toward the quorum.  A
+        # connection that never begins one (a stats poller, a replica
+        # follower, a proof client) cannot join a batch, so a lone
+        # writer beside it must not wait out the 10 s window.
         from repro.server import TdbClient, TdbServer
 
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
         db = Database.in_memory()
-        server = TdbServer(db, max_delay=10.0).start()
+        server = TdbServer(db).start()
         try:
             with TdbClient(*server.address) as idle, \
                     TdbClient(*server.address) as writer:
@@ -274,17 +490,50 @@ class TestServedQuorum:
                 writer.call("commit")
                 elapsed = time.monotonic() - started
                 assert elapsed < 2.0, "the commit waited for an idle connection"
-                assert server.coordinator.concurrency_hint == 1
+                assert db.object_store.writers == 0
         finally:
             server.stop()
             db.close()
 
+    def test_reader_does_not_hold_a_writers_commit(self, monkeypatch):
+        # A read-only session runs begin/get/commit beside a writer.  It
+        # holds no exclusive lock, so it is not a writer and no batch
+        # waits for it: with a 50 ms window any wait would dwarf the
+        # writer's commit time alone.
+        from repro.server import TdbClient, TdbServer
 
-    def test_quorum_counts_each_session_once_and_returns_to_zero(self):
-        # More sessions than cores begin, commit and leave at once, with
-        # a short switch interval: a lost update would leave the count
-        # off zero.  A session that parks and is resumed by a fresh
-        # connection keeps its one place.
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 0.05)
+        db = Database.in_memory(chunk_config=ChunkStoreConfig(fsync=True))
+        server = TdbServer(db).start()
+        stop = threading.Event()
+        try:
+            with TdbClient(*server.address) as writer:
+                oid = writer.run_transaction(lambda txn: txn.put({"n": 0}))
+                alone = commit_p50_ms(writer, 30)
+
+                def read_loop():
+                    with TdbClient(*server.address) as reader:
+                        while not stop.is_set():
+                            with reader.transaction() as txn:
+                                txn.get(oid)
+
+                thread = threading.Thread(target=read_loop, daemon=True)
+                thread.start()
+                beside = commit_p50_ms(writer, 30)
+                stop.set()
+                thread.join(timeout=10)
+            assert beside < 2.0 or beside < 2 * alone, (alone, beside)
+        finally:
+            stop.set()
+            server.stop()
+            db.close()
+
+    def test_quorum_counts_write_transactions_and_returns_to_zero(self):
+        # More sessions than cores begin, write, commit and leave at
+        # once, with a short switch interval: a lost update would leave
+        # the count off zero.  A reader, and a writer still waiting for
+        # its first exclusive lock, are not counted; a writer that parks
+        # and is resumed by a fresh connection keeps its one place.
         import socket
         import struct
         import sys
@@ -293,9 +542,9 @@ class TestServedQuorum:
 
         db = Database.in_memory()
         server = TdbServer(
-            db, backpressure=BackpressureConfig(resume_grace=5.0), max_delay=0.001
+            db, backpressure=BackpressureConfig(resume_grace=5.0)
         ).start()
-        coordinator = server.coordinator
+        store = db.object_store
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -312,15 +561,39 @@ class TestServedQuorum:
                 thread.join(timeout=60)
                 assert not thread.is_alive(), "a writer never finished"
             wait_until(lambda: server.admission.active == 0)
-            assert coordinator.concurrency_hint == 0
+            assert store.writers == 0
+        finally:
+            sys.setswitchinterval(interval)
 
-            def rpc(sock, op, **params):
-                protocol.write_frame(sock, {"id": 1, "op": op, **params})
-                return protocol.read_frame(sock, 10.0, 10.0)
+        def rpc(sock, op, **params):
+            protocol.write_frame(sock, {"id": 1, "op": op, **params})
+            return protocol.read_frame(sock, 10.0, 10.0)
+
+        try:
+            with TdbClient(*server.address) as holder, \
+                    TdbClient(*server.address) as waiter:
+                holder.call("begin", mode="object")
+                oid = holder.call("obj.put", oid=None, value={"n": 0})["oid"]
+                waiter.call("begin", mode="object")
+                assert store.writers == 1  # a begun reader is no writer
+                blocked = threading.Thread(
+                    target=waiter.call,
+                    args=("obj.put",),
+                    kwargs={"oid": oid, "value": {"n": 1}},
+                )
+                blocked.start()
+                wait_until(lambda: store.locks._changed._waiters)
+                assert store.writers == 1  # still waiting for its lock
+                holder.call("commit")
+                blocked.join(timeout=10)
+                assert store.writers == 1  # the lock was granted
+                waiter.call("commit")
+            assert store.writers == 0
 
             dropped = socket.create_connection(server.address, timeout=10.0)
             token = rpc(dropped, "begin", mode="object")["result"]["session"]
-            assert coordinator.concurrency_hint >= 1
+            assert rpc(dropped, "obj.put", oid=None, value={"n": 2})["ok"]
+            assert store.writers == 1
             dropped.setsockopt(
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
@@ -328,14 +601,15 @@ class TestServedQuorum:
             wait_until(
                 lambda: server.core.resilience_snapshot()["parked_sessions"] == 1
             )
+            assert store.writers == 1
             with socket.create_connection(server.address, timeout=10.0) as sock:
                 assert rpc(sock, "session.resume", session=token)["ok"]
+                assert store.writers == 1
                 assert rpc(sock, "commit")["ok"]
-                assert coordinator.concurrency_hint == 1
+                assert store.writers == 0
             wait_until(lambda: server.admission.active == 0)
-            assert coordinator.concurrency_hint == 0
+            assert store.writers == 0
         finally:
-            sys.setswitchinterval(interval)
             server.stop()
             db.close()
 
@@ -362,8 +636,7 @@ def _batched_workload(schedule=None):
     )
     marker = (untrusted.total_writes, untrusted.total_syncs)
     batch_ids = [store.allocate_chunk_id() for _ in range(4)]
-    coordinator = GroupCommitCoordinator(store, max_delay=30.0)
-    coordinator.concurrency_hint = 4
+    coordinator = _coordinator(store, 4)
     errors = _run_merged_batch(coordinator, batch_ids)
     return untrusted, counter, setup_ids, batch_ids, errors, marker
 

@@ -393,6 +393,62 @@ class TestReplicaCounter:
                 assert app.sync_once() is True
                 assert read_replica_object(app, later[100])["n"] == 100
 
+    def test_local_commits_after_a_failed_install_survive_promotion(
+        self, tmp_path, monkeypatch
+    ):
+        # A sync fails before its counter advance and leaves data.next/.
+        # Writable commits straight on data/ then catch the counter up
+        # to data.next/'s value, so both images open against it.  The
+        # settle before promotion must keep data/ and those commits.
+        with running_primary(tmp_path) as (server, primary, pdir):
+            populate(server, 10)
+            rdir = make_replica_dir(tmp_path, pdir)
+            with ReplicaApplier(rdir, *server.address, chunk_config=CHUNK) as app:
+                app.sync_once()
+            populate(server, 5, start=100)
+            # The value data.next/ opens against: the primary's counter
+            # when it shipped.
+            target_counter = primary.chunk_store.stats().counter_value
+
+            def lose_power(cls, path, value):
+                raise OSError("power lost before the counter advanced")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    FileOneWayCounter, "initialize", classmethod(lose_power)
+                )
+                with ReplicaApplier(
+                    rdir, *server.address, chunk_config=CHUNK
+                ) as app:
+                    with pytest.raises(OSError):
+                        app.sync_once()
+        pending = os.path.join(rdir, "data.next")
+        db = Database.open_existing(rdir, CHUNK)
+        db.register_class(RemoteRecord)
+        local = []
+        try:
+            while db.chunk_store.counter.read() < target_counter:
+                with db.transaction() as txn:
+                    oid = txn.insert(RemoteRecord({"local": len(local)}))
+                    txn.bind_name(f"local-{len(local)}", oid)
+                local.append(oid)
+            assert db.chunk_store.counter.read() == target_counter
+        finally:
+            db.close()
+        assert len(local) >= 1
+        assert os.path.isdir(pending)
+        db = promote_replica(rdir, CHUNK)
+        db.register_class(RemoteRecord)
+        try:
+            with db.transaction() as txn:
+                for i, oid in enumerate(local):
+                    assert txn.lookup_name(f"local-{i}") == oid
+                    assert txn.open_readonly(oid).value == {"local": i}
+                assert txn.lookup_name("obj-100") is None
+        finally:
+            db.close()
+        assert not os.path.exists(pending)
+
     def test_other_identity_must_not_be_behind_the_counter(self, tmp_path):
         with running_primary(tmp_path) as (server, _db, pdir):
             for batch in range(3):

@@ -22,7 +22,9 @@ from repro.errors import (
     SessionStateError,
     TransientStoreError,
 )
+from repro.platform.resilient import RetryPolicy
 from repro.server import BackpressureConfig, RemoteRecord, TdbClient, TdbServer, field_indexer
+from repro.objectstore import groupcommit
 from repro.server import protocol
 
 
@@ -371,7 +373,9 @@ class TestBackpressure:
                 hog.close()
 
             threading.Thread(target=release_soon, daemon=True).start()
-            with connect(server, connect_retries=5) as client:
+            with connect(
+                server, retry_policy=RetryPolicy(max_attempts=6, base_delay=0.05)
+            ) as client:
                 oid = client.run_transaction(
                     lambda txn: txn.put({"made": "it"}),
                     attempts=30,
@@ -387,12 +391,11 @@ class TestGroupCommitAcceptance:
     CLIENTS = 32
     TXNS_PER_CLIENT = 5
 
-    def test_32_clients_amortize_syncs_and_counter_advances(self):
+    def test_32_clients_amortize_syncs_and_counter_advances(self, monkeypatch):
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 0.05)
         db = Database.in_memory(chunk_config=ChunkStoreConfig(fsync=True))
         config = BackpressureConfig(max_sessions=64)
-        with running_server(
-            db=db, backpressure=config, max_delay=0.05
-        ) as server:
+        with running_server(db=db, backpressure=config) as server:
             io_before = db.io_stats().snapshot()
             counter_before = db.stats().counter_value
             start = threading.Barrier(self.CLIENTS)
@@ -422,7 +425,7 @@ class TestGroupCommitAcceptance:
             assert failures == [], f"clients failed: {failures[:3]}"
 
             commits = self.CLIENTS * self.TXNS_PER_CLIENT
-            stats = server.coordinator.stats_snapshot()
+            stats = db.group_commit.stats_snapshot()
             io_delta = db.io_stats().delta_since(io_before)
             counter_delta = db.stats().counter_value - counter_before
 

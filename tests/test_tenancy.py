@@ -5,6 +5,7 @@ metered audit, and the three-tenant end-to-end contract on the server.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.errors import (
     TDBError,
     TenancyError,
 )
+from repro.objectstore import groupcommit
 from repro.server import TdbClient, TdbServer
 from repro.server.protocol import DATA, STORE, VERBS
 from repro.tenancy import (
@@ -557,6 +559,46 @@ class TestThreadedHub:
         finally:
             db.close()
             hub.close()
+
+
+class TestHubGroupCommit:
+    def test_two_sessions_of_one_tenant_share_one_chunk_commit(
+        self, tmp_path, monkeypatch
+    ):
+        # A tenant database commits through its own coordinator, so two
+        # of its sessions that commit at once cost one chunk-store
+        # commit: one log append, one sync, one counter advance.
+        monkeypatch.setattr(groupcommit, "MAX_DELAY", 10.0)
+        with running_hub(tmp_path, [("acme", None)]) as (server, hub, secrets):
+            clients = [connect(server, "acme", "admin", secrets["acme"]) for _ in range(2)]
+            try:
+                for i, client in enumerate(clients):
+                    client.call("begin", mode="object")
+                    client.call("obj.put", oid=None, value={"session": i})
+                db = hub.registry.peek("acme").db
+                assert db.object_store.writers == 2
+                commits_before = db.stats().commits_total
+                barrier = threading.Barrier(2)
+
+                def commit(client):
+                    barrier.wait()
+                    client.call("commit")
+
+                threads = [
+                    threading.Thread(target=commit, args=(c,)) for c in clients
+                ]
+                started = time.monotonic()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive(), "a commit never returned"
+                assert time.monotonic() - started < 5.0
+                assert db.stats().commits_total == commits_before + 1
+                assert db.object_store.writers == 0
+            finally:
+                for client in clients:
+                    client.close()
 
 
 # ---------------------------------------------------------------------------

@@ -275,8 +275,17 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             tools_main(["serve", "--help"])
         out = capsys.readouterr().out
-        assert "--max-delay" in out
+        assert "--resume-grace" in out
         assert "--idle-timeout" in out
+
+    @pytest.mark.parametrize("flag", ["--max-delay", "--max-pending"])
+    def test_serve_refuses_group_commit_flags(self, flag, capsys):
+        # The batching window and the commit queue bound are constants
+        # of the group-commit coordinator, not serve options.
+        with pytest.raises(SystemExit) as refused:
+            tools_main(["serve", "unused-dir", flag, "1"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReplicationCommands:
@@ -452,7 +461,7 @@ class TestReplicationCommands:
         with pytest.raises(SystemExit):
             tools_main(["serve", "--help"])
         out = capsys.readouterr().out
-        assert "--max-pending" in out
+        assert "--max-pending" not in out
         assert "--no-quorum-seal" not in out
         assert "--shards" not in out  # the sharded layout is gone
         assert "--max-results" in out
